@@ -137,7 +137,10 @@ def multiple_average(
 
     Each distinct exact phase vector is integrated once; an identically zero
     phase contributes exactly 1 with zero error.  ``tol`` bounds the absolute
-    quadrature error per output coefficient.
+    quadrature error of each distinct phase integral, not of each output
+    coefficient: a coefficient sums several integrals, and its bound,
+    sum |coefficient product| * integral error, is the one reported in
+    ``AverageResult.est_error``.
     """
     a, b = float(interval[0]), float(interval[1])
     if not 0 <= a < b:

@@ -17,7 +17,7 @@ Config keys and defaults:
     observables   comma-separated observable paths
     intervals     pinned | sliding-k1 | sliding-k5 | irregular   [pinned]
     n_max         interval index bound                           [12]
-    tol           quadrature tolerance per coefficient           [1e-8]
+    tol           quadrature tolerance per phase integral        [1e-8]
     pass_tol      pass threshold for diagnostics                 [1e-2]
     budget        evaluation budget per oscillatory integral     [10000000]
     seed          recorded for reproducibility                   [0]
@@ -28,8 +28,8 @@ Config keys and defaults:
 
 The environment variable FPET_LOG in {error, info, debug} sets log verbosity
 (default error).  --threads N controls internal parallelism (default: the
-hardware count); --serial (= --threads 1) plus a fixed seed makes output
-files byte-identical across runs.
+hardware count); --serial (= --threads 1) makes output files byte-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -170,9 +170,13 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentSpec:
     if "command" not in values:
         raise ParseError(path, 0, "missing key 'command'")
     spec = ExperimentSpec(**values)
-    for knob in ("n_max", "tol", "pass_tol", "budget", "T", "H", "max_nodes"):
+    for knob in ("n_max", "budget", "max_nodes"):
         if getattr(spec, knob) <= 0:
             raise ParseError(path, 0, f"{knob} must be positive")
+    for knob in ("tol", "pass_tol", "T", "H"):
+        value = getattr(spec, knob)
+        if not (math.isfinite(value) and value > 0):
+            raise ParseError(path, 0, f"{knob} must be finite and positive")
     if spec.seed < 0:
         raise ParseError(path, 0, "seed must be nonnegative")
     for field in _REQUIRED[spec.command]:

@@ -144,7 +144,13 @@ class TimeChangeWeights:
         tol: float = 1e-8,
         budget: int = DEFAULT_BUDGET,
     ) -> complex:
-        """Apply the decomposition to a rule (lo, hi) -> average of v over (lo, hi)."""
+        """Apply the decomposition to a rule (lo, hi) -> average of v over (lo, hi).
+
+        ``inner_average`` must accept arrays: it is called as
+        ``inner_average(ts, B)`` (tail) or ``inner_average(A, ts)`` (head) once
+        per batch of outer quadrature nodes ``ts``, and must return the array
+        of averages over the windows; :meth:`PanelTable.average` does.
+        """
         A, B = self.support
         total = self.w0 * inner_average(A, B)
         if self.kernel is None:
@@ -152,14 +158,10 @@ class TimeChangeWeights:
         kernel = self.kernel
         if self.inner == "tail":
             def integrand(ts):
-                return np.array(
-                    [kernel(t) * inner_average(t, B) for t in np.atleast_1d(ts)]
-                )
+                return kernel(ts) * inner_average(ts, B)
         else:
             def integrand(ts):
-                return np.array(
-                    [kernel(t) * inner_average(A, t) for t in np.atleast_1d(ts)]
-                )
+                return kernel(ts) * inner_average(A, ts)
         value, _, _ = adaptive_integral(integrand, A, B, tol, budget)
         return total + value
 

@@ -30,8 +30,10 @@ DEFAULT_BUDGET = 10**7
 
 _CYCLES_PER_PANEL = 3.5
 _CHUNK = 1 << 16
+_PIECE_CHUNK = 256  # PanelTable pieces per vectorized curve call
 _MAX_ROUNDS = 64
 _EVALS_PER_PANEL = 24 + 15
+_EPS = float(np.finfo(float).eps)
 
 _X24, _W24 = np.polynomial.legendre.leggauss(24)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
@@ -174,9 +176,18 @@ class PanelTable:
     """Panelized antiderivative of a curve over a fixed window.
 
     One adaptive pass stores the panel decomposition and its prefix sums;
-    averages over arbitrary subintervals then cost a single Gauss panel per
-    endpoint.  Built for the time-change decomposition, whose kernel weights
-    a continuum of nested interval averages of the same curve.
+    integrals from ``lo`` to any point then cost one prefix-sum lookup plus
+    one 24-point Gauss piece from the left edge of the point's panel.  Built
+    for the time-change decomposition, whose kernel weights a continuum of
+    nested interval averages of the same curve.
+
+    Array protocol: :meth:`integral_to` and :meth:`average` accept scalars
+    or arrays.  A scalar query returns a Python ``complex``.  An array query
+    returns a complex array of the broadcast shape, with one ``searchsorted``
+    for the panels, one gather of the prefix sums, and the partial Gauss
+    pieces evaluated ``_PIECE_CHUNK`` at a time in vectorized calls of the
+    curve; its values are those of the scalar queries up to the rounding of
+    the Gauss-weight reduction.
     """
 
     def __init__(self, f, lo: float, hi: float, tol: float,
@@ -188,22 +199,38 @@ class PanelTable:
         self._prefix = np.concatenate(([0j], I.cumsum()))
         self.est_error = err
 
-    def _gauss_piece(self, a: float, b: float) -> complex:
-        if b <= a:
-            return 0j
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return complex((np.asarray(self._f(mid + half * _X24), dtype=complex) @ _W24) * half)
+    def _gauss_pieces(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """24-point Gauss integrals over (a, b) elementwise; 0 where b <= a
+        (a NaN endpoint propagates)."""
+        out = np.zeros(len(a), dtype=complex)
+        todo = np.flatnonzero(~(b <= a))
+        for s in range(0, len(todo), _PIECE_CHUNK):
+            i = todo[s : s + _PIECE_CHUNK]
+            mid, half = 0.5 * (a[i] + b[i]), 0.5 * (b[i] - a[i])
+            v = np.asarray(self._f((mid[:, None] + half[:, None] * _X24).ravel()), dtype=complex)
+            out[i] = (v.reshape(len(i), 24) @ _W24) * half
+        return out
 
-    def integral_to(self, t: float) -> complex:
-        t = min(max(float(t), self.lo), self.hi)
-        k = int(np.searchsorted(self._edges, t, side="right")) - 1
-        k = min(max(k, 0), len(self._edges) - 2)
-        return complex(self._prefix[k]) + self._gauss_piece(self._edges[k], t)
+    def integral_to(self, t):
+        """Integral of the curve from ``lo`` to ``t``, clamped to the window."""
+        t = np.asarray(t, dtype=float)
+        x = np.clip(t.ravel(), self.lo, self.hi)
+        k = np.searchsorted(self._edges, x, side="right") - 1
+        np.clip(k, 0, len(self._edges) - 2, out=k)
+        value = self._prefix[k] + self._gauss_pieces(self._edges[k], x)
+        return complex(value[0]) if t.ndim == 0 else value.reshape(t.shape)
 
-    def average(self, lo: float, hi: float) -> complex:
-        if not hi > lo:
+    def average(self, lo, hi):
+        """Average of the curve over (lo, hi); raises if any window is empty."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if not np.all(hi > lo):
             raise ValueError("empty averaging window")
-        return (self.integral_to(hi) - self.integral_to(lo)) / (hi - lo)
+        diff, width = np.broadcast_arrays(self.integral_to(hi) - self.integral_to(lo), hi - lo)
+        # divide the parts by the real width, as Python's complex / float does
+        # (numpy's complex division multiplies by a reciprocal)
+        out = np.empty(diff.shape, dtype=complex)
+        out.real, out.imag = diff.real / width, diff.imag / width
+        return complex(out) if out.ndim == 0 else out
 
 
 def adaptive_average(
@@ -235,7 +262,11 @@ def osc_phase_average(
 
     Exponents are positive rationals; the substitution t = u^L (L the common
     denominator) makes the phase polynomial before panel integration.  An
-    identically zero phase short-circuits to 1 exactly.
+    identically zero phase short-circuits to 1 exactly.  Float phases carry a
+    rounding error of about eps * sum_e |c_e| hi^e cycles, which moves the
+    average by up to 2*pi times that; when this bound exceeds ``tol`` the
+    window is too far out to resolve, and :class:`QuadratureBudgetError` is
+    raised before integrating, with the bound as its error estimate.
     """
     cleaned: dict[Fraction, float] = {}
     for e, c in coeffs.items():
@@ -249,6 +280,11 @@ def osc_phase_average(
         return 1.0 + 0j, 0.0, 0
     if not float(lo) >= 0.0:
         raise ValueError("fractional phases need a nonnegative interval")
+    phase_noise = 2 * np.pi * _EPS * sum(abs(c) * float(hi) ** float(e) for e, c in cleaned.items())
+    if phase_noise > tol:
+        raise QuadratureBudgetError(
+            "float phase rounding exceeds the tolerance on this window", 0j, phase_noise, 0
+        )
     L = lcm(*(e.denominator for e in cleaned))
     deg = max(int(e * L) for e in cleaned)
     c_asc = np.zeros(deg + 1)

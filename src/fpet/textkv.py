@@ -6,6 +6,7 @@ path and 1-based line number.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator
 
@@ -52,6 +53,9 @@ def parse_int(token: str, path: str, lineno: int, key: str) -> int:
 
 def parse_float(token: str, path: str, lineno: int, key: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(path, lineno, f"{key} must be a number, got {token!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(path, lineno, f"{key} must be finite, got {token!r}")
+    return value

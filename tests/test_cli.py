@@ -174,3 +174,29 @@ def test_run_rejects_unknown_interval_id():
     text = read_cfg("conv_k1.cfg").replace("intervals = pinned", "intervals = bogus")
     with pytest.raises(ParseError):
         parse_config(text, cfg_path("conv_k1.cfg"))
+
+
+@pytest.mark.parametrize("key", ["tol", "pass_tol", "T", "H"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_knob_exits_2(tmp_path, capsys, key, bad):
+    cfg = tmp_path / "knob.cfg"
+    cfg.write_text(read_cfg("timechange_quick.cfg") + f"{key} = {bad}\n")
+    rc = main(["--config", str(cfg), "--serial", "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"{key} must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "knob.jsonl").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_observable_coefficient_exits_2(tmp_path, capsys, bad):
+    obs = tmp_path / "bad.obs"
+    obs.write_text(f"m = 1\nterm = 1 : {bad} 0.0\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        f"command = run-convergence\nsystem = {cfg_path('circle.system')}\n"
+        f"family = {cfg_path('third.family')}\nobservables = bad.obs\nn_max = 3\n"
+    )
+    rc = main(["--config", str(cfg), "--serial", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "bad.obs:2: re must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "bad.csv").exists()

@@ -13,6 +13,7 @@ from fpet.interval import (
     time_changed_average,
     time_changed_average_via_weights,
 )
+import fpet.quadrature as quadrature
 from fpet.quadrature import ExpPhaseCurve
 
 F = Fraction
@@ -189,3 +190,63 @@ def test_limit_equality_fractional_phase():
     for alpha, interval in [(1 / 3, (2.0**30, 2.0**31)), (2.0, (2.0**8, 2.0**9))]:
         value = time_changed_average(curve, alpha, interval, tol=1e-6)
         assert abs(value) < 1e-2
+
+
+def linear_phase_average(c, lo, hi):
+    """Closed-form average of exp(2 pi i c t) over (lo, hi), broadcasting."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    e = lambda t: np.exp(2j * np.pi * c * t)
+    return (e(hi) - e(lo)) / (2j * np.pi * c * (hi - lo))
+
+
+@pytest.mark.parametrize("alpha,interval", [(1 / 3, (2.0, 400.0)), (3.0, (0.5, 12.0))])
+def test_weighted_average_queries_inner_once_per_batch(monkeypatch, alpha, interval):
+    rounds = []
+    real_eval = quadrature._eval_panels
+
+    def counting_eval(f, a, b):
+        rounds.append(len(a))
+        return real_eval(f, a, b)
+
+    monkeypatch.setattr(quadrature, "_eval_panels", counting_eval)
+    calls, points = [], []
+
+    def inner(lo, hi):
+        calls.append((lo, hi))
+        points.append(max(np.size(lo), np.size(hi)))
+        return linear_phase_average(0.3, lo, hi)
+
+    weights = time_change_weights(alpha, interval)
+    batched = weights.weighted_average(inner, tol=1e-9)
+    assert len(calls) <= 2 * len(rounds) + 1
+    assert sum(points) > 10 * len(calls)
+    # the loop form of the same rule: one scalar query per point
+    per_point = np.vectorize(
+        lambda lo, hi: complex(linear_phase_average(0.3, lo, hi)), otypes=[complex]
+    )
+    assert abs(batched - weights.weighted_average(per_point, tol=1e-9)) < 1e-12
+
+
+def timechange_oracle(alpha, c, a, b):
+    """Average of exp(2 pi i c s^alpha) over (a, b) through the incomplete
+    gamma function: after x = s^alpha it is the integral of
+    x^(nu - 1) e^(2 pi i c x) over (a^alpha, b^alpha), divided by
+    alpha (b - a), with nu = 1 / alpha."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        al = mp.mpf(alpha.numerator) / alpha.denominator
+        nu = 1 / al
+        A, B = mp.mpf(a) ** al, mp.mpf(b) ** al
+        z = -2j * mp.pi * mp.mpf(c)
+        return complex(z ** (-nu) * mp.gammainc(nu, z * A, z * B) / (al * (b - a)))
+
+
+@pytest.mark.parametrize(
+    "alpha,interval", [(F(1, 3), (2.0, 400.0)), (F(2), (1.0, 30.0)), (F(7, 2), (1.0, 9.0))]
+)
+def test_via_weights_against_incomplete_gamma(alpha, interval):
+    curve = ExpPhaseCurve({F(1): 0.7})
+    tol = 1e-7
+    via = time_changed_average_via_weights(curve, float(alpha), interval, tol=tol)
+    assert abs(via - timechange_oracle(alpha, 0.7, *interval)) <= tol
