@@ -8,9 +8,18 @@ theta(t) = sum_j c_j t^(j/d) and c_j = sum_i chi_i^T A v_{i,j}.  The c_j are
 exact rationals, so the tempered-uniform limit of each scalar average is
 decided symbolically (1 when every c_j vanishes, else 0); only finite-
 interval averages touch floating point, through the oscillatory quadrature
-engine.  The same enumeration yields self-joining moments, the off-diagonal
-shift test, correlation averages for the van der Corput bound, and the
-partially-characteristic-factor diagnostic.
+engine.
+
+c_j is linear in the tuple, so each member's contribution chi^T A v_{i,j} is
+computed once per support frequency, as integers over one common
+denominator (the phase tables).  Finite-interval averages and the van der
+Corput correlations enumerate every tuple and sum its table rows.  The exact
+limits, self-joining moments and the partially-characteristic-factor
+witnesses need only the tuples whose phase vector vanishes; they find them
+with a meet-in-the-middle hash join on the tables, at a cost of about
+|S|^ceil(k/2) plus the number of survivors for supports of size |S|, instead
+of |S|^k.  Survivors come out in itertools.product order, the order a full
+enumeration visits them, so every float sum is the same.
 """
 
 from __future__ import annotations
@@ -21,14 +30,14 @@ import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .fpoly import FPolyFamily, family_is_good
 from .interval import TemperedSequence
 from .quadrature import DEFAULT_BUDGET, adaptive_integral, osc_phase_average
-from .ratlinalg import RatVec
+from .ratlinalg import matvec
 from .torus import (
     CharacterLattice,
     TorusSystem,
@@ -75,32 +84,19 @@ class MomentQuery:
                 raise ValueError("shift times must be exact rationals")
 
 
-def _chi_row(sys: TorusSystem, chi: Freq) -> RatVec:
-    """chi^T A as an exact rational row of length D."""
-    return tuple(
-        sum(chi[r] * sys.A[r][c] for r in range(sys.m) if chi[r]) for c in range(sys.D)
-    )
+_Entry = tuple[Freq, complex, tuple[int, ...]]  # (chi, coefficient, integer phase row)
 
 
-def _phase_vector(
-    sys: TorusSystem, fam: FPolyFamily, chis: Sequence[Freq], cache: dict
-) -> tuple[Fraction, ...]:
-    """c_j = sum_i chi_i^T A v_{i,j} for j = 1..d, exact."""
-    c = [Fraction(0)] * fam.height
-    for member, chi in zip(fam.members, chis):
-        row = cache.get(chi)
-        if row is None:
-            row = cache[chi] = _chi_row(sys, chi)
-        for j, v in enumerate(member.coeffs):
-            c[j] += sum(r * x for r, x in zip(row, v) if x)
-    return tuple(c)
-
-
-def _tuple_data(
+def _phase_tables(
     sys: TorusSystem, fam: FPolyFamily, fs: Sequence[TrigPoly]
-) -> Iterator[tuple[tuple[Freq, ...], Freq, complex, tuple[Fraction, ...]]]:
-    """Enumerate frequency tuples: (tuple, output frequency, coefficient
-    product, exact phase vector), in deterministic sorted order."""
+) -> tuple[list[list[_Entry]], int]:
+    """Each member's phase contribution, once per support frequency.
+
+    Entry (chi, coefficient, n) of table i, in sorted support order, has
+    chi^T A v_{i,j} = n_j / denom for j = 1..d.  The denominator is common to
+    every member, so the phase vector of a tuple is the sum of its members'
+    integer vectors over ``denom``, and it vanishes iff that sum does.
+    """
     if len(fs) != fam.k:
         raise ValueError(f"need {fam.k} observables, got {len(fs)}")
     for f in fs:
@@ -108,13 +104,97 @@ def _tuple_data(
             raise ValueError("observable does not live on this torus")
     if fam.ambient_dim != sys.D:
         raise ValueError("family and system acting dimensions differ")
-    cache: dict = {}
-    for combo in itertools.product(*(f.support() for f in fs)):
-        prod = 1.0 + 0j
-        for f, chi in zip(fs, combo):
-            prod *= f.terms[chi]
-        out = tuple(sum(x) for x in zip(*combo))
-        yield combo, out, prod, _phase_vector(sys, fam, combo, cache)
+    cols = [[matvec(sys.A, v) for v in member.coeffs] for member in fam.members]
+    denom = math.lcm(*(x.denominator for member in cols for col in member for x in col))
+    tables = []
+    for f, member in zip(fs, cols):
+        icols = [[x.numerator * (denom // x.denominator) for x in col] for col in member]
+        tables.append(
+            [
+                (chi, f.terms[chi], tuple(sum(c * a for c, a in zip(chi, col)) for col in icols))
+                for chi in f.support()
+            ]
+        )
+    return tables, denom
+
+
+def _vsum(vectors: Iterable[tuple[int, ...]], width: int) -> tuple[int, ...]:
+    return tuple(map(sum, zip((0,) * width, *vectors)))
+
+
+def _tuple_term(entries: Sequence[_Entry]):
+    """(frequency tuple, output frequency, coefficient product) of one choice
+    of table entries."""
+    combo = tuple(chi for chi, _, _ in entries)
+    prod = 1.0 + 0j
+    for _, c, _ in entries:
+        prod *= c
+    return combo, tuple(sum(x) for x in zip(*combo)), prod
+
+
+def _tuple_data(
+    sys: TorusSystem, fam: FPolyFamily, fs: Sequence[TrigPoly]
+) -> Iterator[tuple[tuple[Freq, ...], Freq, complex, tuple[Fraction, ...]]]:
+    """Enumerate frequency tuples: (tuple, output frequency, coefficient
+    product, exact phase vector), in itertools.product order."""
+    tables, denom = _phase_tables(sys, fam, fs)
+    for entries in itertools.product(*tables):
+        phase = _vsum((n for _, _, n in entries), fam.height)
+        yield *_tuple_term(entries), tuple(Fraction(n, denom) for n in phase)
+
+
+def _partial_sums(
+    keys: Sequence[Sequence[tuple[int, ...]]], width: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(index tuple, key sum) over the product of the key lists, in
+    itertools.product order."""
+    return [
+        (tuple(i for i, _ in picks), _vsum((key for _, key in picks), width))
+        for picks in itertools.product(*(list(enumerate(ks)) for ks in keys))
+    ]
+
+
+def _zero_sum_indices(
+    keys: Sequence[Sequence[tuple[int, ...]]], width: int
+) -> list[tuple[int, ...]]:
+    """Index tuples (one index per key list) whose keys sum to zero, in
+    itertools.product order.
+
+    Meet in the middle: the partial sums of the last floor(n/2) lists go into
+    a hash table under their negation, and each partial sum of the first
+    ceil(n/2) lists looks up its matches there.  With lists of length |S| this
+    builds |S|^ceil(n/2) + |S|^floor(n/2) partial sums, plus one item per
+    match, instead of the |S|^n full sums.  The first half is scanned in
+    product order and each bucket keeps product order, so the matches come
+    out in product order too.
+    """
+    half = (len(keys) + 1) // 2
+    right: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for idx, key in _partial_sums(keys[half:], width):
+        right.setdefault(tuple(-x for x in key), []).append(idx)
+    return [
+        idx + tail
+        for idx, key in _partial_sums(keys[:half], width)
+        for tail in right.get(key, ())
+    ]
+
+
+def _resonant_tuples(
+    sys: TorusSystem, fam: FPolyFamily, fs: Sequence[TrigPoly]
+) -> list[tuple[tuple[Freq, ...], Freq, complex]]:
+    """(tuple, output frequency, coefficient product) of the frequency tuples
+    whose exact phase vector vanishes, joined on the phase tables, in
+    itertools.product order."""
+    tables, _ = _phase_tables(sys, fam, fs)
+    hits = _zero_sum_indices([[n for _, _, n in t] for t in tables], fam.height)
+    return [_tuple_term([t[i] for t, i in zip(tables, idx)]) for idx in hits]
+
+
+def _sum_by_output(m: int, terms) -> TrigPoly:
+    value: dict[Freq, complex] = {}
+    for _, out, prod in terms:
+        value[out] = value.get(out, 0j) + prod
+    return TrigPoly(m, value)
 
 
 def weyl_limit(phase_coeffs: Sequence) -> complex:
@@ -180,12 +260,15 @@ def symbolic_limit(
     sys: TorusSystem, fam: FPolyFamily, fs: Sequence[TrigPoly]
 ) -> TrigPoly:
     """Exact tempered-uniform limit of the multiple averages: a frequency
-    tuple survives iff its entire phase vector vanishes."""
-    value: dict[Freq, complex] = {}
-    for _, out, prod, cvec in _tuple_data(sys, fam, fs):
-        if weyl_limit(cvec) == 1:
-            value[out] = value.get(out, 0j) + prod
-    return TrigPoly(sys.m, value)
+    tuple survives iff its entire phase vector vanishes.
+
+    Only the surviving tuples are built, by the hash join on the members'
+    integer phase tables (see :func:`_zero_sum_indices`): with supports of
+    size |S| the cost is about |S|^ceil(k/2) plus the number of survivors,
+    not |S|^k.  Survivors are summed in itertools.product order, as a full
+    enumeration would sum them.
+    """
+    return _sum_by_output(sys.m, _resonant_tuples(sys, fam, fs))
 
 
 def furstenberg_moment(sys: TorusSystem, q: MomentQuery) -> complex:
@@ -196,6 +279,12 @@ def furstenberg_moment(sys: TorusSystem, q: MomentQuery) -> complex:
     off-diagonal shift multiplies each surviving tuple by exp(2*pi*i*t*c_j),
     computed exactly; since c_j = 0 on surviving tuples the shift never
     changes the moment, which is the invariance this function exposes.
+
+    Both conditions are one hash join: each key is a phase vector followed by
+    a frequency, and f_0 joins as one more list with zero phase, so a match
+    has zero phase and zero total frequency.  With supports of size |S| the
+    cost is about |S|^ceil((k+1)/2) plus the number of contributing tuples;
+    they are summed in itertools.product order over (chi_1, ..., chi_k).
     """
     fam = q.family
     if not family_is_good(fam):
@@ -203,16 +292,19 @@ def furstenberg_moment(sys: TorusSystem, q: MomentQuery) -> complex:
     f0, rest = q.observables[0], q.observables[1:]
     if f0.m != sys.m:
         raise ValueError("observable does not live on this torus")
+    tables, _ = _phase_tables(sys, fam, rest)
+    zero_phase = (0,) * fam.height
+    keys = [[n + chi for chi, _, n in t] for t in tables]
+    chi0s = f0.support()
+    keys.append([zero_phase + chi0 for chi0 in chi0s])
+    # the shift factor exp(2*pi*i*t*c_j) of a matched tuple, whose c_j is 0
+    shift = _unit_phase(Fraction(0)) if q.shift is not None else None
     total = 0j
-    for combo, out, prod, cvec in _tuple_data(sys, fam, rest):
-        chi0 = tuple(-x for x in out)
-        c0 = f0.terms.get(chi0)
-        if c0 is None or any(c != 0 for c in cvec):
-            continue
-        weight = c0 * prod
-        if q.shift is not None:
-            j, t = q.shift
-            weight *= _unit_phase(Fraction(t) * cvec[j - 1])
+    for idx in _zero_sum_indices(keys, fam.height + sys.m):
+        _, _, prod = _tuple_term([t[i] for t, i in zip(tables, idx)])
+        weight = f0.terms[chi0s[idx[-1]]] * prod
+        if shift is not None:
+            weight *= shift
         total += weight
     return total
 
@@ -402,16 +494,18 @@ def partially_characteristic_check(
     AGREE means the two limits coincide exactly.  DISAGREE is a legitimate
     experimental outcome and is reported, not raised; the witnesses are the
     surviving frequency tuples whose last frequency lies outside the factor
-    lattice."""
+    lattice.
+
+    The full limit and the witnesses come from one hash join over the
+    surviving tuples, and the projected limit from a second (see
+    :func:`symbolic_limit` for the cost); witnesses keep itertools.product
+    order."""
     factor = xi_factor(sys, fam)
-    limit_full = symbolic_limit(sys, fam, fs)
+    resonant = _resonant_tuples(sys, fam, fs)
+    limit_full = _sum_by_output(sys.m, resonant)
     projected = project_factor(fs[-1], factor)
     limit_proj = symbolic_limit(sys, fam, list(fs[:-1]) + [projected])
-    witnesses = tuple(
-        combo
-        for combo, _, _, cvec in _tuple_data(sys, fam, fs)
-        if weyl_limit(cvec) == 1 and not factor.contains(combo[-1])
-    )
+    witnesses = tuple(combo for combo, _, _ in resonant if not factor.contains(combo[-1]))
     diff = limit_full - limit_proj
     verdict = "AGREE" if not diff.terms else "DISAGREE"
     return CharacteristicReport(verdict, diff.norm2(), witnesses, factor)

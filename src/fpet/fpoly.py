@@ -30,6 +30,16 @@ from .ratlinalg import (
 _ZERO = Fraction(0)
 
 
+def _cache_hash(obj, fields: tuple) -> None:
+    """Store the hash of a frozen value once, at construction.
+
+    It is the hash the dataclass would compute on every call, hash(fields);
+    rehashing nested ``Fraction`` tuples on each cache or dict lookup would
+    dominate the descent DAG.
+    """
+    object.__setattr__(obj, "_hash", hash(fields))
+
+
 @dataclass(frozen=True)
 class FPoly:
     """One fractional polynomial: height, ambient dimension, coefficient rows.
@@ -53,6 +63,10 @@ class FPoly:
         for v in self.coeffs:
             if len(v) != self.ambient_dim:
                 raise ValueError("coefficient vector of wrong dimension")
+        _cache_hash(self, (self.height, self.ambient_dim, self.coeffs))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def make(cls, rows: Sequence[Iterable], height: int | None = None) -> "FPoly":
@@ -158,6 +172,10 @@ class FPolyFamily:
         for p in self.members:
             if p.height != self.height or p.ambient_dim != self.ambient_dim:
                 raise ValueError("family members must share height and ambient dimension")
+        _cache_hash(self, (self.height, self.ambient_dim, self.members))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def of(cls, members: Sequence[FPoly]) -> "FPolyFamily":

@@ -19,6 +19,7 @@ moves from any good family yields a finite DAG.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -167,9 +168,9 @@ def induction_dag(f: FPolyFamily, max_nodes: int = 10_000) -> InductionDag:
     ids: dict[FPolyFamily, int] = {root: 0}
     nodes: list[FPolyFamily] = [root]
     edges: list[tuple[int, int, PrecedentStep]] = []
-    queue = [root]
+    queue = deque([root])
     while queue:
-        fam = queue.pop(0)
+        fam = queue.popleft()
         if fam.k <= 1:
             continue
         steps = [type1_precedent(fam)]

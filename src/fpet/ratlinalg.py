@@ -10,6 +10,7 @@ subgroups compare equal literally.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 RatVec = tuple[Fraction, ...]
@@ -64,9 +65,53 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(rows))
 
 
+_P = 2**61 - 1  # a Mersenne prime: residues stay machine-sized
+
+
+def _full_rank_mod_p(rows: Sequence[IntVec]) -> bool:
+    """Gaussian elimination over GF(_P); True iff the rows are independent there."""
+    work = [[x % _P for x in r] for r in rows]
+    ncols = len(work[0])
+    col = 0
+    for i in range(len(work)):
+        while True:
+            if col == ncols:
+                return False
+            pivot = next((j for j in range(i, len(work)) if work[j][col]), None)
+            if pivot is not None:
+                break
+            col += 1
+        work[i], work[pivot] = work[pivot], work[i]
+        inv = pow(work[i][col], -1, _P)
+        row = work[i]
+        for j in range(i + 1, len(work)):
+            f = work[j][col] * inv % _P
+            if f:
+                work[j] = [(a - f * b) % _P for a, b in zip(work[j], row)]
+        col += 1
+    return True
+
+
 def is_independent(rows: Sequence[Sequence[Fraction]]) -> bool:
-    """True iff the rows are linearly independent over Q (so all nonzero)."""
-    rows = list(rows)
+    """True iff the rows are linearly independent over Q (so all nonzero).
+
+    One-sided modular certificate: each row is scaled to an integer row
+    (which keeps the rank over Q) and eliminated mod the prime p = 2^61 - 1.
+    A nonzero maximal minor mod p is nonzero over Z, so full rank mod p
+    proves independence over Q.  A deficient result proves nothing (p may
+    divide every maximal minor), so it falls back to the exact
+    :func:`rank`; the answer is exact either way, with no threshold.
+    """
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in r] for r in rows]
+    if not rows:
+        return True
+    ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged matrix")
+    if len(rows) > ncols:
+        return False
+    if _full_rank_mod_p([clear_denominators(r) for r in rows]):
+        return True
     return rank(rows) == len(rows)
 
 
@@ -79,10 +124,8 @@ def clear_denominators(row: Sequence[Fraction]) -> IntVec:
 
     Row scaling preserves kernels, which is the only use made of this here.
     """
-    from math import lcm
-
     denom = lcm(*(f.denominator for f in row)) if row else 1
-    return tuple(int(f * denom) for f in row)
+    return tuple(f.numerator * (denom // f.denominator) for f in row)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

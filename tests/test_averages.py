@@ -1,10 +1,14 @@
+import cmath
 import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fpet import averages
 from fpet.averages import (
     MomentQuery,
     convergence_diagnostic,
@@ -17,7 +21,7 @@ from fpet.averages import (
 )
 from fpet.fpoly import FPolyFamily, random_good_family
 from fpet.interval import TemperedSequence, tempered_family
-from fpet.torus import TorusSystem, TrigPoly, act, project_factor, xi_factor
+from fpet.torus import CharacterLattice, TorusSystem, TrigPoly, act, project_factor, xi_factor
 
 F = Fraction
 
@@ -271,3 +275,162 @@ def test_oracle_consistency_distance_decreases(plane_system):
         dists.append((res.value - limit).norm2())
     assert all(b < a for a, b in zip(dists, dists[1:]))
     assert dists[-1] < 1e-2
+
+
+# ---------------------------------------------------------------------------
+# the zero-phase hash join against a full itertools.product enumeration
+
+
+def ref_resonant(sys, fam, fs):
+    """(combo, output frequency, coefficient product) of every tuple whose
+    exact phase vector vanishes, by full enumeration and TorusSystem.phase."""
+    found = []
+    for combo in itertools.product(*(f.support() for f in fs)):
+        phase = [
+            sum(sys.phase(chi, p.coeffs[j]) for chi, p in zip(combo, fam.members))
+            for j in range(fam.height)
+        ]
+        if any(phase):
+            continue
+        prod = 1.0 + 0j
+        for f, chi in zip(fs, combo):
+            prod *= f.terms[chi]
+        found.append((combo, tuple(sum(x) for x in zip(*combo)), prod))
+    return found
+
+
+def ref_limit(sys, fam, fs):
+    value = {}
+    for _, out, prod in ref_resonant(sys, fam, fs):
+        value[out] = value.get(out, 0j) + prod
+    return {out: c for out, c in value.items() if c != 0}
+
+
+def ref_moment(sys, fam, observables, shift=None):
+    f0, rest = observables[0], observables[1:]
+    total = 0j
+    for _, out, prod in ref_resonant(sys, fam, rest):
+        c0 = f0.terms.get(tuple(-x for x in out))
+        if c0 is None:
+            continue
+        weight = c0 * prod
+        if shift is not None:
+            weight *= cmath.exp(2j * cmath.pi * float(shift[1] * 0))
+        total += weight
+    return total
+
+
+def assert_join_matches(sys, fam, fs, f0, shift):
+    limit = symbolic_limit(sys, fam, fs)
+    # same values and the same insertion order (it fixes later float sums)
+    assert list(limit.terms.items()) == list(ref_limit(sys, fam, fs).items())
+    observables = (f0, *fs)
+    assert furstenberg_moment(sys, MomentQuery(observables, fam)) == ref_moment(
+        sys, fam, observables
+    )
+    assert furstenberg_moment(sys, MomentQuery(observables, fam, shift)) == ref_moment(
+        sys, fam, observables, shift
+    )
+    report = partially_characteristic_check(sys, fam, fs)
+    assert report.witnesses == tuple(
+        combo
+        for combo, _, _ in ref_resonant(sys, fam, fs)
+        if not report.factor.contains(combo[-1])
+    )
+
+
+_SCALES = (F(1), F(-1), F(2), F(1, 2), F(-1, 2), F(2, 3))
+
+
+@st.composite
+def join_cases(draw):
+    """A good family (k in 1..4, height 1 or 2) of sheared, scaled basis
+    vectors, a small integer system on T^1 or T^2, and observables with small
+    supports, so that resonant tuples are common."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 2))
+    D = k * d
+    A = [[draw(st.sampled_from([0, 0, 0, 1, -1, 2])) for _ in range(D)] for _ in range(m)]
+    if not any(any(row) for row in A):
+        A[0][0] = 1
+    vectors = []
+    for r in range(D):
+        row = [F(0)] * D
+        row[r] = draw(st.sampled_from(_SCALES))
+        if r:
+            # a shear by an earlier row keeps the vectors jointly independent
+            c, src = draw(st.sampled_from([0, 0, 0, 1, -1, F(1, 2)])), draw(st.integers(0, r - 1))
+            row = [x + c * y for x, y in zip(row, vectors[src])]
+        vectors.append(row)
+    fam = FPolyFamily.make([vectors[i * d : (i + 1) * d] for i in range(k)], height=d)
+    freq = st.tuples(*[st.integers(-1, 1)] * m)
+    coeff = st.sampled_from([1.0, -0.5, 0.25j, 0.3 - 0.7j, 1.5 + 0.1j])
+
+    def obs(max_terms):
+        return TrigPoly(m, draw(st.dictionaries(freq, coeff, max_size=max_terms)))
+
+    fs = [obs(4) for _ in range(k)]
+    f0 = obs(6)
+    shift = (draw(st.integers(1, d)), draw(st.sampled_from([F(1, 3), F(-7), F(5, 2)])))
+    return TorusSystem.make(A), fam, fs, f0, shift
+
+
+@settings(max_examples=100, deadline=None)
+@given(join_cases())
+def test_zero_phase_join_matches_full_enumeration(case):
+    assert_join_matches(*case)
+
+
+def test_zero_phase_join_edge_cases(plane_system, linear_pair_family):
+    # non-resonant: t e_1 against the character (1, 0) never loses its phase
+    fam1 = FPolyFamily.make([[[1, 0]]])
+    f = TrigPoly(2, {(1, 0): 1.0, (2, 1): 0.5})
+    assert symbolic_limit(plane_system, fam1, [f]).terms == {}
+    assert ref_resonant(plane_system, fam1, [f]) == []
+    assert_join_matches(plane_system, fam1, [f], TrigPoly(2, {(-1, 0): 1.0}), (1, F(1, 3)))
+    # an observable emptied by project_factor contributes no tuple at all
+    emptied = project_factor(TrigPoly(2, {(1, 1): 1.0}), CharacterLattice.zero(2))
+    assert emptied.terms == {}
+    fs = [TrigPoly(2, {(1, 0): 1.0, (0, 0): 0.5}), emptied]
+    assert symbolic_limit(plane_system, linear_pair_family, fs).terms == {}
+    assert_join_matches(plane_system, linear_pair_family, fs, TrigPoly.one(2), (1, F(7)))
+    # resonant tuples exist, but f_0 has no frequency cancelling their output
+    fs = [TrigPoly.character(2, (1, 0)), TrigPoly.character(2, (0, -1))]
+    assert symbolic_limit(plane_system, linear_pair_family, fs).terms == {(1, -1): 1.0 + 0j}
+    f0 = TrigPoly(2, {(1, -1): 1.0, (0, 0): 2.0})
+    q = MomentQuery((f0, *fs), linear_pair_family)
+    assert furstenberg_moment(plane_system, q) == 0j
+    assert_join_matches(plane_system, linear_pair_family, fs, f0, (1, F(-1, 3)))
+    # a torus coordinate the flow never moves: survivors outside the factor
+    still = TorusSystem.make([[1, 0, -1], [0, 0, 0]])
+    fam2 = FPolyFamily.make([[[-1, -1, 0]], [[1, -1, 0]]])
+    grid = list(itertools.product((-1, 0, 1), repeat=2))
+    fs = [TrigPoly(2, {chi: 1.0 + 0.25j * n for n, chi in enumerate(grid)}) for _ in range(2)]
+    report = partially_characteristic_check(still, fam2, fs)
+    assert report.verdict == "DISAGREE" and len(report.witnesses) > 1
+    assert_join_matches(still, fam2, fs, TrigPoly(2, {(1, 1): 1.0, (2, 0): -1.0}), (1, F(1, 3)))
+
+
+def test_zero_phase_join_partial_sum_count(monkeypatch):
+    # k = 3 with 16-term observables: 16 + 16^2 partial sums, not 16^3 tuples
+    built = []
+    real = averages._partial_sums
+
+    def counting(keys, width):
+        sums = real(keys, width)
+        built.append(len(sums))
+        return sums
+
+    monkeypatch.setattr(averages, "_partial_sums", counting)
+    sys3 = TorusSystem.make([[1, 0, 1, 0, 0, 0], [0, 1, 0, 1, 0, 0], [0, 0, 1, 0, 1, 1]])
+    fam = FPolyFamily.make(
+        [[[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]],
+         [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]],
+         [[0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]],
+    )
+    support = [(a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 0, 1, 2)]
+    fs = [TrigPoly(3, {chi: 1.0 + 0.5j * i for chi in support}) for i in range(3)]
+    limit = symbolic_limit(sys3, fam, fs)
+    assert sum(built) <= 16 + 16**2
+    assert list(limit.terms.items()) == list(ref_limit(sys3, fam, fs).items())

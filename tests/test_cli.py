@@ -141,6 +141,25 @@ def test_check_characteristic_cli(tmp_path):
     assert record["l2_distance"] == 0.0
 
 
+GOLDEN_JSONL = {
+    "characteristic": (
+        '{"check": "partially_characteristic", "factor_rank": 2, "l2_distance": 0.0, '
+        '"verdict": "AGREE", "witnesses": []}\n'
+    ),
+    "invariance": "".join(
+        '{"check": "off_diagonal_invariance", "equal": true, "j": 1, '
+        f'"moment": [1.0, 0.0], "shifted": [1.0, 0.0], "t": "{t}"}}\n'
+        for t in ("-1", "1", "-1/3", "1/3", "7")
+    ),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(GOLDEN_JSONL))
+def test_exact_check_outputs_golden(tmp_path, stem):
+    assert main(["--config", cfg_path(f"{stem}.cfg"), "--serial", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / f"{stem}.jsonl").read_text() == GOLDEN_JSONL[stem]
+
+
 def test_check_vdc_cli(tmp_path):
     rc = main(["--config", cfg_path("vdc.cfg"), "--out", str(tmp_path)])
     assert rc == 0

@@ -229,3 +229,20 @@ def test_family_text_rejects_bad_rational():
         family_from_text(text, path="fam.txt")
     assert "fam.txt:4" in str(exc.value)
     assert "3/0" in str(exc.value)
+
+
+def test_hash_is_cached_and_structural():
+    a = fp([[1, "1/2"], [0, 3]])
+    b = FPoly(2, 2, ((F(2, 2), F(1, 2)), (F(0), F(3))))
+    c = subtract(fp([[2, 1], [0, 4]]), fp([[1, "1/2"], [0, 1]]))
+    d = map_coefficients([[1, 0], [0, 1]], a)
+    for p in (b, c, d):
+        assert p == a and hash(p) == hash(a)
+    assert hash(a) == hash((a.height, a.ambient_dim, a.coeffs))
+    other = fp([[0, 1], [1, 0]])
+    f1 = FPolyFamily.of([a, other])
+    f2 = FPolyFamily.make([[[1, "1/2"], [0, 3]], [[0, 1], [1, 0]]])
+    f3 = FPolyFamily(2, 2, (c, FPoly(2, 2, ((F(0), F(1)), (F(1), F(0))))))
+    assert f1 == f2 == f3 and hash(f1) == hash(f2) == hash(f3)
+    assert hash(f1) == hash((f1.height, f1.ambient_dim, f1.members))
+    assert len({f1, f2, f3}) == 1 and f2 in {f1: 0}

@@ -1,9 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from fpet.fpoly import FPolyFamily, degree, family_is_good, random_good_family
+from fpet.fpoly import FPolyFamily, degree, family_is_good, is_good, random_good_family
 from fpet.order import (
     DagBudgetError,
     StepKind,
@@ -227,3 +228,35 @@ def test_precedes_matches_oracle_and_is_transitive():
                 for k in range(len(fams)):
                     if rel[(j, k)]:
                         assert rel[(i, k)]
+
+
+def golden_family():
+    """Height 3, D = 9, leading degrees (1, 1, 2/3, 1/3), with non-unit entries."""
+    return fam(
+        [
+            [[1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0, 0]],
+            [[0, 0, 0, 1, "1/2", 0, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0, 0]],
+            [[0, 0, 0, 0, 0, 0, 1, 0, 0], [0, "2/3", 0, 0, 0, 0, 0, 1, 0]],
+            [[0, 1, 0, 0, 0, 0, 0, -3, 1]],
+        ],
+        height=3,
+    )
+
+
+def test_dag_text_golden_digest():
+    # golden values: the DAG text must not depend on how goodness or hashes are computed
+    text = dag_to_text(induction_dag(golden_family()))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d107355e1256f348d495f50d83985fa1eb4b06a319552989f08ccb0ea9cb40bd"
+    )
+    assert text.count("\nedge ") == 228 and text.count("node ") == 122
+
+
+def test_goodness_cache_counts_on_golden_dag():
+    # cached hashes must leave every cache lookup, hit or miss, where it was
+    family_is_good.cache_clear()
+    is_good.cache_clear()
+    induction_dag(golden_family())
+    fig, good = family_is_good.cache_info(), is_good.cache_info()
+    assert (fig.hits, fig.misses) == (742, 171)
+    assert (good.hits, good.misses) == (343, 66)

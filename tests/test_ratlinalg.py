@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from fpet import ratlinalg
 from fpet.ratlinalg import (
     as_fraction_vector,
     clear_denominators,
@@ -12,6 +13,8 @@ from fpet.ratlinalg import (
     rank,
     rref,
 )
+
+F = Fraction
 
 
 def test_rref_canonical():
@@ -82,3 +85,46 @@ def test_int_kernel_is_saturated_and_annihilates(rng):
 def test_int_kernel_full_and_trivial():
     assert int_kernel([[0, 0]], 2) == ((1, 0), (0, 1))
     assert int_kernel([[1, 0], [0, 1]], 2) == ()
+
+
+def test_is_independent_certificate_agrees_with_exact_rank(rng):
+    for _ in range(400):
+        ncols = rng.randint(1, 5)
+        nrows = rng.randint(1, ncols + 1)
+        rows = [
+            [F(rng.randint(-2, 2), rng.choice([1, 1, 2, 3, 7])) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        if nrows >= 3 and rng.random() < 0.5:  # plant a dependence
+            i, j, l = rng.sample(range(nrows), 3)
+            a, b = F(rng.randint(-3, 3), rng.randint(1, 4)), F(rng.randint(-3, 3), 5)
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[l])]
+        assert is_independent(rows) == (rank(rows) == nrows)
+
+
+def test_is_independent_falls_back_when_p_divides_every_minor(monkeypatch):
+    calls = []
+    exact = ratlinalg.rank
+
+    def counted(rows):
+        calls.append(len(rows))
+        return exact(rows)
+
+    monkeypatch.setattr(ratlinalg, "rank", counted)
+    p = 2**61 - 1
+    # determinant p: full rank over Q, deficient mod p
+    assert is_independent([[1, 1], [1, 1 + p]])
+    assert calls == [2]
+    assert is_independent([[F(1, 2), 1], [1, F(1, 3)]])
+    assert calls == [2]  # full rank mod p needs no exact elimination
+    assert not is_independent([[1, 0], [0, 1], [1, 1]])
+    assert calls == [2]  # more rows than columns: deficient without elimination
+
+
+def test_is_independent_deficient_shapes():
+    assert not is_independent([[1, 2, 3], [0, 0, 0]])
+    assert not is_independent([[F(1, 3), 2, 3], [F(1, 3), 2, 3]])
+    assert not is_independent([[1, 0], [0, 1], [1, 1]])
+    assert is_independent([])
+    with pytest.raises(ValueError):
+        is_independent([[1, 2], [1]])
