@@ -7,24 +7,11 @@ experiment, a JSONL verdict stream for the checks, a text DAG for precedent
 enumeration.  Exit codes: 0 pass, 1 check failure, 2 input error, 3 numeric
 budget error.
 
-Config keys and defaults:
-
-    command       (required) run-convergence | check-invariance |
-                  check-characteristic | check-vdc | enumerate-precedents |
-                  verify-timechange
-    system        path to a torus-system file
-    family        path to a family file
-    observables   comma-separated observable paths
-    intervals     pinned | sliding-k1 | sliding-k5 | irregular   [pinned]
-    n_max         interval index bound                           [12]
-    tol           quadrature tolerance per phase integral        [1e-8]
-    pass_tol      pass threshold for diagnostics                 [1e-2]
-    budget        evaluation budget per oscillatory integral     [10000000]
-    seed          recorded for reproducibility                   [0]
-    T, H          van der Corput horizon and shift horizon       [1e4, 1e2]
-    shift_times   rational off-diagonal times                    [-1, 1, -1/3, 1/3, 7]
-    alphas        time-change exponents                          [1/5, 1/3, 2/5, 1/2, 3/5, 2, 3, 7/2]
-    max_nodes     node budget for precedent enumeration          [10000]
+Two tables define the front end.  ``_FIELDS`` holds one row per config key
+(parser, check, help text; the defaults are those of :class:`ExperimentSpec`)
+and drives parsing, validation, :func:`serialize_config` and the key list of
+``fpet --help``.  ``_COMMANDS`` holds one row per command (required keys,
+output suffix, runner) and drives :func:`run`.
 
 The environment variable FPET_LOG in {error, info, debug} sets log verbosity
 (default error).  --threads N controls internal parallelism (default: the
@@ -40,9 +27,11 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+import textwrap
+from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
+from typing import Any, Callable
 
 from .averages import (
     MomentQuery,
@@ -53,6 +42,7 @@ from .averages import (
 )
 from .fpoly import family_from_text
 from .interval import (
+    standard_tempered_families,
     tempered_family,
     time_change_weights,
     time_changed_average,
@@ -60,19 +50,10 @@ from .interval import (
 )
 from .order import DagBudgetError, dag_to_text, induction_dag
 from .quadrature import ExpPhaseCurve, QuadratureBudgetError
-from .textkv import ParseError, scan_kv
+from .textkv import ParseError, parse_int, parse_rational, scan_kv
 from .torus import system_from_text, trigpoly_from_text
 
 log = logging.getLogger("fpet")
-
-COMMANDS = (
-    "run-convergence",
-    "check-invariance",
-    "check-characteristic",
-    "check-vdc",
-    "enumerate-precedents",
-    "verify-timechange",
-)
 
 _DEFAULT_SHIFTS = (Fraction(-1), Fraction(1), Fraction(-1, 3), Fraction(1, 3), Fraction(7))
 _DEFAULT_ALPHAS = (
@@ -92,7 +73,6 @@ class ExperimentSpec:
     tol: float = 1e-8
     pass_tol: float = 1e-2
     budget: int = 10**7
-    seed: int = 0
     T: float = 1e4
     H: float = 1e2
     shift_times: tuple[Fraction, ...] = _DEFAULT_SHIFTS
@@ -100,145 +80,19 @@ class ExperimentSpec:
     max_nodes: int = 10_000
 
 
-_REQUIRED = {
-    "run-convergence": ("system", "family", "observables"),
-    "check-invariance": ("system", "family", "observables"),
-    "check-characteristic": ("system", "family", "observables"),
-    "check-vdc": ("system", "family", "observables"),
-    "enumerate-precedents": ("family",),
-    "verify-timechange": (),
-}
-
-
-def _parse_fraction_list(value: str, path: str, lineno: int) -> tuple[Fraction, ...]:
-    out = []
-    for tok in value.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            out.append(Fraction(tok))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(path, lineno, f"malformed rational {tok!r}") from None
-    if not out:
-        raise ParseError(path, lineno, "empty list")
-    return tuple(out)
-
-
-def parse_config(text: str, path: str = "<config>") -> ExperimentSpec:
-    """Strict config parsing; see the module docstring for keys and defaults."""
-    base = Path(path).parent if path not in ("<config>", "-") else Path(".")
-    seen: set[str] = set()
-    values: dict = {}
-    for lineno, key, value in scan_kv(text, path):
-        if key in seen:
-            raise ParseError(path, lineno, f"duplicate key {key!r}")
-        seen.add(key)
-        if key == "command":
-            if value not in COMMANDS:
-                raise ParseError(
-                    path, lineno, f"unknown command {value!r} (choose from: {', '.join(COMMANDS)})"
-                )
-            values["command"] = value
-        elif key in ("system", "family"):
-            values[key] = str((base / value).resolve())
-        elif key == "observables":
-            paths = tuple(
-                str((base / tok.strip()).resolve()) for tok in value.split(",") if tok.strip()
-            )
-            if not paths:
-                raise ParseError(path, lineno, "observables must list at least one path")
-            values["observables"] = paths
-        elif key == "intervals":
-            values["intervals"] = value
-        elif key in ("n_max", "budget", "seed", "max_nodes"):
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ParseError(path, lineno, f"{key} must be an integer") from None
-        elif key in ("tol", "pass_tol", "T", "H"):
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ParseError(path, lineno, f"{key} must be a number") from None
-        elif key == "shift_times":
-            values["shift_times"] = _parse_fraction_list(value, path, lineno)
-        elif key == "alphas":
-            values["alphas"] = _parse_fraction_list(value, path, lineno)
-        else:
-            raise ParseError(path, lineno, f"unknown key {key!r}")
-    if "command" not in values:
-        raise ParseError(path, 0, "missing key 'command'")
-    spec = ExperimentSpec(**values)
-    for knob in ("n_max", "budget", "max_nodes"):
-        if getattr(spec, knob) <= 0:
-            raise ParseError(path, 0, f"{knob} must be positive")
-    for knob in ("tol", "pass_tol", "T", "H"):
-        value = getattr(spec, knob)
-        if not (math.isfinite(value) and value > 0):
-            raise ParseError(path, 0, f"{knob} must be finite and positive")
-    if spec.seed < 0:
-        raise ParseError(path, 0, "seed must be nonnegative")
-    for field in _REQUIRED[spec.command]:
-        if not getattr(spec, field):
-            raise ParseError(path, 0, f"command {spec.command} requires key {field!r}")
-    for file_field in ("system", "family"):
-        p = getattr(spec, file_field)
-        if p is not None and not Path(p).is_file():
-            raise ParseError(path, 0, f"{file_field} file not found: {p}")
-    for p in spec.observables:
-        if not Path(p).is_file():
-            raise ParseError(path, 0, f"observable file not found: {p}")
-    if spec.intervals:
-        try:
-            tempered_family(spec.intervals)
-        except ValueError as exc:
-            raise ParseError(path, 0, str(exc)) from None
-    return spec
-
-
-def serialize_config(spec: ExperimentSpec) -> str:
-    """Inverse of :func:`parse_config` (parse(serialize(s)) == s)."""
-    lines = [f"command = {spec.command}"]
-    if spec.system:
-        lines.append(f"system = {spec.system}")
-    if spec.family:
-        lines.append(f"family = {spec.family}")
-    if spec.observables:
-        lines.append("observables = " + ", ".join(spec.observables))
-    lines.append(f"intervals = {spec.intervals}")
-    lines.append(f"n_max = {spec.n_max}")
-    lines.append(f"tol = {spec.tol!r}")
-    lines.append(f"pass_tol = {spec.pass_tol!r}")
-    lines.append(f"budget = {spec.budget}")
-    lines.append(f"seed = {spec.seed}")
-    lines.append(f"T = {spec.T!r}")
-    lines.append(f"H = {spec.H!r}")
-    lines.append("shift_times = " + ", ".join(str(t) for t in spec.shift_times))
-    lines.append("alphas = " + ", ".join(str(a) for a in spec.alphas))
-    lines.append(f"max_nodes = {spec.max_nodes}")
-    return "\n".join(lines) + "\n"
-
-
-def _load_inputs(spec: ExperimentSpec):
-    sys_obj = fam = None
-    if spec.system:
-        sys_obj = system_from_text(Path(spec.system).read_text(), spec.system)
-    if spec.family:
-        fam = family_from_text(Path(spec.family).read_text(), spec.family)
-    fs = [trigpoly_from_text(Path(p).read_text(), p) for p in spec.observables]
-    return sys_obj, fam, fs
+# ---------------------------------------------------------------------------
+# commands: each runner returns (output text, exit code, summary)
 
 
 def _jsonl(records) -> str:
-    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records) or ""
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
 def _c2(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _run_convergence(spec, sys_obj, fam, fs, out_path: Path, threads: int) -> int:
+def _convergence(spec, sys_obj, fam, fs, threads):
     report = convergence_diagnostic(
         sys_obj, fam, fs, tempered_family(spec.intervals), spec.n_max,
         tol=spec.pass_tol, quad_tol=spec.tol, budget=spec.budget, threads=threads,
@@ -248,24 +102,18 @@ def _run_convergence(spec, sys_obj, fam, fs, out_path: Path, threads: int) -> in
         lines.append(
             f"{row.n},{row.a!r},{row.b!r},{row.distance!r},{row.cauchy_diff!r},{row.max_coeff_err!r}"
         )
-    out_path.write_text("\n".join(lines) + "\n")
     final = report.rows[-1].distance
     status = "PASS" if report.passed else "FAIL"
-    print(f"run-convergence: {status} (final distance {final:.3e}, threshold {spec.pass_tol:.0e}); wrote {out_path}")
-    return 0 if report.passed else 1
+    summary = f"{status} (final distance {final:.3e}, threshold {spec.pass_tol:.0e})"
+    return "\n".join(lines) + "\n", 0 if report.passed else 1, summary
 
 
-def _run_invariance(spec, sys_obj, fam, fs, out_path: Path) -> int:
+def _invariance(spec, sys_obj, fam, fs, threads):
     base = furstenberg_moment(sys_obj, MomentQuery(tuple(fs), fam))
     records = []
-    all_equal = True
     for j in range(1, fam.height + 1):
         for t in spec.shift_times:
-            shifted = furstenberg_moment(
-                sys_obj, MomentQuery(tuple(fs), fam, shift=(j, t))
-            )
-            equal = shifted == base
-            all_equal &= equal
+            shifted = furstenberg_moment(sys_obj, MomentQuery(tuple(fs), fam, shift=(j, t)))
             records.append(
                 {
                     "check": "off_diagonal_invariance",
@@ -273,16 +121,15 @@ def _run_invariance(spec, sys_obj, fam, fs, out_path: Path) -> int:
                     "t": str(t),
                     "moment": _c2(base),
                     "shifted": _c2(shifted),
-                    "equal": equal,
+                    "equal": shifted == base,
                 }
             )
-    out_path.write_text(_jsonl(records))
-    status = "PASS" if all_equal else "FAIL"
-    print(f"check-invariance: {status} ({len(records)} shifts, moment {base:.6g}); wrote {out_path}")
-    return 0 if all_equal else 1
+    ok = all(r["equal"] for r in records)
+    summary = f"{'PASS' if ok else 'FAIL'} ({len(records)} shifts, moment {base:.6g})"
+    return _jsonl(records), 0 if ok else 1, summary
 
 
-def _run_characteristic(spec, sys_obj, fam, fs, out_path: Path) -> int:
+def _characteristic(spec, sys_obj, fam, fs, threads):
     report = partially_characteristic_check(sys_obj, fam, fs)
     record = {
         "check": "partially_characteristic",
@@ -291,43 +138,28 @@ def _run_characteristic(spec, sys_obj, fam, fs, out_path: Path) -> int:
         "witnesses": [[list(chi) for chi in combo] for combo in report.witnesses],
         "factor_rank": report.factor.rank,
     }
-    out_path.write_text(_jsonl([record]))
-    print(f"check-characteristic: {report.verdict} (distance {report.distance!r}); wrote {out_path}")
-    return 0 if report.verdict == "AGREE" else 1
+    summary = f"{report.verdict} (distance {report.distance!r})"
+    return _jsonl([record]), 0 if report.verdict == "AGREE" else 1, summary
 
 
-def _run_vdc(spec, sys_obj, fam, fs, out_path: Path) -> int:
+def _vdc(spec, sys_obj, fam, fs, threads):
     report = vdc_bound_check(
         sys_obj, fam, fs, spec.T, spec.H, quad_tol=max(spec.tol, 1e-6), budget=spec.budget
     )
-    record = {
-        "check": "van_der_corput",
-        "lhs": report.lhs,
-        "rhs_core": report.rhs_core,
-        "slack": report.slack,
-        "margin": report.margin,
-        "passed": report.passed,
-        "T": report.T,
-        "H": report.H,
-    }
-    out_path.write_text(_jsonl([record]))
-    status = "PASS" if report.passed else "FAIL"
-    print(
-        f"check-vdc: {status} (lhs {report.lhs:.3e} vs rhs {report.rhs_core:.3e} + slack {report.slack:.3e}); wrote {out_path}"
+    record = {"check": "van_der_corput", **asdict(report)}
+    summary = (
+        f"{'PASS' if report.passed else 'FAIL'} (lhs {report.lhs:.3e} vs rhs "
+        f"{report.rhs_core:.3e} + slack {report.slack:.3e})"
     )
-    return 0 if report.passed else 1
+    return _jsonl([record]), 0 if report.passed else 1, summary
 
 
-def _run_precedents(spec, fam, out_path: Path) -> int:
+def _precedents(spec, sys_obj, fam, fs, threads):
     try:
         dag = induction_dag(fam, max_nodes=spec.max_nodes)
     except DagBudgetError as exc:
-        out_path.write_text(dag_to_text(exc.partial))
-        print(f"enumerate-precedents: BUDGET ({exc}); partial DAG in {out_path}")
-        return 3
-    out_path.write_text(dag_to_text(dag))
-    print(f"enumerate-precedents: {dag.node_count} nodes, {len(dag.edges)} edges; wrote {out_path}")
-    return 0
+        return dag_to_text(exc.partial), 3, f"BUDGET ({exc}), partial DAG"
+    return dag_to_text(dag), 0, f"{dag.node_count} nodes, {len(dag.edges)} edges"
 
 
 def _timechange_interval(alpha: Fraction, seq, pass_tol: float) -> tuple[float, float]:
@@ -345,11 +177,12 @@ def _timechange_interval(alpha: Fraction, seq, pass_tol: float) -> tuple[float, 
     raise ValueError(f"no affordable interval for alpha = {alpha}")
 
 
-def _run_timechange(spec, out_path: Path) -> int:
+def _timechange(spec, sys_obj, fam, fs, threads):
+    # pinned intervals start at 0, where s^alpha with alpha < 1 has no bounded
+    # derivative: run the sliding-k1 sequence instead
     seq = tempered_family(spec.intervals if spec.intervals != "pinned" else "sliding-k1")
     curve = ExpPhaseCurve({Fraction(1): 1.0})
     records = []
-    ok = True
     for alpha in spec.alphas:
         af = float(alpha)
         a, b = _timechange_interval(alpha, seq, spec.pass_tol)
@@ -366,8 +199,6 @@ def _run_timechange(spec, out_path: Path) -> int:
         via = time_changed_average_via_weights(curve, af, small, tol=route_tol, budget=spec.budget)
         route_gap = abs(direct - via)
         route_pass = route_gap <= 2 * route_tol
-        passed = mass_err <= 1e-8 and limit_pass and route_pass
-        ok &= passed
         records.append(
             {
                 "check": "time_change",
@@ -381,50 +212,208 @@ def _run_timechange(spec, out_path: Path) -> int:
                 "limit_pass": limit_pass,
                 "route_gap": route_gap,
                 "route_pass": route_pass,
-                "passed": passed,
+                "passed": mass_err <= 1e-8 and limit_pass and route_pass,
             }
         )
-    out_path.write_text(_jsonl(records))
-    status = "PASS" if ok else "FAIL"
-    print(f"verify-timechange: {status} ({len(records)} exponents); wrote {out_path}")
-    return 0 if ok else 1
+    ok = all(r["passed"] for r in records)
+    return _jsonl(records), 0 if ok else 1, f"{'PASS' if ok else 'FAIL'} ({len(records)} exponents)"
+
+
+@dataclass(frozen=True)
+class _Command:
+    needs: tuple[str, ...]
+    suffix: str
+    runner: Callable[..., tuple[str, int, str]]
+
+
+_INPUTS = ("system", "family", "observables")
+_COMMANDS = {
+    "run-convergence": _Command(_INPUTS, "csv", _convergence),
+    "check-invariance": _Command(_INPUTS, "jsonl", _invariance),
+    "check-characteristic": _Command(_INPUTS, "jsonl", _characteristic),
+    "check-vdc": _Command(_INPUTS, "jsonl", _vdc),
+    "enumerate-precedents": _Command(("family",), "dag", _precedents),
+    "verify-timechange": _Command((), "jsonl", _timechange),
+}
+
+# ---------------------------------------------------------------------------
+# config keys: each parser takes (value, path, lineno, key) and raises
+# ParseError; each check returns None or what is wrong with the parsed value
+
+
+def _choice(options):
+    def parse(value, path, lineno, key):
+        if value not in options:
+            raise ParseError(
+                path, lineno, f"unknown {key} {value!r} (choose from: {', '.join(options)})"
+            )
+        return value
+
+    return parse
+
+
+def _path(value, path, lineno, key) -> str:
+    base = Path(path).parent if path not in ("<config>", "-") else Path(".")
+    return str((base / value).resolve())
+
+
+def _rational(value, path, lineno, key) -> Fraction:
+    return parse_rational(value, path, lineno)
+
+
+def _listed(item, noun):
+    """Parser of a non-empty comma-separated list of ``item`` values."""
+
+    def parse(value, path, lineno, key):
+        out = tuple(item(tok, path, lineno, key) for tok in map(str.strip, value.split(",")) if tok)
+        if not out:
+            raise ParseError(path, lineno, f"{key} must list at least one {noun}")
+        return out
+
+    return parse
+
+
+def _number(value, path, lineno, key) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ParseError(path, lineno, f"{key} must be a number, got {value!r}") from None
+
+
+def _positive(value) -> str | None:
+    return None if value > 0 else "must be positive"
+
+
+def _finite_positive(value) -> str | None:
+    return None if math.isfinite(value) and value > 0 else "must be finite and positive"
+
+
+def _files(value) -> str | None:
+    for p in (value,) if isinstance(value, str) else value:
+        if not Path(p).is_file():
+            return f"file not found: {p}"
+    return None
+
+
+@dataclass(frozen=True)
+class _Field:
+    key: str
+    parse: Callable[[str, str, int, str], Any]
+    check: Callable[[Any], str | None] | None
+    help: str
+
+
+_INTERVALS = tuple(seq.name for seq in standard_tempered_families())
+_RATIONALS = _listed(_rational, "value")
+_FIELDS = (
+    _Field("command", _choice(tuple(_COMMANDS)), None, "what to run (required; see commands)"),
+    _Field("system", _path, _files, "path to a torus-system file"),
+    _Field("family", _path, _files, "path to a family file"),
+    _Field("observables", _listed(_path, "path"), _files, "comma-separated observable paths"),
+    _Field(
+        "intervals", _choice(_INTERVALS), None,
+        f"{' | '.join(_INTERVALS)}; verify-timechange runs sliding-k1 in place of pinned, "
+        "because alpha < 1 needs intervals with a > 0",
+    ),
+    _Field("n_max", parse_int, _positive, "interval index bound"),
+    _Field("tol", _number, _finite_positive, "quadrature tolerance per phase integral"),
+    _Field("pass_tol", _number, _finite_positive, "pass threshold for diagnostics"),
+    _Field("budget", parse_int, _positive, "evaluation budget per oscillatory integral"),
+    _Field("T", _number, _finite_positive, "van der Corput horizon"),
+    _Field("H", _number, _finite_positive, "van der Corput shift horizon"),
+    _Field("shift_times", _RATIONALS, None, "comma-separated rational off-diagonal times"),
+    _Field("alphas", _RATIONALS, None, "comma-separated rational time-change exponents"),
+    _Field("max_nodes", parse_int, _positive, "node budget for precedent enumeration"),
+)
+_FIELD_BY_KEY = {f.key: f for f in _FIELDS}
+
+
+def _format(value) -> str:
+    return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def parse_config(text: str, path: str = "<config>") -> ExperimentSpec:
+    """Strict config parsing; ``fpet --help`` lists the keys and defaults."""
+    values: dict = {}
+    for lineno, key, value in scan_kv(text, path):
+        field = _FIELD_BY_KEY.get(key)
+        if field is None:
+            raise ParseError(path, lineno, f"unknown key {key!r}")
+        if key in values:
+            raise ParseError(path, lineno, f"duplicate key {key!r}")
+        values[key] = field.parse(value, path, lineno, key)
+        problem = field.check and field.check(values[key])
+        if problem:
+            raise ParseError(path, lineno, f"{key} {problem}")
+    if "command" not in values:
+        raise ParseError(path, 0, "missing key 'command'")
+    for key in _COMMANDS[values["command"]].needs:
+        if key not in values:
+            raise ParseError(path, 0, f"command {values['command']} requires key {key!r}")
+    return ExperimentSpec(**values)
+
+
+def serialize_config(spec: ExperimentSpec) -> str:
+    """Inverse of :func:`parse_config` (parse(serialize(s)) == s)."""
+    lines = []
+    for field in _FIELDS:
+        value = getattr(spec, field.key)
+        if value is not None and value != ():
+            lines.append(f"{field.key} = {_format(value)}")
+    return "\n".join(lines) + "\n"
+
+
+def _key_help() -> str:
+    defaults = {f.name: f.default for f in fields(ExperimentSpec)}
+    lines = ["config keys ('key = value' lines, '#' starts a comment):"]
+    for field in _FIELDS:
+        default = defaults[field.key]
+        shown = "" if default in (MISSING, None, ()) else f" [{_format(default)}]"
+        lead = f"  {field.key:<12} "
+        lines.append(textwrap.fill(
+            field.help + shown, 79, initial_indent=lead, subsequent_indent=" " * len(lead)
+        ))
+    lines.append("commands (required keys):")
+    for name, command in _COMMANDS.items():
+        lines.append(f"  {name:<21} {', '.join(command.needs) or '-'}")
+    return "\n".join(lines)
+
+
+def _load_inputs(spec: ExperimentSpec):
+    sys_obj = fam = None
+    if spec.system:
+        sys_obj = system_from_text(Path(spec.system).read_text(), spec.system)
+    if spec.family:
+        fam = family_from_text(Path(spec.family).read_text(), spec.family)
+    fs = [trigpoly_from_text(Path(p).read_text(), p) for p in spec.observables]
+    return sys_obj, fam, fs
 
 
 def run(spec: ExperimentSpec, out_dir: str = ".", threads: int = 1, stem: str = "experiment") -> int:
-    """Dispatch one experiment; returns the process exit code."""
+    """Run one experiment, write its output file; returns the process exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    command = _COMMANDS[spec.command]
     try:
-        sys_obj, fam, fs = _load_inputs(spec)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if spec.command == "run-convergence":
-            return _run_convergence(spec, sys_obj, fam, fs, out / f"{stem}.csv", threads)
-        if spec.command == "check-invariance":
-            return _run_invariance(spec, sys_obj, fam, fs, out / f"{stem}.jsonl")
-        if spec.command == "check-characteristic":
-            return _run_characteristic(spec, sys_obj, fam, fs, out / f"{stem}.jsonl")
-        if spec.command == "check-vdc":
-            return _run_vdc(spec, sys_obj, fam, fs, out / f"{stem}.jsonl")
-        if spec.command == "enumerate-precedents":
-            return _run_precedents(spec, fam, out / f"{stem}.dag")
-        if spec.command == "verify-timechange":
-            return _run_timechange(spec, out / f"{stem}.jsonl")
+        text, code, summary = command.runner(spec, *_load_inputs(spec), threads)
     except QuadratureBudgetError as exc:
         print(f"numeric budget error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {spec.command}")
+    out_path = out / f"{stem}.{command.suffix}"
+    out_path.write_text(text)
+    print(f"{spec.command}: {summary}; wrote {out_path}")
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="fpet",
         description="Run one multiple-ergodic-average experiment described by a config file.",
+        epilog=_key_help(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--config", required=True, help="path to the experiment config")
     parser.add_argument("--threads", type=int, default=None, help="worker threads (default: hardware count)")
@@ -437,7 +426,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
-    threads = 1 if args.serial else (args.threads or os.cpu_count() or 1)
+    threads = 1 if args.serial else args.threads
+    if threads is None:
+        threads = os.cpu_count() or 1
     if threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 2

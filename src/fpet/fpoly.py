@@ -26,6 +26,7 @@ from .ratlinalg import (
     rank,
     rref,
 )
+from .textkv import parse_rational, read_indexed
 
 _ZERO = Fraction(0)
 
@@ -305,49 +306,11 @@ def family_to_text(f: FPolyFamily) -> str:
 
 
 def family_from_text(text: str, path: str = "<family>") -> FPolyFamily:
-    from .textkv import ParseError, parse_rational, scan_kv
-
-    fields = {"height": None, "ambient_dim": None, "members": None}
-    table: dict[tuple[int, int], RatVec] = {}
-    for lineno, key, value in scan_kv(text, path):
-        if key in fields:
-            if fields[key] is not None:
-                raise ParseError(path, lineno, f"duplicate key {key!r}")
-            try:
-                fields[key] = int(value)
-            except ValueError:
-                raise ParseError(path, lineno, f"{key} must be an integer") from None
-        elif key.startswith("v[") and key.endswith("]"):
-            try:
-                i_s, j_s = key[2:-1].split("][")
-                i, j = int(i_s), int(j_s)
-            except ValueError:
-                raise ParseError(path, lineno, f"bad coefficient key {key!r}") from None
-            if (i, j) in table:
-                raise ParseError(path, lineno, f"duplicate coefficient v[{i}][{j}]")
-            table[(i, j)] = tuple(
-                parse_rational(tok, path, lineno) for tok in value.split()
-            )
-        else:
-            raise ParseError(path, lineno, f"unknown key {key!r}")
-    for name, val in fields.items():
-        if val is None:
-            raise ParseError(path, 0, f"missing key {name!r}")
-        if val < 1:
-            raise ParseError(path, 0, f"{name} must be positive")
-    d, dim, k = fields["height"], fields["ambient_dim"], fields["members"]
-    members = []
-    for i in range(1, k + 1):
-        rows = []
-        for j in range(1, d + 1):
-            v = table.pop((i, j), None)
-            if v is None:
-                raise ParseError(path, 0, f"missing coefficient v[{i}][{j}]")
-            if len(v) != dim:
-                raise ParseError(path, 0, f"v[{i}][{j}] has {len(v)} entries, expected {dim}")
-            rows.append(v)
-        members.append(FPoly(d, dim, tuple(rows)))
-    if table:
-        i, j = next(iter(table))
-        raise ParseError(path, 0, f"unexpected coefficient v[{i}][{j}]")
-    return FPolyFamily(d, dim, tuple(members))
+    head, table = read_indexed(
+        text, path, ("height", "ambient_dim", "members"), "v",
+        lambda h: ((h["members"], h["height"]), h["ambient_dim"]),
+    )
+    d, dim = head["height"], head["ambient_dim"]
+    rows = [tuple(parse_rational(t, path, line) for t in toks) for line, toks in table.values()]
+    members = tuple(FPoly(d, dim, tuple(rows[i : i + d])) for i in range(0, len(rows), d))
+    return FPolyFamily(d, dim, members)

@@ -251,6 +251,21 @@ def adaptive_average(
     return value / width, err / width, evals
 
 
+def _clean_phase(coeffs: Mapping[Fraction | int, float]) -> dict[Fraction, float]:
+    """Exponent -> float coefficient table: exponents as Fractions (positive,
+    else ValueError), zero coefficients dropped, equal exponents summed in
+    input order."""
+    table: dict[Fraction, float] = {}
+    for e, c in coeffs.items():
+        ef = Fraction(e)
+        if ef <= 0:
+            raise ValueError("phase exponents must be positive")
+        c = float(c)
+        if c != 0.0:
+            table[ef] = table.get(ef, 0.0) + c
+    return table
+
+
 def osc_phase_average(
     coeffs: Mapping[Fraction | int, float],
     lo: float,
@@ -268,14 +283,7 @@ def osc_phase_average(
     window is too far out to resolve, and :class:`QuadratureBudgetError` is
     raised before integrating, with the bound as its error estimate.
     """
-    cleaned: dict[Fraction, float] = {}
-    for e, c in coeffs.items():
-        ef = Fraction(e)
-        if ef <= 0:
-            raise ValueError("phase exponents must be positive")
-        c = float(c)
-        if c != 0.0:
-            cleaned[ef] = cleaned.get(ef, 0.0) + c
+    cleaned = _clean_phase(coeffs)
     if not any(cleaned.values()):
         return 1.0 + 0j, 0.0, 0
     if not float(lo) >= 0.0:
@@ -313,15 +321,7 @@ class ExpPhaseCurve:
     """
 
     def __init__(self, coeffs: Mapping[Fraction | int, float]):
-        table: dict[Fraction, float] = {}
-        for e, c in dict(coeffs).items():
-            ef = Fraction(e)
-            if ef <= 0:
-                raise ValueError("phase exponents must be positive")
-            c = float(c)
-            if c != 0.0:
-                table[ef] = table.get(ef, 0.0) + c
-        self.coeffs = table
+        self.coeffs = _clean_phase(coeffs)
 
     def phase(self, t):
         t = np.asarray(t, dtype=float)

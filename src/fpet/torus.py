@@ -28,7 +28,7 @@ from .ratlinalg import (
     int_kernel,
     matvec,
 )
-from .textkv import ParseError, parse_float, parse_int, parse_rational, scan_kv
+from .textkv import parse_float, parse_rational, read_indexed
 
 
 @dataclass(frozen=True)
@@ -298,37 +298,9 @@ def system_to_text(sys: TorusSystem) -> str:
 
 
 def system_from_text(text: str, path: str = "<system>") -> TorusSystem:
-    m = D = None
-    rows: dict[int, RatVec] = {}
-    for lineno, key, value in scan_kv(text, path):
-        if key == "m" or key == "D":
-            if (key == "m" and m is not None) or (key == "D" and D is not None):
-                raise ParseError(path, lineno, f"duplicate key {key!r}")
-            val = parse_int(value, path, lineno, key)
-            if key == "m":
-                m = val
-            else:
-                D = val
-        elif key.startswith("A[") and key.endswith("]"):
-            r = parse_int(key[2:-1], path, lineno, "row index")
-            if r in rows:
-                raise ParseError(path, lineno, f"duplicate row A[{r}]")
-            rows[r] = tuple(parse_rational(tok, path, lineno) for tok in value.split())
-        else:
-            raise ParseError(path, lineno, f"unknown key {key!r}")
-    if m is None or D is None:
-        raise ParseError(path, 0, "missing m or D")
-    matrix = []
-    for r in range(1, m + 1):
-        row = rows.pop(r, None)
-        if row is None:
-            raise ParseError(path, 0, f"missing row A[{r}]")
-        if len(row) != D:
-            raise ParseError(path, 0, f"A[{r}] has {len(row)} entries, expected {D}")
-        matrix.append(row)
-    if rows:
-        raise ParseError(path, 0, f"unexpected row A[{next(iter(rows))}]")
-    return TorusSystem(m, D, tuple(matrix))
+    head, rows = read_indexed(text, path, ("m", "D"), "A", lambda h: ((h["m"],), h["D"]))
+    matrix = tuple(tuple(parse_rational(t, path, line) for t in toks) for line, toks in rows.values())
+    return TorusSystem(head["m"], head["D"], matrix)
 
 
 def trigpoly_to_text(f: TrigPoly) -> str:
@@ -341,36 +313,9 @@ def trigpoly_to_text(f: TrigPoly) -> str:
 
 
 def trigpoly_from_text(text: str, path: str = "<observable>") -> TrigPoly:
-    m = None
-    terms: dict[tuple[int, ...], complex] = {}
-    for lineno, key, value in scan_kv(text, path):
-        if key == "m":
-            if m is not None:
-                raise ParseError(path, lineno, "duplicate key 'm'")
-            m = parse_int(value, path, lineno, "m")
-        elif key == "term":
-            if m is None:
-                raise ParseError(path, lineno, "m must come before the first term")
-            if ":" not in value:
-                raise ParseError(path, lineno, "term needs the form 'chi... : re im'")
-            freq_part, _, coeff_part = value.partition(":")
-            chi = tuple(
-                parse_int(tok, path, lineno, "frequency entry") for tok in freq_part.split()
-            )
-            if len(chi) != m:
-                raise ParseError(path, lineno, f"frequency has {len(chi)} entries, expected {m}")
-            parts = coeff_part.split()
-            if len(parts) != 2:
-                raise ParseError(path, lineno, "coefficient must be two decimal strings")
-            c = complex(
-                parse_float(parts[0], path, lineno, "re"),
-                parse_float(parts[1], path, lineno, "im"),
-            )
-            if chi in terms:
-                raise ParseError(path, lineno, f"duplicate frequency {chi}")
-            terms[chi] = c
-        else:
-            raise ParseError(path, lineno, f"unknown key {key!r}")
-    if m is None:
-        raise ParseError(path, 0, "missing key 'm'")
-    return TrigPoly(m, terms)
+    head, terms = read_indexed(text, path, ("m",), "term", lambda h: (h["m"], 2))
+    coeffs = {
+        chi: complex(parse_float(re, path, line, "re"), parse_float(im, path, line, "im"))
+        for chi, (line, (re, im)) in terms.items()
+    }
+    return TrigPoly(head["m"], coeffs)

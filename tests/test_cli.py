@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,6 @@ def test_parse_minimal_config_applies_defaults():
     assert spec.tol == 1e-8
     assert spec.pass_tol == 1e-2
     assert spec.budget == 10**7
-    assert spec.seed == 0
     assert spec.max_nodes == 10_000
     assert spec.intervals == "pinned"
 
@@ -69,7 +69,6 @@ def test_config_round_trip(rng):
             tol=10.0 ** -rng.randint(4, 12),
             pass_tol=10.0 ** -rng.randint(1, 3),
             budget=rng.randint(10**5, 10**8),
-            seed=rng.randint(0, 999),
             T=float(rng.randint(10, 10**5)),
             H=float(rng.randint(2, 10**3)),
             shift_times=(Fraction(-1), Fraction(rng.randint(1, 9), rng.randint(1, 9))),
@@ -219,3 +218,61 @@ def test_non_finite_observable_coefficient_exits_2(tmp_path, capsys, bad):
     assert rc == 2
     assert "bad.obs:2: re must be finite" in capsys.readouterr().err
     assert not (tmp_path / "bad.csv").exists()
+
+
+def test_precedent_budget_exits_3_with_partial_dag(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(
+        f"command = enumerate-precedents\nfamily = {cfg_path('pair.family')}\nmax_nodes = 2\n"
+    )
+    rc = main(["--config", str(cfg), "--serial", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "enumerate-precedents: BUDGET" in capsys.readouterr().out
+    lines = (tmp_path / "tiny.dag").read_text().splitlines()
+    nodes = [line for line in lines if line.startswith("node ")]
+    assert 1 <= len(nodes) < 4  # the full DAG of pair.family has 4 nodes
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("zero.system", "m = 0\nD = 1\n"),
+        ("zero.system", "m = 1\nD = 0\nA[1] =\n"),
+        ("zero.obs", "m = 0\n"),
+    ],
+)
+def test_zero_dimension_input_exits_2(tmp_path, capsys, name, text):
+    files = {"zero.system": cfg_path("circle.system"), "zero.obs": cfg_path("e.obs")}
+    (tmp_path / name).write_text(text)
+    files[name] = name
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(
+        f"command = run-convergence\nsystem = {files['zero.system']}\n"
+        f"family = {cfg_path('third.family')}\nobservables = {files['zero.obs']}\nn_max = 3\n"
+    )
+    rc = main(["--config", str(cfg), "--serial", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{tmp_path / name}:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "zero.csv").exists()
+
+
+def test_zero_threads_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["--config", cfg_path("prec_singleton.cfg"), "--threads", "0", "--out", str(out)])
+    assert rc == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_lists_every_key_and_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    keys = [line.split()[0] for line in text.split("config keys", 1)[1].splitlines()[1:]
+            if line.startswith("  ") and not line.startswith("   ")]
+    assert keys[: len(fields(ExperimentSpec))] == [f.name for f in fields(ExperimentSpec)]
+    for command in ("run-convergence", "check-invariance", "check-characteristic",
+                    "check-vdc", "enumerate-precedents", "verify-timechange"):
+        assert f"\n  {command} " in text
+    assert "verify-timechange runs sliding-k1 in place of pinned" in " ".join(text.split())
