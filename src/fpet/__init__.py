@@ -65,7 +65,7 @@ from .order import (
 )
 from .quadrature import (
     DEFAULT_BUDGET,
-    ExpPhaseCurve,
+    Phase,
     QuadratureBudgetError,
     adaptive_average,
     osc_phase_average,

@@ -8,7 +8,8 @@ theta(t) = sum_j c_j t^(j/d) and c_j = sum_i chi_i^T A v_{i,j}.  The c_j are
 exact rationals, so the tempered-uniform limit of each scalar average is
 decided symbolically (1 when every c_j vanishes, else 0); only finite-
 interval averages touch floating point, through the oscillatory quadrature
-engine.
+engine: each scalar average, and each van der Corput correlation
+theta_1(t + h) - theta_2(t), is one :class:`~fpet.quadrature.Phase`.
 
 c_j is linear in the tuple, so each member's contribution chi^T A v_{i,j} is
 computed once per support frequency, as integers over one common
@@ -36,7 +37,7 @@ import numpy as np
 
 from .fpoly import FPolyFamily, family_is_good
 from .interval import TemperedSequence
-from .quadrature import DEFAULT_BUDGET, adaptive_integral, osc_phase_average
+from .quadrature import DEFAULT_BUDGET, Phase, adaptive_integral, osc_phase_average
 from .ratlinalg import matvec
 from .torus import (
     CharacterLattice,
@@ -367,70 +368,35 @@ class VdcReport:
 
 def _correlation_pairs(
     sys: TorusSystem, fam: FPolyFamily, fs: Sequence[TrigPoly]
-) -> list[tuple[complex, np.ndarray, np.ndarray]]:
-    """Weighted pairs of phase vectors entering <u(t+h), u(t)>: frequency
-    tuples pair up exactly when their output frequencies agree (Haar
-    orthogonality)."""
-    by_out: dict[Freq, list[tuple[complex, tuple[Fraction, ...]]]] = {}
+) -> list[tuple[complex, Phase]]:
+    """Weighted phases theta_1(t + h) - theta_2(t) entering <u(t+h), u(t)>:
+    frequency tuples pair up exactly when their output frequencies agree
+    (Haar orthogonality)."""
+    by_out: dict[Freq, list[tuple[complex, dict[Fraction, float]]]] = {}
     for _, out, prod, cvec in _tuple_data(sys, fam, fs):
-        by_out.setdefault(out, []).append((prod, cvec))
-    pairs = []
-    for out in sorted(by_out):
-        entries = by_out[out]
-        for p1, c1 in entries:
-            for p2, c2 in entries:
-                pairs.append(
-                    (
-                        p1 * p2.conjugate(),
-                        np.array([float(x) for x in c1]),
-                        np.array([float(x) for x in c2]),
-                    )
-                )
-    return pairs
+        terms = {Fraction(j + 1, fam.height): float(c) for j, c in enumerate(cvec)}
+        by_out.setdefault(out, []).append((prod, terms))
+    return [
+        (p1 * p2.conjugate(), Phase({e: -c for e, c in c2.items()}, shifted=c1))
+        for out in sorted(by_out)
+        for p1, c1 in by_out[out]
+        for p2, c2 in by_out[out]
+    ]
 
 
 def _correlation_average(
-    pairs, d: int, T: float, h: float, tol: float, budget: int
+    pairs: Sequence[tuple[complex, Phase]], T: float, h: float, tol: float, budget: int
 ) -> complex:
-    """avg over t in (0, T) of <u(t+h), u(t)>.
-
-    Each pair contributes the average of exp(2*pi*i*(theta_1(t+h) -
-    theta_2(t))); the substitution t = u^d keeps the phase derivative bounded
-    near zero even for fractional exponents.
-    """
+    """avg over t in (0, T) of <u(t+h), u(t)>: the pairs' phases at shift h,
+    each integrated after its substitution t = u^L, which keeps the phase
+    derivative bounded near zero even for fractional exponents."""
     total = 0j
-    uhi = T ** (1.0 / d)
-    for weight, a1, a2 in pairs:
-        if not a1.any() and not a2.any():
+    for weight, phase in pairs:
+        if not (phase.coeffs or phase.shifted):
             total += weight
             continue
-
-        def integrand(u, a1=a1, a2=a2):
-            u = np.asarray(u, dtype=float)
-            shifted = u**d + h
-            phase = np.zeros_like(u)
-            for j in range(d):
-                if a1[j]:
-                    phase = phase + a1[j] * shifted ** ((j + 1) / d)
-                if a2[j]:
-                    phase = phase - a2[j] * u ** (j + 1)
-            return (d * u ** (d - 1)) * np.exp(2j * np.pi * phase)
-
-        def dphase(u, a1=a1, a2=a2):
-            u = np.asarray(u, dtype=float)
-            shifted = u**d + h
-            with np.errstate(all="ignore"):
-                out_f = np.zeros_like(u)
-                for j in range(d):
-                    if a1[j]:
-                        out_f = out_f + a1[j] * (j + 1) * u ** (d - 1) * shifted ** (
-                            (j + 1) / d - 1.0
-                        )
-                    if a2[j]:
-                        out_f = out_f - a2[j] * (j + 1) * u**j
-            return np.abs(out_f)
-
-        value, _, _ = adaptive_integral(integrand, 0.0, uhi, tol * T, budget, dphase)
+        L, integrand, freq = phase.at(h).substitute()
+        value, _, _ = adaptive_integral(integrand, 0.0, T ** (1.0 / L), tol * T, budget, freq)
         total += weight * value / T
     return total
 
@@ -459,12 +425,11 @@ def vdc_bound_check(
     avg = multiple_average(sys, fam, fs, (0.0, T), quad_tol, budget)
     lhs = avg.value.norm2() ** 2
     pairs = _correlation_pairs(sys, fam, fs)
-    d = fam.height
 
     def outer(hs):
         return np.array(
             [
-                abs(_correlation_average(pairs, d, T, float(h), quad_tol, budget))
+                abs(_correlation_average(pairs, T, float(h), quad_tol, budget))
                 for h in np.atleast_1d(hs)
             ]
         )

@@ -49,7 +49,7 @@ from .interval import (
     time_changed_average_via_weights,
 )
 from .order import DagBudgetError, dag_to_text, induction_dag
-from .quadrature import ExpPhaseCurve, QuadratureBudgetError
+from .quadrature import Phase, QuadratureBudgetError
 from .textkv import ParseError, parse_int, parse_rational, scan_kv
 from .torus import system_from_text, trigpoly_from_text
 
@@ -181,7 +181,7 @@ def _timechange(spec, sys_obj, fam, fs, threads):
     # pinned intervals start at 0, where s^alpha with alpha < 1 has no bounded
     # derivative: run the sliding-k1 sequence instead
     seq = tempered_family(spec.intervals if spec.intervals != "pinned" else "sliding-k1")
-    curve = ExpPhaseCurve({Fraction(1): 1.0})
+    curve = Phase({1: 1.0})
     records = []
     for alpha in spec.alphas:
         af = float(alpha)
@@ -189,14 +189,14 @@ def _timechange(spec, sys_obj, fam, fs, threads):
         weights = time_change_weights(af, (a, b))
         mass = weights.w0 + weights.kernel_mass()
         mass_err = abs(mass - 1.0)
-        avg = time_changed_average(curve, af, (a, b), tol=spec.tol, budget=spec.budget)
+        avg = time_changed_average(curve, alpha, (a, b), tol=spec.tol, budget=spec.budget)
         limit_pass = abs(avg) < spec.pass_tol
         # dual-route consistency at a small interval (nested quadrature, so the
         # transformed endpoint b^alpha is kept modest)
         route_tol = max(spec.tol, 1e-7)
         small = (1.0, 257.0) if af <= 1 else (1.0, 1.0 + math.floor(2000.0 ** (1.0 / af)))
-        direct = time_changed_average(curve, af, small, tol=route_tol, budget=spec.budget)
-        via = time_changed_average_via_weights(curve, af, small, tol=route_tol, budget=spec.budget)
+        direct = time_changed_average(curve, alpha, small, tol=route_tol, budget=spec.budget)
+        via = time_changed_average_via_weights(curve, alpha, small, tol=route_tol, budget=spec.budget)
         route_gap = abs(direct - via)
         route_pass = route_gap <= 2 * route_tol
         records.append(
@@ -238,18 +238,17 @@ _COMMANDS = {
 
 # ---------------------------------------------------------------------------
 # config keys: each parser takes (value, path, lineno, key) and raises
-# ParseError; each check returns None or what is wrong with the parsed value
+# ParseError; each check takes (key, parsed value) and returns None or what is
+# wrong, for config files and specs alike
 
 
 def _choice(options):
-    def parse(value, path, lineno, key):
-        if value not in options:
-            raise ParseError(
-                path, lineno, f"unknown {key} {value!r} (choose from: {', '.join(options)})"
-            )
-        return value
+    known = f"(choose from: {', '.join(options)})"
+    return lambda key, value: None if value in options else f"unknown {key} {value!r} {known}"
 
-    return parse
+
+def _text(value, path, lineno, key) -> str:
+    return value
 
 
 def _path(value, path, lineno, key) -> str:
@@ -261,14 +260,11 @@ def _rational(value, path, lineno, key) -> Fraction:
     return parse_rational(value, path, lineno)
 
 
-def _listed(item, noun):
-    """Parser of a non-empty comma-separated list of ``item`` values."""
+def _listed(item):
+    """Parser of a comma-separated list of ``item`` values."""
 
     def parse(value, path, lineno, key):
-        out = tuple(item(tok, path, lineno, key) for tok in map(str.strip, value.split(",")) if tok)
-        if not out:
-            raise ParseError(path, lineno, f"{key} must list at least one {noun}")
-        return out
+        return tuple(item(tok, path, lineno, key) for tok in map(str.strip, value.split(",")) if tok)
 
     return parse
 
@@ -280,18 +276,22 @@ def _number(value, path, lineno, key) -> float:
         raise ParseError(path, lineno, f"{key} must be a number, got {value!r}") from None
 
 
-def _positive(value) -> str | None:
-    return None if value > 0 else "must be positive"
+def _must(holds, what):
+    return lambda key, value: None if holds(value) else f"{key} must {what}"
 
 
-def _finite_positive(value) -> str | None:
-    return None if math.isfinite(value) and value > 0 else "must be finite and positive"
+_positive = _must(lambda v: v > 0, "be positive")
+_finite_positive = _must(lambda v: math.isfinite(v) and v > 0, "be finite and positive")
+_nonempty = _must(bool, "list at least one value")
 
 
-def _files(value) -> str | None:
-    for p in (value,) if isinstance(value, str) else value:
+def _files(key, value) -> str | None:
+    paths = (value,) if isinstance(value, str) else value
+    if not paths:
+        return f"{key} must list at least one path"
+    for p in paths:
         if not Path(p).is_file():
-            return f"file not found: {p}"
+            return f"{key} file not found: {p}"
     return None
 
 
@@ -299,19 +299,18 @@ def _files(value) -> str | None:
 class _Field:
     key: str
     parse: Callable[[str, str, int, str], Any]
-    check: Callable[[Any], str | None] | None
+    check: Callable[[str, Any], str | None]
     help: str
 
 
 _INTERVALS = tuple(seq.name for seq in standard_tempered_families())
-_RATIONALS = _listed(_rational, "value")
 _FIELDS = (
-    _Field("command", _choice(tuple(_COMMANDS)), None, "what to run (required; see commands)"),
+    _Field("command", _text, _choice(tuple(_COMMANDS)), "what to run (required; see commands)"),
     _Field("system", _path, _files, "path to a torus-system file"),
     _Field("family", _path, _files, "path to a family file"),
-    _Field("observables", _listed(_path, "path"), _files, "comma-separated observable paths"),
+    _Field("observables", _listed(_path), _files, "comma-separated observable paths"),
     _Field(
-        "intervals", _choice(_INTERVALS), None,
+        "intervals", _text, _choice(_INTERVALS),
         f"{' | '.join(_INTERVALS)}; verify-timechange runs sliding-k1 in place of pinned, "
         "because alpha < 1 needs intervals with a > 0",
     ),
@@ -321,8 +320,8 @@ _FIELDS = (
     _Field("budget", parse_int, _positive, "evaluation budget per oscillatory integral"),
     _Field("T", _number, _finite_positive, "van der Corput horizon"),
     _Field("H", _number, _finite_positive, "van der Corput shift horizon"),
-    _Field("shift_times", _RATIONALS, None, "comma-separated rational off-diagonal times"),
-    _Field("alphas", _RATIONALS, None, "comma-separated rational time-change exponents"),
+    _Field("shift_times", _listed(_rational), _nonempty, "comma-separated rational off-diagonal times"),
+    _Field("alphas", _listed(_rational), _nonempty, "comma-separated rational time-change exponents"),
     _Field("max_nodes", parse_int, _positive, "node budget for precedent enumeration"),
 )
 _FIELD_BY_KEY = {f.key: f for f in _FIELDS}
@@ -332,9 +331,24 @@ def _format(value) -> str:
     return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
+def _problem(values: dict) -> tuple[str, str] | None:
+    """(key, message) for the first value that fails its check, else ('',
+    message) for a key that the command needs and lacks."""
+    for key, value in values.items():
+        message = _FIELD_BY_KEY[key].check(key, value)
+        if message:
+            return key, message
+    if "command" not in values:
+        return "", "missing key 'command'"
+    for key in _COMMANDS[values["command"]].needs:
+        if key not in values:
+            return "", f"command {values['command']} requires key {key!r}"
+    return None
+
+
 def parse_config(text: str, path: str = "<config>") -> ExperimentSpec:
     """Strict config parsing; ``fpet --help`` lists the keys and defaults."""
-    values: dict = {}
+    values, lines = {}, {}  # lines: key -> line number, where a failed check points
     for lineno, key, value in scan_kv(text, path):
         field = _FIELD_BY_KEY.get(key)
         if field is None:
@@ -342,14 +356,10 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentSpec:
         if key in values:
             raise ParseError(path, lineno, f"duplicate key {key!r}")
         values[key] = field.parse(value, path, lineno, key)
-        problem = field.check and field.check(values[key])
-        if problem:
-            raise ParseError(path, lineno, f"{key} {problem}")
-    if "command" not in values:
-        raise ParseError(path, 0, "missing key 'command'")
-    for key in _COMMANDS[values["command"]].needs:
-        if key not in values:
-            raise ParseError(path, 0, f"command {values['command']} requires key {key!r}")
+        lines[key] = lineno
+    problem = _problem(values)
+    if problem:
+        raise ParseError(path, lines.get(problem[0], 0), problem[1])
     return ExperimentSpec(**values)
 
 
@@ -390,7 +400,14 @@ def _load_inputs(spec: ExperimentSpec):
 
 
 def run(spec: ExperimentSpec, out_dir: str = ".", threads: int = 1, stem: str = "experiment") -> int:
-    """Run one experiment, write its output file; returns the process exit code."""
+    """Run one experiment, write its output file; returns the process exit
+    code.  A spec that :func:`parse_config` would reject exits 2 at once."""
+    problem = _problem({
+        f.name: getattr(spec, f.name) for f in fields(spec) if getattr(spec, f.name) != f.default
+    })
+    if problem:
+        print(f"input error: {problem[1]}", file=sys.stderr)
+        return 2
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     command = _COMMANDS[spec.command]

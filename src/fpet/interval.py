@@ -6,18 +6,20 @@ stays below K * |I_n|.  Averages of a bounded continuous curve converge along
 every tempered sequence as soon as they converge along one, and a change of
 time variable s -> s^alpha preserves both the convergence and the limit.
 This module materializes the sequences, the exact weight decomposition behind
-the time change, and the averaged quantities themselves.
+the time change, and the averaged quantities themselves.  Both time-change
+routes take a :class:`~fpet.quadrature.Phase`: the direct one integrates
+``v.power(alpha)``, the weight route v itself under the kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .quadrature import DEFAULT_BUDGET, PanelTable, adaptive_average, adaptive_integral
+from .quadrature import DEFAULT_BUDGET, PanelTable, Phase, adaptive_average, adaptive_integral
 
 
 @dataclass(frozen=True)
@@ -194,45 +196,23 @@ def time_change_weights(alpha: float, interval: tuple[float, float]) -> TimeChan
     )
 
 
-class _PowerComposedCurve:
-    """s -> v(s^alpha), forwarding a local-frequency hint when v has one."""
-
-    def __init__(self, v, alpha: float):
-        self._v = v
-        self._alpha = float(alpha)
-        if not hasattr(v, "local_freq"):
-            self.local_freq = None  # type: ignore[assignment]
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        return self._v(s**self._alpha)
-
-    def local_freq(self, s):
-        s = np.asarray(s, dtype=float)
-        alpha = self._alpha
-        with np.errstate(all="ignore"):
-            return self._v.local_freq(s**alpha) * alpha * s ** (alpha - 1.0)
-
-
 def time_changed_average(
-    v,
-    alpha: float,
+    v: Phase,
+    alpha,
     interval: tuple[float, float],
     tol: float = 1e-8,
     budget: int = DEFAULT_BUDGET,
 ) -> complex:
-    """Average of v(s^alpha) over (a, b) by direct adaptive quadrature."""
+    """Average of v(s^alpha) over (a, b): adaptive quadrature of v.power(alpha)."""
     a, b = float(interval[0]), float(interval[1])
-    if float(alpha) <= 0:
-        raise ValueError("the time-change exponent must be positive")
-    composed = _PowerComposedCurve(v, alpha)
-    value, _, _ = adaptive_average(composed, a, b, tol, budget)
+    changed = v.power(alpha)
+    value, _, _ = adaptive_average(changed, a, b, tol, budget, changed.local_freq)
     return value
 
 
 def time_changed_average_via_weights(
-    v,
-    alpha: float,
+    v: Phase,
+    alpha,
     interval: tuple[float, float],
     tol: float = 1e-8,
     budget: int = DEFAULT_BUDGET,
@@ -244,5 +224,5 @@ def time_changed_average_via_weights(
     A, B = weights.support
     # one panelized pass over the full support; the kernel then queries nested
     # averages at single-Gauss-panel cost, well below the outer noise floor
-    table = PanelTable(v, A, B, tol / 100, budget, getattr(v, "local_freq", None))
+    table = PanelTable(v, A, B, tol / 100, budget, v.local_freq)
     return weights.weighted_average(table.average, tol / 2, budget)

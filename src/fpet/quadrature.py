@@ -1,24 +1,23 @@
 """Adaptive Gauss-panel quadrature for oscillatory interval averages.
 
-The integrands of interest are bounded curves t -> exp(2*pi*i*theta(t)) whose
-phase theta is a sum of positive rational powers of t.  Substituting t = u^L,
-with L a common denominator of the exponents, turns the phase into an ordinary
-polynomial in u, at the price of the smooth amplitude L*u^(L-1).  Panels are
-then sized so each carries roughly a fixed number of oscillation cycles
-(width bounded by the inverse local frequency), a fixed-order Gauss-Legendre
-rule is applied per panel, and the difference between the 24-point and
-15-point rules serves as a conservative per-panel error estimate (a 15-point
-rule is essentially exact below 3 cycles per panel, a 24-point rule well
-beyond 5, so the estimate brackets the truth).  Panels with the largest
-estimates are bisected until the absolute tolerance or the evaluation budget
-is reached.
-
-Determinism: panel sums are reduced left to right over the sorted panel list,
-so a run with fixed inputs is bit-reproducible.
+Every oscillatory integrand is a :class:`Phase`: t -> exp(2*pi*i*theta(t)),
+theta a sum of exact positive rational powers of t (and of t + h in van der
+Corput correlations).  Substituting t = u^L, with L a common denominator of
+the exponents, turns the unshifted terms into a polynomial in u, at the price
+of the smooth amplitude L*u^(L-1).  Panels are then sized so each carries
+roughly a fixed number of oscillation cycles (width bounded by the inverse
+local frequency), a fixed-order Gauss-Legendre rule is applied per panel, and
+the difference between the 24-point and 15-point rules serves as a
+conservative per-panel error estimate (a 15-point rule is essentially exact
+below 3 cycles per panel, a 24-point rule well beyond 5, so the estimate
+brackets the truth).  Panels with the largest estimates are bisected until
+the absolute tolerance or the evaluation budget is reached.
 """
 
 from __future__ import annotations
 
+import copy
+import numbers
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping
@@ -239,31 +238,111 @@ def adaptive_average(
     hi: float,
     tol: float,
     budget: int = DEFAULT_BUDGET,
+    freq: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[complex, float, int]:
-    """Average of a bounded vectorized curve over (lo, hi).
-
-    ``tol`` is absolute on the average.  A ``local_freq`` attribute on the
-    curve, when present, seeds the oscillation-aware panel layout.
-    """
-    freq = getattr(curve, "local_freq", None)
+    """Average of a bounded vectorized curve over (lo, hi); ``tol`` is
+    absolute on the average, ``freq`` as in :func:`adaptive_integral`."""
     width = float(hi) - float(lo)
     value, err, evals = adaptive_integral(curve, lo, hi, tol * width, budget, freq)
     return value / width, err / width, evals
 
 
-def _clean_phase(coeffs: Mapping[Fraction | int, float]) -> dict[Fraction, float]:
-    """Exponent -> float coefficient table: exponents as Fractions (positive,
-    else ValueError), zero coefficients dropped, equal exponents summed in
-    input order."""
-    table: dict[Fraction, float] = {}
-    for e, c in coeffs.items():
-        ef = Fraction(e)
-        if ef <= 0:
-            raise ValueError("phase exponents must be positive")
-        c = float(c)
-        if c != 0.0:
-            table[ef] = table.get(ef, 0.0) + c
-    return table
+def _exponent(e, what: str = "phase exponents") -> Fraction:
+    # a float such as 0.2 would bring a denominator near 2^54
+    if not isinstance(e, numbers.Rational):
+        raise ValueError(f"{what} must be exact (int or Fraction), got {e!r}")
+    if e <= 0:
+        raise ValueError(f"{what} must be positive")
+    return Fraction(e)
+
+
+def _terms(coeffs: Mapping) -> dict[Fraction, float]:
+    table = {_exponent(e): float(c) for e, c in coeffs.items()}
+    return {e: c for e, c in table.items() if c != 0.0}
+
+
+class Phase:
+    """The curve t -> exp(2*pi*i*theta(t)) of the phase theta(t) =
+    sum_e c_e t^e + sum_e s_e (t + h)^e, exponents exact positive rationals
+    (int or Fraction, else ValueError), float coefficients (zeros dropped).
+    A van der Corput correlation theta_1(t + h) - theta_2(t) puts theta_1 in
+    the shifted block and is moved to each shift h by :meth:`at`."""
+
+    def __init__(self, coeffs: Mapping = {}, shifted: Mapping = {}):
+        self.coeffs, self.shifted, self.h = _terms(coeffs), _terms(shifted), 0.0
+        self.L = lcm(*(e.denominator for e in (*self.coeffs, *self.shifted)))
+        # the unshifted terms as a polynomial in u = t^(1/L), ascending
+        asc = np.zeros(max((int(e * self.L) for e in self.coeffs), default=0) + 1)
+        for e, c in self.coeffs.items():
+            asc[int(e * self.L)] = c
+        self._asc, self._dasc = asc, npoly.polyder(asc)
+        # float exponents, and for the shifted terms also exponent * L
+        self._plain = [(float(e), c) for e, c in self.coeffs.items()]
+        self._moved = [(float(e), float(e * self.L), s) for e, s in self.shifted.items()]
+
+    def at(self, h: float) -> "Phase":
+        """The same phase at shift h; the term tables are shared."""
+        moved = copy.copy(self)
+        moved.h = float(h)
+        return moved
+
+    def power(self, alpha) -> "Phase":
+        """The exact time change theta(t^alpha): every exponent times alpha."""
+        alpha = _exponent(alpha, "time-change exponents")
+        if self.shifted:
+            raise ValueError("a shifted phase has no exact time change")
+        return Phase({e * alpha: c for e, c in self.coeffs.items()})
+
+    def _terms_at(self, t):
+        """(base, exponent, coefficient) of every term at the points t."""
+        yield from ((t, e, c) for e, c in self._plain)
+        if self._moved:
+            x = t + self.h
+            yield from ((x, e, s) for e, _, s in self._moved)
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        theta = np.zeros_like(t)
+        for x, e, c in self._terms_at(t):
+            theta = theta + c * x**e
+        return np.exp(2j * np.pi * theta)
+
+    def local_freq(self, t):
+        """|theta'(t)|, the hint that sizes the panels."""
+        t = np.asarray(t, dtype=float)
+        with np.errstate(all="ignore"):
+            rate = np.zeros_like(t)
+            for x, e, c in self._terms_at(t):
+                rate = rate + c * e * x ** (e - 1.0)
+        return np.abs(rate)
+
+    def substitute(self):
+        """t = u^L, L the exponents' common denominator: L, the integrand
+        L*u^(L-1)*exp(2*pi*i*theta(u^L)) and its frequency |d theta(u^L)/du|;
+        the unshifted terms are one polynomial in u (Horner's rule)."""
+        return self.L, self._u_integrand, self._u_freq
+
+    def _u_integrand(self, u):
+        L = self.L
+        # theta(u^L) stays a temporary, freed as soon as it is used
+        return (L * u ** (L - 1)) * np.exp(2j * np.pi * self._u_theta(u))
+
+    def _u_theta(self, u):
+        theta = npoly.polyval(u, self._asc)
+        if self._moved:
+            x = u**self.L + self.h
+            for e, _, s in self._moved:
+                theta = theta + s * x**e
+        return theta
+
+    def _u_freq(self, u):
+        rate = npoly.polyval(u, self._dasc)
+        if self._moved:
+            x, lead = u**self.L + self.h, u ** (self.L - 1)
+            with np.errstate(all="ignore"):
+                for e, eL, s in self._moved:
+                    rate = rate + s * eL * lead * x ** (e - 1.0)
+        return np.abs(rate)
 
 
 def osc_phase_average(
@@ -275,68 +354,26 @@ def osc_phase_average(
 ) -> tuple[complex, float, int]:
     """Average of exp(2*pi*i * sum_e c_e t^e) over (lo, hi).
 
-    Exponents are positive rationals; the substitution t = u^L (L the common
-    denominator) makes the phase polynomial before panel integration.  An
-    identically zero phase short-circuits to 1 exactly.  Float phases carry a
-    rounding error of about eps * sum_e |c_e| hi^e cycles, which moves the
-    average by up to 2*pi times that; when this bound exceeds ``tol`` the
-    window is too far out to resolve, and :class:`QuadratureBudgetError` is
-    raised before integrating, with the bound as its error estimate.
+    ``coeffs`` is the term table of a :class:`Phase`, integrated after its
+    substitution t = u^L.  An identically zero phase short-circuits to 1
+    exactly.  Float phases carry a rounding error of about
+    eps * sum_e |c_e| hi^e cycles, which moves the average by up to 2*pi times
+    that; when this bound exceeds ``tol`` the window is too far out to
+    resolve, and :class:`QuadratureBudgetError` is raised before integrating,
+    with the bound as its error estimate.
     """
-    cleaned = _clean_phase(coeffs)
-    if not any(cleaned.values()):
+    phase = Phase(coeffs)
+    if not phase.coeffs:
         return 1.0 + 0j, 0.0, 0
     if not float(lo) >= 0.0:
         raise ValueError("fractional phases need a nonnegative interval")
-    phase_noise = 2 * np.pi * _EPS * sum(abs(c) * float(hi) ** float(e) for e, c in cleaned.items())
+    phase_noise = 2 * np.pi * _EPS * sum(abs(c) * float(hi) ** float(e) for e, c in phase.coeffs.items())
     if phase_noise > tol:
         raise QuadratureBudgetError(
             "float phase rounding exceeds the tolerance on this window", 0j, phase_noise, 0
         )
-    L = lcm(*(e.denominator for e in cleaned))
-    deg = max(int(e * L) for e in cleaned)
-    c_asc = np.zeros(deg + 1)
-    for e, c in cleaned.items():
-        c_asc[int(e * L)] += c
-    d_asc = npoly.polyder(c_asc)
-
-    def integrand(u):
-        return (L * u ** (L - 1)) * np.exp(2j * np.pi * npoly.polyval(u, c_asc))
-
-    def freq(u):
-        return np.abs(npoly.polyval(u, d_asc))
-
+    L, integrand, freq = phase.substitute()
     ulo, uhi = float(lo) ** (1.0 / L), float(hi) ** (1.0 / L)
     width = float(hi) - float(lo)
     value, err, evals = adaptive_integral(integrand, ulo, uhi, tol * width, budget, freq)
     return value / width, err / width, evals
-
-
-class ExpPhaseCurve:
-    """The unimodular curve t -> exp(2*pi*i * sum_e c_e t^e), e > 0 rational.
-
-    Exposes the exact local frequency |theta'(t)| so adaptive averaging can
-    size panels, and the exponent table so interval averages can run through
-    :func:`osc_phase_average`.
-    """
-
-    def __init__(self, coeffs: Mapping[Fraction | int, float]):
-        self.coeffs = _clean_phase(coeffs)
-
-    def phase(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for e, c in self.coeffs.items():
-            out = out + c * t ** float(e)
-        return out
-
-    def __call__(self, t):
-        return np.exp(2j * np.pi * self.phase(t))
-
-    def local_freq(self, t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.zeros_like(t)
-            for e, c in self.coeffs.items():
-                out = out + c * float(e) * t ** (float(e) - 1.0)
-        return np.abs(out)

@@ -434,3 +434,70 @@ def test_zero_phase_join_partial_sum_count(monkeypatch):
     limit = symbolic_limit(sys3, fam, fs)
     assert sum(built) <= 16 + 16**2
     assert list(limit.terms.items()) == list(ref_limit(sys3, fam, fs).items())
+
+
+def closure_reference(a1, a2, d, h):
+    """The correlation integrand and u-frequency as closures over float
+    coefficient arrays (index j holds the coefficient of t^((j + 1)/d)),
+    after t = u^d: the formula the correlation phase must reproduce."""
+
+    def integrand(u):
+        shifted = u**d + h
+        phase = np.zeros_like(u)
+        for j in range(d):
+            if a1[j]:
+                phase = phase + a1[j] * shifted ** ((j + 1) / d)
+            if a2[j]:
+                phase = phase - a2[j] * u ** (j + 1)
+        return (d * u ** (d - 1)) * np.exp(2j * np.pi * phase)
+
+    def dphase(u):
+        shifted = u**d + h
+        out = np.zeros_like(u)
+        for j in range(d):
+            if a1[j]:
+                out = out + a1[j] * (j + 1) * u ** (d - 1) * shifted ** ((j + 1) / d - 1.0)
+            if a2[j]:
+                out = out - a2[j] * (j + 1) * u**j
+        return np.abs(out)
+
+    return integrand, dphase
+
+
+def test_correlation_phase_matches_closure_formula(plane_system):
+    fam = FPolyFamily.make([[[1, 0], [0, 1]], [[F(1, 3), 1], [1, 0]]])
+    fs = [
+        TrigPoly(2, {(1, 0): 0.5, (0, 1): 0.3j, (1, 1): -0.2}),
+        TrigPoly(2, {(-1, 0): 0.7, (0, 0): 0.1, (0, -1): 0.4 - 0.1j}),
+    ]
+    d = fam.height
+    by_out = {}
+    for _, out, prod, cvec in averages._tuple_data(plane_system, fam, fs):
+        by_out.setdefault(out, []).append((prod, np.array([float(c) for c in cvec])))
+    expected = [
+        (p1 * p2.conjugate(), a1, a2)
+        for out in sorted(by_out)
+        for p1, a1 in by_out[out]
+        for p2, a2 in by_out[out]
+    ]
+    pairs = averages._correlation_pairs(plane_system, fam, fs)
+    assert [w for w, _ in pairs] == [w for w, _, _ in expected]
+    u = np.linspace(0.0, 10.0, 201)
+    seen = set()
+    for (_, phase), (_, a1, a2) in zip(pairs, expected):
+        constant = not (phase.coeffs or phase.shifted)
+        assert constant == (not a1.any() and not a2.any())
+        if constant:
+            continue
+        for h in (0.3, 1.7, 25.0):
+            L, integrand, freq = phase.at(h).substitute()
+            ref_integrand, ref_freq = closure_reference(a1, a2, d, h)
+            # the phase substitutes t = v^L with L | d; at v = u^(d/L) its
+            # u-densities are its v-densities times dv/du
+            k = d // L
+            seen.add(L)
+            v, jac = u**k, k * u ** (k - 1)
+            assert L * k == d
+            assert np.max(np.abs(integrand(v) * jac - ref_integrand(u))) <= 1e-12 * d * u[-1] ** (d - 1)
+            assert np.allclose(freq(v) * jac, ref_freq(u), rtol=1e-12, atol=1e-12)
+    assert seen == {1, 2}

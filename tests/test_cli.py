@@ -276,3 +276,26 @@ def test_help_lists_every_key_and_command(capsys):
                     "check-vdc", "enumerate-precedents", "verify-timechange"):
         assert f"\n  {command} " in text
     assert "verify-timechange runs sliding-k1 in place of pinned" in " ".join(text.split())
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (ExperimentSpec(command="check-vdc"), "command check-vdc requires key 'system'"),
+        (ExperimentSpec(command="enumerate-precedents"), "requires key 'family'"),
+        (ExperimentSpec(command="run-convergence", system=cfg_path("circle.system"),
+                        family=cfg_path("third.family")), "requires key 'observables'"),
+        (ExperimentSpec(command="frobnicate"), "unknown command 'frobnicate'"),
+        (ExperimentSpec(command="verify-timechange", tol=float("nan"), alphas=()),
+         "tol must be finite and positive"),
+        (ExperimentSpec(command="verify-timechange", alphas=()), "alphas must list at least one value"),
+    ],
+    ids=["vdc-no-inputs", "precedents-no-family", "convergence-no-observables",
+         "unknown-command", "nan-tol-no-alphas", "no-alphas"],
+)
+def test_run_validates_a_spec_built_in_python(tmp_path, capsys, spec, message):
+    out = tmp_path / "out"
+    assert run(spec, str(out)) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not out.exists()

@@ -3,8 +3,8 @@ import pytest
 from fractions import Fraction
 
 from fpet.quadrature import (
-    ExpPhaseCurve,
     PanelTable,
+    Phase,
     QuadratureBudgetError,
     adaptive_average,
     adaptive_integral,
@@ -86,7 +86,7 @@ def test_adaptive_average_smooth_curve():
 
 
 def test_exp_phase_curve_freq_and_values():
-    curve = ExpPhaseCurve({F(1, 2): 2.0, F(1): 1.0})
+    curve = Phase({F(1, 2): 2.0, F(1): 1.0})
     t = np.array([1.0, 4.0])
     expected = np.exp(2j * np.pi * (2 * np.sqrt(t) + t))
     assert np.allclose(curve(t), expected)
@@ -94,8 +94,8 @@ def test_exp_phase_curve_freq_and_values():
 
 
 def test_adaptive_average_uses_curve_hint():
-    curve = ExpPhaseCurve({F(1): 1 / 3})
-    value, _, _ = adaptive_average(curve, 0.0, 4096.0, 1e-10)
+    curve = Phase({F(1): 1 / 3})
+    value, _, _ = adaptive_average(curve, 0.0, 4096.0, 1e-10, freq=curve.local_freq)
     assert abs(value - closed_linear_average(1 / 3, 0.0, 4096.0)) < 1e-9
 
 
@@ -118,7 +118,7 @@ def test_far_window_raises_instead_of_drifting():
 
 
 def _table():
-    curve = ExpPhaseCurve({F(1): 0.37, F(1, 2): -1.1})
+    curve = Phase({F(1): 0.37, F(1, 2): -1.1})
     return PanelTable(curve, 2.0, 300.0, 1e-10, freq=curve.local_freq)
 
 
@@ -164,3 +164,63 @@ def test_panel_table_average_rejects_empty_windows():
         table.average(np.array([3.0, 10.0]), 9.0)
     with pytest.raises(ValueError):
         table.average(np.array([3.0, np.nan]), 9.0)
+
+
+def test_phase_rejects_inexact_exponents():
+    # 0.2 as a float is a fraction with denominator 2^54: taken as exact it
+    # would ask for a polynomial of that degree in u
+    with pytest.raises(ValueError, match="exact"):
+        osc_phase_average({0.2: 1.0}, 0.0, 10.0, 1e-8)
+    with pytest.raises(ValueError, match="exact"):
+        Phase({F(1): 1.0}, shifted={0.5: 1.0})
+    with pytest.raises(ValueError, match="exact"):
+        Phase({F(1): 1.0}).power(0.5)
+    with pytest.raises(ValueError, match="positive"):
+        Phase({F(1): 1.0}).power(F(0))
+    with pytest.raises(ValueError):
+        Phase({F(1): 1.0}, shifted={F(1): 1.0}).power(F(2))
+    assert Phase({1: 2.0, F(2, 4): 0.0, F(3, 2): -1}).coeffs == {F(1): 2.0, F(3, 2): -1.0}
+
+
+@pytest.mark.parametrize(
+    "coeffs", [{F(1): 0.25}, {F(1, 2): -1.1, F(1): 0.37}, {F(2, 3): 1.5, F(5, 2): -2.0, F(3): 0.5}]
+)
+@pytest.mark.parametrize("alpha", [F(2), F(1, 3), F(7, 2)])
+def test_phase_power_round_trip(coeffs, alpha):
+    phase = Phase(coeffs)
+    back = phase.power(alpha).power(1 / alpha)
+    assert list(back.coeffs.items()) == list(phase.coeffs.items())
+    assert list(phase.power(alpha).coeffs) == [e * alpha for e in phase.coeffs]
+    t = np.linspace(0.5, 2.0, 97)
+    assert np.allclose(phase.power(alpha)(t), phase(t ** float(alpha)), rtol=0, atol=1e-10)
+
+
+SUBSTITUTED = {
+    "plain": Phase({F(1): 0.37, F(2): -0.01}),
+    "mixed": Phase({F(1, 2): 1.5, F(1, 3): -2.0, F(5, 6): 0.25}),
+    "shifted": Phase({F(1, 2): -0.5, F(1): -0.2}, shifted={F(1, 2): 0.8, F(1): -0.3}).at(3.7),
+}
+
+
+@pytest.mark.parametrize("name", SUBSTITUTED)
+def test_phase_substitution_matches_definition(name):
+    phase = SUBSTITUTED[name]
+    L, integrand, freq = phase.substitute()
+    assert L == {"plain": 1, "mixed": 6, "shifted": 2}[name]
+    u = np.linspace(0.0, 3.0, 301)
+    amplitude = L * u ** (L - 1)
+    assert np.max(np.abs(integrand(u) - amplitude * phase(u**L))) <= 1e-12 * np.max(amplitude)
+    with np.errstate(all="ignore"):
+        chain = phase.local_freq(u**L) * amplitude
+    inside = u > 0
+    assert np.allclose(freq(u)[inside], chain[inside], rtol=1e-12, atol=1e-12)
+
+
+def test_phase_shift_moves_only_the_shifted_block():
+    base = Phase({F(1): -0.2}, shifted={F(1, 2): 0.8})
+    moved = base.at(2.5)
+    assert (base.h, moved.h) == (0.0, 2.5)
+    t = np.linspace(0.0, 10.0, 41)
+    expected = np.exp(2j * np.pi * (0.8 * np.sqrt(t + 2.5) - 0.2 * t))
+    assert np.allclose(moved(t), expected, rtol=0, atol=1e-13)
+    assert np.allclose(base(t), np.exp(2j * np.pi * (0.8 * np.sqrt(t) - 0.2 * t)), rtol=0, atol=1e-13)

@@ -1,0 +1,60 @@
+"""The benchmark's tracer (perfbench/spans.py) binds functions of fpet by
+name and counts work at them.  A rename or a changed call path would leave
+its counters at zero without failing anything else, so one run-convergence
+and one check-vdc command run here under the tracer, on the benchmark
+self-test's small inputs.  The test only reads perfbench/."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = r"""
+import contextlib, io, json, sys
+from pathlib import Path
+
+root, work = Path(sys.argv[1]), Path(sys.argv[2])
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+import fpet.cli
+import inputs
+from spans import Tracer
+
+ops = [
+    next(op for op in inputs.generate(w, 1, work / w, scale_down=True) if op.command == c)
+    for w, c in (("convergence", "run-convergence"), ("timechange_vdc", "check-vdc"))
+]
+
+def run_all(out):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return [fpet.cli.main(["--config", str(op.config), "--serial", "--out", str(work / out)])
+                for op in ops]
+
+plain = run_all("plain")
+tracer = Tracer()
+tracer.install()
+traced = run_all("traced")
+same = [(work / "plain" / op.output).read_bytes() == (work / "traced" / op.output).read_bytes()
+        for op in ops]
+print(json.dumps({"plain": plain, "traced": traced, "same": same, "counts": dict(tracer.counts)}))
+"""
+
+
+def test_traced_commands_count_work_and_keep_outputs(tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["plain"] == [0, 0] and result["traced"] == [0, 0]
+    assert result["same"] == [True, True]
+    counts = result["counts"]
+    assert counts.get("averages.phase_vectors", 0) > 0
+    # one outer integral over the shift, then one per non-constant pair and node
+    assert counts.get("averages.correlation_integrals", 0) > 1
+    assert counts.get("quadrature.evals", 0) > 0
