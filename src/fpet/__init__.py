@@ -67,7 +67,6 @@ from .quadrature import (
     DEFAULT_BUDGET,
     Phase,
     QuadratureBudgetError,
-    adaptive_average,
     osc_phase_average,
 )
 from .textkv import ParseError

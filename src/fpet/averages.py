@@ -389,13 +389,14 @@ def _correlation_average(
 ) -> complex:
     """avg over t in (0, T) of <u(t+h), u(t)>: the pairs' phases at shift h,
     each integrated after its substitution t = u^L, which keeps the phase
-    derivative bounded near zero even for fractional exponents."""
+    derivative bounded near zero even for fractional exponents (and which
+    refuses a window too far out for the float phase)."""
     total = 0j
     for weight, phase in pairs:
         if not (phase.coeffs or phase.shifted):
             total += weight
             continue
-        L, integrand, freq = phase.at(h).substitute()
+        L, integrand, freq = phase.at(h).substitute(T, tol)
         value, _, _ = adaptive_integral(integrand, 0.0, T ** (1.0 / L), tol * T, budget, freq)
         total += weight * value / T
     return total

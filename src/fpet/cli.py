@@ -7,16 +7,17 @@ experiment, a JSONL verdict stream for the checks, a text DAG for precedent
 enumeration.  Exit codes: 0 pass, 1 check failure, 2 input error, 3 numeric
 budget error.
 
-Two tables define the front end.  ``_FIELDS`` holds one row per config key
-(parser, check, help text; the defaults are those of :class:`ExperimentSpec`)
-and drives parsing, validation, :func:`serialize_config` and the key list of
-``fpet --help``.  ``_COMMANDS`` holds one row per command (required keys,
-output suffix, runner) and drives :func:`run`.
+Two tables define the front end.  :class:`ExperimentSpec` declares each
+config key once, as a field with its default and, in the field's metadata,
+its parser, check and help text; the fields drive parsing, validation,
+:func:`serialize_config` and the key list of ``fpet --help``.  ``_COMMANDS``
+holds one row per command (required keys, output suffix, runner) and drives
+:func:`run`.
 
 The environment variable FPET_LOG in {error, info, debug} sets log verbosity
-(default error).  --threads N controls internal parallelism (default: the
-hardware count); --serial (= --threads 1) makes output files byte-identical
-across runs.
+(default error).  --threads N sets the number of worker threads (default: the
+hardware count) and --serial is --threads 1.  The thread count changes speed
+only: output files are byte-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 import os
 import sys
 import textwrap
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable
@@ -60,24 +61,6 @@ _DEFAULT_ALPHAS = (
     Fraction(1, 5), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2),
     Fraction(3, 5), Fraction(2), Fraction(3), Fraction(7, 2),
 )
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    command: str
-    system: str | None = None
-    family: str | None = None
-    observables: tuple[str, ...] = ()
-    intervals: str = "pinned"
-    n_max: int = 12
-    tol: float = 1e-8
-    pass_tol: float = 1e-2
-    budget: int = 10**7
-    T: float = 1e4
-    H: float = 1e2
-    shift_times: tuple[Fraction, ...] = _DEFAULT_SHIFTS
-    alphas: tuple[Fraction, ...] = _DEFAULT_ALPHAS
-    max_nodes: int = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -295,36 +278,47 @@ def _files(key, value) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class _Field:
-    key: str
-    parse: Callable[[str, str, int, str], Any]
-    check: Callable[[str, Any], str | None]
-    help: str
+def _key(default, parse: Callable[[str, str, int, str], Any],
+         check: Callable[[str, Any], str | None], help: str):
+    """One config key: a field of :class:`ExperimentSpec` with its default,
+    parser, check and help text."""
+    return field(default=default, metadata={"parse": parse, "check": check, "help": help})
 
 
 _INTERVALS = tuple(seq.name for seq in standard_tempered_families())
-_FIELDS = (
-    _Field("command", _text, _choice(tuple(_COMMANDS)), "what to run (required; see commands)"),
-    _Field("system", _path, _files, "path to a torus-system file"),
-    _Field("family", _path, _files, "path to a family file"),
-    _Field("observables", _listed(_path), _files, "comma-separated observable paths"),
-    _Field(
-        "intervals", _text, _choice(_INTERVALS),
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One experiment; each field is one config key."""
+
+    command: str = _key(
+        MISSING, _text, _choice(tuple(_COMMANDS)), "what to run (required; see commands)"
+    )
+    system: str | None = _key(None, _path, _files, "path to a torus-system file")
+    family: str | None = _key(None, _path, _files, "path to a family file")
+    observables: tuple[str, ...] = _key((), _listed(_path), _files, "comma-separated observable paths")
+    intervals: str = _key(
+        "pinned", _text, _choice(_INTERVALS),
         f"{' | '.join(_INTERVALS)}; verify-timechange runs sliding-k1 in place of pinned, "
         "because alpha < 1 needs intervals with a > 0",
-    ),
-    _Field("n_max", parse_int, _positive, "interval index bound"),
-    _Field("tol", _number, _finite_positive, "quadrature tolerance per phase integral"),
-    _Field("pass_tol", _number, _finite_positive, "pass threshold for diagnostics"),
-    _Field("budget", parse_int, _positive, "evaluation budget per oscillatory integral"),
-    _Field("T", _number, _finite_positive, "van der Corput horizon"),
-    _Field("H", _number, _finite_positive, "van der Corput shift horizon"),
-    _Field("shift_times", _listed(_rational), _nonempty, "comma-separated rational off-diagonal times"),
-    _Field("alphas", _listed(_rational), _nonempty, "comma-separated rational time-change exponents"),
-    _Field("max_nodes", parse_int, _positive, "node budget for precedent enumeration"),
-)
-_FIELD_BY_KEY = {f.key: f for f in _FIELDS}
+    )
+    n_max: int = _key(12, parse_int, _positive, "interval index bound")
+    tol: float = _key(1e-8, _number, _finite_positive, "quadrature tolerance per phase integral")
+    pass_tol: float = _key(1e-2, _number, _finite_positive, "pass threshold for diagnostics")
+    budget: int = _key(10**7, parse_int, _positive, "evaluation budget per oscillatory integral")
+    T: float = _key(1e4, _number, _finite_positive, "van der Corput horizon")
+    H: float = _key(1e2, _number, _finite_positive, "van der Corput shift horizon")
+    shift_times: tuple[Fraction, ...] = _key(
+        _DEFAULT_SHIFTS, _listed(_rational), _nonempty, "comma-separated rational off-diagonal times"
+    )
+    alphas: tuple[Fraction, ...] = _key(
+        _DEFAULT_ALPHAS, _listed(_rational), _nonempty, "comma-separated rational time-change exponents"
+    )
+    max_nodes: int = _key(10_000, parse_int, _positive, "node budget for precedent enumeration")
+
+
+_FIELDS = {f.name: f for f in fields(ExperimentSpec)}
 
 
 def _format(value) -> str:
@@ -335,7 +329,7 @@ def _problem(values: dict) -> tuple[str, str] | None:
     """(key, message) for the first value that fails its check, else ('',
     message) for a key that the command needs and lacks."""
     for key, value in values.items():
-        message = _FIELD_BY_KEY[key].check(key, value)
+        message = _FIELDS[key].metadata["check"](key, value)
         if message:
             return key, message
     if "command" not in values:
@@ -350,12 +344,11 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentSpec:
     """Strict config parsing; ``fpet --help`` lists the keys and defaults."""
     values, lines = {}, {}  # lines: key -> line number, where a failed check points
     for lineno, key, value in scan_kv(text, path):
-        field = _FIELD_BY_KEY.get(key)
-        if field is None:
+        if key not in _FIELDS:
             raise ParseError(path, lineno, f"unknown key {key!r}")
         if key in values:
             raise ParseError(path, lineno, f"duplicate key {key!r}")
-        values[key] = field.parse(value, path, lineno, key)
+        values[key] = _FIELDS[key].metadata["parse"](value, path, lineno, key)
         lines[key] = lineno
     problem = _problem(values)
     if problem:
@@ -366,22 +359,20 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentSpec:
 def serialize_config(spec: ExperimentSpec) -> str:
     """Inverse of :func:`parse_config` (parse(serialize(s)) == s)."""
     lines = []
-    for field in _FIELDS:
-        value = getattr(spec, field.key)
+    for key in _FIELDS:
+        value = getattr(spec, key)
         if value is not None and value != ():
-            lines.append(f"{field.key} = {_format(value)}")
+            lines.append(f"{key} = {_format(value)}")
     return "\n".join(lines) + "\n"
 
 
 def _key_help() -> str:
-    defaults = {f.name: f.default for f in fields(ExperimentSpec)}
     lines = ["config keys ('key = value' lines, '#' starts a comment):"]
-    for field in _FIELDS:
-        default = defaults[field.key]
-        shown = "" if default in (MISSING, None, ()) else f" [{_format(default)}]"
-        lead = f"  {field.key:<12} "
+    for key, f in _FIELDS.items():
+        shown = "" if f.default in (MISSING, None, ()) else f" [{_format(f.default)}]"
+        lead = f"  {key:<12} "
         lines.append(textwrap.fill(
-            field.help + shown, 79, initial_indent=lead, subsequent_indent=" " * len(lead)
+            f.metadata["help"] + shown, 79, initial_indent=lead, subsequent_indent=" " * len(lead)
         ))
     lines.append("commands (required keys):")
     for name, command in _COMMANDS.items():
@@ -434,7 +425,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the experiment config")
     parser.add_argument("--threads", type=int, default=None, help="worker threads (default: hardware count)")
-    parser.add_argument("--serial", action="store_true", help="force single-threaded, bit-reproducible runs")
+    parser.add_argument(
+        "--serial", action="store_true",
+        help="run single-threaded (= --threads 1); outputs do not depend on the thread count",
+    )
     parser.add_argument("--out", default=".", help="output directory (default: current)")
     args = parser.parse_args(argv)
 

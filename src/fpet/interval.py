@@ -7,8 +7,11 @@ every tempered sequence as soon as they converge along one, and a change of
 time variable s -> s^alpha preserves both the convergence and the limit.
 This module materializes the sequences, the exact weight decomposition behind
 the time change, and the averaged quantities themselves.  Both time-change
-routes take a :class:`~fpet.quadrature.Phase`: the direct one integrates
-``v.power(alpha)``, the weight route v itself under the kernel.
+routes take a :class:`~fpet.quadrature.Phase` and integrate it only through
+:meth:`~fpet.quadrature.Phase.substitute`, so both refuse windows too far out
+for the float phase: the direct one averages ``v.power(alpha)`` with
+:meth:`~fpet.quadrature.Phase.average`, the weight route tabulates v itself
+in u = t^(1/L) and weights its nested averages by the kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import DEFAULT_BUDGET, PanelTable, Phase, adaptive_average, adaptive_integral
+from .quadrature import DEFAULT_BUDGET, PanelTable, Phase, adaptive_integral
 
 
 @dataclass(frozen=True)
@@ -203,10 +206,8 @@ def time_changed_average(
     tol: float = 1e-8,
     budget: int = DEFAULT_BUDGET,
 ) -> complex:
-    """Average of v(s^alpha) over (a, b): adaptive quadrature of v.power(alpha)."""
-    a, b = float(interval[0]), float(interval[1])
-    changed = v.power(alpha)
-    value, _, _ = adaptive_average(changed, a, b, tol, budget, changed.local_freq)
+    """Average of v(s^alpha) over (a, b): the average of v.power(alpha)."""
+    value, _, _ = v.power(alpha).average(interval[0], interval[1], tol, budget)
     return value
 
 
@@ -222,7 +223,17 @@ def time_changed_average_via_weights(
     2 * tol is the consistency contract)."""
     weights = time_change_weights(alpha, interval)
     A, B = weights.support
-    # one panelized pass over the full support; the kernel then queries nested
-    # averages at single-Gauss-panel cost, well below the outer noise floor
-    table = PanelTable(v, A, B, tol / 100, budget, v.local_freq)
-    return weights.weighted_average(table.average, tol / 2, budget)
+    # the kernel's weights sum to 1, so phase rounding moves the result by no
+    # more than it moves one nested average: the guard takes the route's tol
+    L, integrand, freq = v.substitute(B, tol)
+    uA, uB = A ** (1.0 / L), B ** (1.0 / L)
+    # one panelized pass over the full support, at absolute tolerance
+    # tol / 100 * (B - A); the kernel then queries nested averages at
+    # single-Gauss-panel cost, well below the outer noise floor
+    table = PanelTable(integrand, uA, uB, tol / 100 * ((B - A) / (uB - uA)), budget, freq)
+
+    def inner_average(lo, hi):
+        ulo, uhi = lo ** (1.0 / L), hi ** (1.0 / L)
+        return table.average(ulo, uhi) * ((uhi - ulo) / (hi - lo))
+
+    return weights.weighted_average(inner_average, tol / 2, budget)

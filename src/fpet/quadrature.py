@@ -4,14 +4,17 @@ Every oscillatory integrand is a :class:`Phase`: t -> exp(2*pi*i*theta(t)),
 theta a sum of exact positive rational powers of t (and of t + h in van der
 Corput correlations).  Substituting t = u^L, with L a common denominator of
 the exponents, turns the unshifted terms into a polynomial in u, at the price
-of the smooth amplitude L*u^(L-1).  Panels are then sized so each carries
-roughly a fixed number of oscillation cycles (width bounded by the inverse
-local frequency), a fixed-order Gauss-Legendre rule is applied per panel, and
-the difference between the 24-point and 15-point rules serves as a
-conservative per-panel error estimate (a 15-point rule is essentially exact
-below 3 cycles per panel, a 24-point rule well beyond 5, so the estimate
-brackets the truth).  Panels with the largest estimates are bisected until
-the absolute tolerance or the evaluation budget is reached.
+of the smooth amplitude L*u^(L-1).  :meth:`Phase.substitute` is the only
+evaluator of a phase, and it refuses windows so far out that float rounding
+of the phase alone exceeds the tolerance; :meth:`Phase.average` is the route
+from an unshifted phase to its average over a window.  Panels are then sized
+so each carries roughly a fixed number of oscillation cycles (width bounded
+by the inverse local frequency), a fixed-order Gauss-Legendre rule is applied
+per panel, and the difference between the 24-point and 15-point rules serves
+as a conservative per-panel error estimate (a 15-point rule is essentially
+exact below 3 cycles per panel, a 24-point rule well beyond 5, so the
+estimate brackets the truth).  Panels with the largest estimates are bisected
+until the absolute tolerance or the evaluation budget is reached.
 """
 
 from __future__ import annotations
@@ -232,21 +235,6 @@ class PanelTable:
         return complex(out) if out.ndim == 0 else out
 
 
-def adaptive_average(
-    curve,
-    lo: float,
-    hi: float,
-    tol: float,
-    budget: int = DEFAULT_BUDGET,
-    freq: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[complex, float, int]:
-    """Average of a bounded vectorized curve over (lo, hi); ``tol`` is
-    absolute on the average, ``freq`` as in :func:`adaptive_integral`."""
-    width = float(hi) - float(lo)
-    value, err, evals = adaptive_integral(curve, lo, hi, tol * width, budget, freq)
-    return value / width, err / width, evals
-
-
 def _exponent(e, what: str = "phase exponents") -> Fraction:
     # a float such as 0.2 would bring a denominator near 2^54
     if not isinstance(e, numbers.Rational):
@@ -262,11 +250,12 @@ def _terms(coeffs: Mapping) -> dict[Fraction, float]:
 
 
 class Phase:
-    """The curve t -> exp(2*pi*i*theta(t)) of the phase theta(t) =
-    sum_e c_e t^e + sum_e s_e (t + h)^e, exponents exact positive rationals
-    (int or Fraction, else ValueError), float coefficients (zeros dropped).
-    A van der Corput correlation theta_1(t + h) - theta_2(t) puts theta_1 in
-    the shifted block and is moved to each shift h by :meth:`at`."""
+    """The phase theta(t) = sum_e c_e t^e + sum_e s_e (t + h)^e of the curve
+    t -> exp(2*pi*i*theta(t)), exponents exact positive rationals (int or
+    Fraction, else ValueError), float coefficients (zeros dropped).  A van der
+    Corput correlation theta_1(t + h) - theta_2(t) puts theta_1 in the shifted
+    block and is moved to each shift h by :meth:`at`.  The curve is evaluated
+    only through :meth:`substitute`."""
 
     def __init__(self, coeffs: Mapping = {}, shifted: Mapping = {}):
         self.coeffs, self.shifted, self.h = _terms(coeffs), _terms(shifted), 0.0
@@ -276,8 +265,7 @@ class Phase:
         for e, c in self.coeffs.items():
             asc[int(e * self.L)] = c
         self._asc, self._dasc = asc, npoly.polyder(asc)
-        # float exponents, and for the shifted terms also exponent * L
-        self._plain = [(float(e), c) for e, c in self.coeffs.items()]
+        # float exponents of the shifted terms, and those exponents times L
         self._moved = [(float(e), float(e * self.L), s) for e, s in self.shifted.items()]
 
     def at(self, h: float) -> "Phase":
@@ -293,34 +281,46 @@ class Phase:
             raise ValueError("a shifted phase has no exact time change")
         return Phase({e * alpha: c for e, c in self.coeffs.items()})
 
-    def _terms_at(self, t):
-        """(base, exponent, coefficient) of every term at the points t."""
-        yield from ((t, e, c) for e, c in self._plain)
-        if self._moved:
-            x = t + self.h
-            yield from ((x, e, s) for e, _, s in self._moved)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        theta = np.zeros_like(t)
-        for x, e, c in self._terms_at(t):
-            theta = theta + c * x**e
-        return np.exp(2j * np.pi * theta)
-
-    def local_freq(self, t):
-        """|theta'(t)|, the hint that sizes the panels."""
-        t = np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
-            rate = np.zeros_like(t)
-            for x, e, c in self._terms_at(t):
-                rate = rate + c * e * x ** (e - 1.0)
-        return np.abs(rate)
-
-    def substitute(self):
+    def substitute(self, hi: float, tol: float):
         """t = u^L, L the exponents' common denominator: L, the integrand
         L*u^(L-1)*exp(2*pi*i*theta(u^L)) and its frequency |d theta(u^L)/du|;
-        the unshifted terms are one polynomial in u (Horner's rule)."""
+        the unshifted terms are one polynomial in u (Horner's rule).
+
+        Float phases carry a rounding error of about
+        eps * (sum_e |c_e| hi^e + sum_e |s_e| (hi + h)^e) cycles on t <= hi,
+        which moves any average over such t by up to 2*pi times that; when
+        this bound exceeds ``tol`` the window is too far out to resolve, and
+        :class:`QuadratureBudgetError` is raised with the bound as its error
+        estimate and no evaluations.
+        """
+        hi = float(hi)
+        noise = 2 * np.pi * _EPS * (
+            sum(abs(c) * hi ** float(e) for e, c in self.coeffs.items())
+            + sum(abs(s) * (hi + self.h) ** e for e, _, s in self._moved)
+        )
+        if noise > tol:
+            raise QuadratureBudgetError(
+                "float phase rounding exceeds the tolerance on this window", 0j, noise, 0
+            )
         return self.L, self._u_integrand, self._u_freq
+
+    def average(
+        self, lo: float, hi: float, tol: float, budget: int = DEFAULT_BUDGET
+    ) -> tuple[complex, float, int]:
+        """Average of the curve over (lo, hi) with absolute tolerance ``tol``,
+        integrated in u after :meth:`substitute`: (value, error estimate,
+        evaluations).  An identically zero phase short-circuits to 1 exactly."""
+        if not (self.coeffs or self.shifted):
+            return 1.0 + 0j, 0.0, 0
+        lo, hi = float(lo), float(hi)
+        if not lo >= 0.0:
+            raise ValueError("fractional phases need a nonnegative interval")
+        L, integrand, freq = self.substitute(hi, tol)
+        width = hi - lo
+        value, err, evals = adaptive_integral(
+            integrand, lo ** (1.0 / L), hi ** (1.0 / L), tol * width, budget, freq
+        )
+        return value / width, err / width, evals
 
     def _u_integrand(self, u):
         L = self.L
@@ -352,28 +352,6 @@ def osc_phase_average(
     tol: float,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[complex, float, int]:
-    """Average of exp(2*pi*i * sum_e c_e t^e) over (lo, hi).
-
-    ``coeffs`` is the term table of a :class:`Phase`, integrated after its
-    substitution t = u^L.  An identically zero phase short-circuits to 1
-    exactly.  Float phases carry a rounding error of about
-    eps * sum_e |c_e| hi^e cycles, which moves the average by up to 2*pi times
-    that; when this bound exceeds ``tol`` the window is too far out to
-    resolve, and :class:`QuadratureBudgetError` is raised before integrating,
-    with the bound as its error estimate.
-    """
-    phase = Phase(coeffs)
-    if not phase.coeffs:
-        return 1.0 + 0j, 0.0, 0
-    if not float(lo) >= 0.0:
-        raise ValueError("fractional phases need a nonnegative interval")
-    phase_noise = 2 * np.pi * _EPS * sum(abs(c) * float(hi) ** float(e) for e, c in phase.coeffs.items())
-    if phase_noise > tol:
-        raise QuadratureBudgetError(
-            "float phase rounding exceeds the tolerance on this window", 0j, phase_noise, 0
-        )
-    L, integrand, freq = phase.substitute()
-    ulo, uhi = float(lo) ** (1.0 / L), float(hi) ** (1.0 / L)
-    width = float(hi) - float(lo)
-    value, err, evals = adaptive_integral(integrand, ulo, uhi, tol * width, budget, freq)
-    return value / width, err / width, evals
+    """Average of exp(2*pi*i * sum_e c_e t^e) over (lo, hi): the
+    :meth:`Phase.average` of the term table ``coeffs``."""
+    return Phase(coeffs).average(lo, hi, tol, budget)

@@ -209,45 +209,16 @@ def hermite_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool
 def int_kernel(rows: Sequence[Sequence[int]], n: int) -> tuple[IntVec, ...]:
     """Canonical basis of {x in Z^n : R x = 0} for an integer matrix R.
 
-    Column reduction of R with the elementary operations mirrored on an
-    identity matrix; the transform columns hitting zeroed-out columns of R
-    generate the kernel, which is then put in Hermite form.
+    The columns (R e_j ; e_j) generate {(R x ; x) : x in Z^n}.  In their
+    Hermite form the basis vectors with zero R-part, whose pivots lie below R,
+    generate exactly the vectors (0 ; x) with R x = 0; their lower parts,
+    put in Hermite form, are the kernel's canonical basis.
     """
     rows = [list(r) for r in rows]
     for r in rows:
         if len(r) != n:
             raise ValueError("constraint row of wrong length")
-    cols = [[rows[i][j] for i in range(len(rows))] for j in range(n)]
-    trans = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    npiv = 0
-    for i in range(len(rows)):
-        j = npiv
-        while j < len(cols):
-            if cols[j][i] == 0:
-                j += 1
-                continue
-            if cols[npiv][i] == 0:
-                cols[npiv], cols[j] = cols[j], cols[npiv]
-                trans[npiv], trans[j] = trans[j], trans[npiv]
-                continue
-            if j == npiv:
-                j += 1
-                continue
-            a, b = cols[npiv][i], cols[j][i]
-            g, x, y = _xgcd(a, b)
-            ag, bg = a // g, b // g
-            cols[npiv], cols[j] = (
-                [x * p + y * q for p, q in zip(cols[npiv], cols[j])],
-                [-bg * p + ag * q for p, q in zip(cols[npiv], cols[j])],
-            )
-            trans[npiv], trans[j] = (
-                [x * p + y * q for p, q in zip(trans[npiv], trans[j])],
-                [-bg * p + ag * q for p, q in zip(trans[npiv], trans[j])],
-            )
-            j += 1
-        if npiv < len(cols) and cols[npiv][i] != 0:
-            npiv += 1
-    kernel_gens = [trans[j] for j in range(npiv, n) if not any(cols[j])]
-    # columns past npiv are exactly the zero columns of the reduced matrix
-    assert len(kernel_gens) == n - npiv
-    return column_hermite(kernel_gens, n)
+    k = len(rows)
+    augmented = [[r[j] for r in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    basis = column_hermite(augmented, k + n)
+    return column_hermite((b[k:] for b in basis if not any(b[:k])), n)

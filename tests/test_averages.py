@@ -490,7 +490,7 @@ def test_correlation_phase_matches_closure_formula(plane_system):
         if constant:
             continue
         for h in (0.3, 1.7, 25.0):
-            L, integrand, freq = phase.at(h).substitute()
+            L, integrand, freq = phase.at(h).substitute(u[-1] ** d, 1e-8)
             ref_integrand, ref_freq = closure_reference(a1, a2, d, h)
             # the phase substitutes t = v^L with L | d; at v = u^(d/L) its
             # u-densities are its v-densities times dv/du

@@ -6,12 +6,35 @@ from fpet.quadrature import (
     PanelTable,
     Phase,
     QuadratureBudgetError,
-    adaptive_average,
     adaptive_integral,
     osc_phase_average,
 )
 
 F = Fraction
+
+
+def t_theta(phase, t):
+    """theta(t) term by term from the phase's tables, in t: the reference
+    that the u-integrand of ``Phase.substitute`` is checked against."""
+    t = np.asarray(t, dtype=float)
+    theta = np.zeros_like(t)
+    for e, c in phase.coeffs.items():
+        theta = theta + c * t ** float(e)
+    for e, s in phase.shifted.items():
+        theta = theta + s * (t + phase.h) ** float(e)
+    return theta
+
+
+def t_freq(phase, t):
+    """|theta'(t)| term by term, the reference for the u-frequency."""
+    t = np.asarray(t, dtype=float)
+    rate = np.zeros_like(t)
+    with np.errstate(all="ignore"):
+        for e, c in phase.coeffs.items():
+            rate = rate + c * float(e) * t ** float(e - 1)
+        for e, s in phase.shifted.items():
+            rate = rate + s * float(e) * (t + phase.h) ** float(e - 1)
+    return np.abs(rate)
 
 
 def closed_linear_average(c, a, b):
@@ -81,22 +104,24 @@ def test_budget_error_carries_partial():
 
 def test_adaptive_average_smooth_curve():
     curve = lambda t: np.asarray(t, dtype=float) ** 2 + 0j
-    value, err, _ = adaptive_average(curve, 0.0, 3.0, 1e-12)
-    assert abs(value - 3.0) < 1e-12
+    value, err, _ = adaptive_integral(curve, 0.0, 3.0, 1e-12 * 3.0)
+    assert abs(value / 3.0 - 3.0) < 1e-12
 
 
 def test_exp_phase_curve_freq_and_values():
-    curve = Phase({F(1, 2): 2.0, F(1): 1.0})
-    t = np.array([1.0, 4.0])
-    expected = np.exp(2j * np.pi * (2 * np.sqrt(t) + t))
-    assert np.allclose(curve(t), expected)
-    assert np.allclose(curve.local_freq(t), np.abs(1.0 / np.sqrt(t) + 1.0))
+    # theta(t) = 2 sqrt(t) + t is 2u + u^2 after t = u^2
+    L, integrand, freq = Phase({F(1, 2): 2.0, F(1): 1.0}).substitute(4.0, 1e-8)
+    u = np.array([1.0, 2.0])
+    assert L == 2
+    assert np.allclose(integrand(u), 2 * u * np.exp(2j * np.pi * (2 * u + u**2)))
+    assert np.allclose(freq(u), np.abs(2.0 + 2 * u))
 
 
 def test_adaptive_average_uses_curve_hint():
-    curve = Phase({F(1): 1 / 3})
-    value, _, _ = adaptive_average(curve, 0.0, 4096.0, 1e-10, freq=curve.local_freq)
-    assert abs(value - closed_linear_average(1 / 3, 0.0, 4096.0)) < 1e-9
+    curve = lambda t: np.exp(2j * np.pi * t / 3)
+    hint = lambda t: np.full_like(t, 1 / 3)
+    value, _, _ = adaptive_integral(curve, 0.0, 4096.0, 1e-10 * 4096.0, freq=hint)
+    assert abs(value / 4096.0 - closed_linear_average(1 / 3, 0.0, 4096.0)) < 1e-9
 
 
 def test_deterministic_reruns():
@@ -117,9 +142,22 @@ def test_far_window_raises_instead_of_drifting():
     assert exc.value.est_error > 1e-8
 
 
+def test_far_window_guard_counts_shifted_terms_at_hi_plus_h():
+    # a correlation phase theta_1(t + h) - theta_2(t) on (0, 1000.5): at
+    # h = 1e14 its shifted block alone loses about 2e-6 of a cycle
+    phase = Phase({F(1): -1e-3}, shifted={F(1): 0.1234567})
+    assert phase.at(1e6).substitute(1000.5, 1e-8)[0] == 1
+    with pytest.raises(QuadratureBudgetError) as exc:
+        phase.at(1e14).substitute(1000.5, 1e-8)
+    assert exc.value.evals == 0
+    expected = 1e-3 * 1000.5 + 0.1234567 * (1e14 + 1000.5)
+    assert exc.value.est_error == pytest.approx(2 * np.pi * expected * 2.0**-52)
+
+
 def _table():
-    curve = Phase({F(1): 0.37, F(1, 2): -1.1})
-    return PanelTable(curve, 2.0, 300.0, 1e-10, freq=curve.local_freq)
+    curve = lambda t: np.exp(2j * np.pi * (0.37 * t - 1.1 * np.sqrt(t)))
+    freq = lambda t: np.abs(0.37 - 0.55 / np.sqrt(t))
+    return PanelTable(curve, 2.0, 300.0, 1e-10, freq=freq)
 
 
 def test_panel_table_array_queries_match_scalar_queries():
@@ -192,7 +230,10 @@ def test_phase_power_round_trip(coeffs, alpha):
     assert list(back.coeffs.items()) == list(phase.coeffs.items())
     assert list(phase.power(alpha).coeffs) == [e * alpha for e in phase.coeffs]
     t = np.linspace(0.5, 2.0, 97)
-    assert np.allclose(phase.power(alpha)(t), phase(t ** float(alpha)), rtol=0, atol=1e-10)
+    L, integrand, _ = phase.power(alpha).substitute(2.0, 1e-8)
+    u = t ** (1.0 / L)
+    expected = np.exp(2j * np.pi * t_theta(phase, t ** float(alpha)))
+    assert np.allclose(integrand(u) / (L * u ** (L - 1)), expected, rtol=0, atol=1e-10)
 
 
 SUBSTITUTED = {
@@ -205,13 +246,14 @@ SUBSTITUTED = {
 @pytest.mark.parametrize("name", SUBSTITUTED)
 def test_phase_substitution_matches_definition(name):
     phase = SUBSTITUTED[name]
-    L, integrand, freq = phase.substitute()
-    assert L == {"plain": 1, "mixed": 6, "shifted": 2}[name]
     u = np.linspace(0.0, 3.0, 301)
+    L, integrand, freq = phase.substitute(u[-1] ** phase.L, 1e-8)
+    assert L == {"plain": 1, "mixed": 6, "shifted": 2}[name]
     amplitude = L * u ** (L - 1)
-    assert np.max(np.abs(integrand(u) - amplitude * phase(u**L))) <= 1e-12 * np.max(amplitude)
+    curve = np.exp(2j * np.pi * t_theta(phase, u**L))
+    assert np.max(np.abs(integrand(u) - amplitude * curve)) <= 1e-12 * np.max(amplitude)
     with np.errstate(all="ignore"):
-        chain = phase.local_freq(u**L) * amplitude
+        chain = t_freq(phase, u**L) * amplitude
     inside = u > 0
     assert np.allclose(freq(u)[inside], chain[inside], rtol=1e-12, atol=1e-12)
 
@@ -220,7 +262,8 @@ def test_phase_shift_moves_only_the_shifted_block():
     base = Phase({F(1): -0.2}, shifted={F(1, 2): 0.8})
     moved = base.at(2.5)
     assert (base.h, moved.h) == (0.0, 2.5)
-    t = np.linspace(0.0, 10.0, 41)
-    expected = np.exp(2j * np.pi * (0.8 * np.sqrt(t + 2.5) - 0.2 * t))
-    assert np.allclose(moved(t), expected, rtol=0, atol=1e-13)
-    assert np.allclose(base(t), np.exp(2j * np.pi * (0.8 * np.sqrt(t) - 0.2 * t)), rtol=0, atol=1e-13)
+    u = np.linspace(0.0, np.sqrt(10.0), 41)
+    for phase, h in ((base, 0.0), (moved, 2.5)):
+        _, integrand, _ = phase.substitute(10.0, 1e-8)
+        expected = 2 * u * np.exp(2j * np.pi * (0.8 * np.sqrt(u**2 + h) - 0.2 * u**2))
+        assert np.allclose(integrand(u), expected, rtol=0, atol=1e-12)

@@ -1,8 +1,10 @@
 """The benchmark's tracer (perfbench/spans.py) binds functions of fpet by
 name and counts work at them.  A rename or a changed call path would leave
-its counters at zero without failing anything else, so one run-convergence
-and one check-vdc command run here under the tracer, on the benchmark
-self-test's small inputs.  The test only reads perfbench/."""
+its counters at zero without failing anything else, and its report runs
+mpmath on the arguments of every call it counts, so one run-convergence, one
+check-vdc and one verify-timechange command run here under the tracer, on
+the benchmark self-test's small inputs, and the report is taken as the
+benchmark's worker takes it.  The test only reads perfbench/."""
 
 import json
 import os
@@ -24,7 +26,8 @@ from spans import Tracer
 
 ops = [
     next(op for op in inputs.generate(w, 1, work / w, scale_down=True) if op.command == c)
-    for w, c in (("convergence", "run-convergence"), ("timechange_vdc", "check-vdc"))
+    for w, c in (("convergence", "run-convergence"), ("timechange_vdc", "check-vdc"),
+                 ("timechange_vdc", "verify-timechange"))
 ]
 
 def run_all(out):
@@ -38,7 +41,8 @@ tracer.install()
 traced = run_all("traced")
 same = [(work / "plain" / op.output).read_bytes() == (work / "traced" / op.output).read_bytes()
         for op in ops]
-print(json.dumps({"plain": plain, "traced": traced, "same": same, "counts": dict(tracer.counts)}))
+report = tracer.report()
+print(json.dumps({"plain": plain, "traced": traced, "same": same, "counts": report["counts"]}))
 """
 
 
@@ -51,10 +55,11 @@ def test_traced_commands_count_work_and_keep_outputs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["plain"] == [0, 0] and result["traced"] == [0, 0]
-    assert result["same"] == [True, True]
+    assert result["plain"] == [0, 0, 0] and result["traced"] == [0, 0, 0]
+    assert result["same"] == [True, True, True]
     counts = result["counts"]
     assert counts.get("averages.phase_vectors", 0) > 0
     # one outer integral over the shift, then one per non-constant pair and node
     assert counts.get("averages.correlation_integrals", 0) > 1
     assert counts.get("quadrature.evals", 0) > 0
+    assert counts.get("interval.kernel_points", 0) > 0
