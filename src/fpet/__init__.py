@@ -21,7 +21,6 @@ from .averages import (
     partially_characteristic_check,
     symbolic_limit,
     vdc_bound_check,
-    weyl_limit,
 )
 from .fpoly import (
     FPoly,

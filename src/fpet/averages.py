@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -198,13 +197,6 @@ def _sum_by_output(m: int, terms) -> TrigPoly:
     return TrigPoly(m, value)
 
 
-def weyl_limit(phase_coeffs: Sequence) -> complex:
-    """Tempered-uniform limit of the average of exp(2*pi*i * sum_j c_j t^(j/d)):
-    1 when every coefficient vanishes, else 0.  The zero test is exact for
-    rational inputs."""
-    return 1.0 + 0j if all(c == 0 for c in phase_coeffs) else 0j
-
-
 def multiple_average(
     sys: TorusSystem,
     fam: FPolyFamily,
@@ -212,7 +204,6 @@ def multiple_average(
     interval: tuple[float, float],
     tol: float = 1e-8,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> AverageResult:
     """The multiple ergodic average over a finite interval.
 
@@ -232,25 +223,16 @@ def multiple_average(
     groups: dict[tuple[Fraction, ...], list[tuple[Freq, complex]]] = {}
     for _, out, prod, cvec in _tuple_data(sys, fam, fs):
         groups.setdefault(cvec, []).append((out, prod))
-    order = sorted(groups)
-
-    def integrate(cvec):
-        if all(c == 0 for c in cvec):
-            return 1.0 + 0j, 0.0
-        value, err, _ = osc_phase_average(
-            {Fraction(j + 1, d): float(c) for j, c in enumerate(cvec)}, a, b, tol, budget
-        )
-        return value, err
-
-    if threads > 1 and len(order) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            integrals = list(pool.map(integrate, order))
-    else:
-        integrals = [integrate(c) for c in order]
 
     value: dict[Freq, complex] = {}
     errors: dict[Freq, float] = {}
-    for cvec, (avg, err) in zip(order, integrals):
+    for cvec in sorted(groups):
+        if all(c == 0 for c in cvec):
+            avg, err = 1.0 + 0j, 0.0
+        else:
+            avg, err, _ = osc_phase_average(
+                {Fraction(j + 1, d): float(c) for j, c in enumerate(cvec)}, a, b, tol, budget
+            )
         for out, prod in groups[cvec]:
             value[out] = value.get(out, 0j) + prod * avg
             errors[out] = errors.get(out, 0.0) + abs(prod) * err
@@ -337,17 +319,18 @@ def convergence_diagnostic(
     tol: float = 1e-2,
     quad_tol: float = 1e-8,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> ConvergenceReport:
     """Track || A_{I_n} - limit ||_2 (exact Parseval distance) and successive
     Cauchy differences along a tempered sequence; passes when the final
     distance is below ``tol``."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     limit = symbolic_limit(sys, fam, fs)
     rows = []
     prev: TrigPoly | None = None
     for n in range(1, n_max + 1):
         a, b = seq.interval(n)
-        res = multiple_average(sys, fam, fs, (a, b), quad_tol, budget, threads)
+        res = multiple_average(sys, fam, fs, (a, b), quad_tol, budget)
         dist = (res.value - limit).norm2()
         cauchy = (res.value - prev).norm2() if prev is not None else math.nan
         rows.append(ConvergenceRow(n, a, b, dist, cauchy, res.max_coeff_error()))
@@ -421,8 +404,8 @@ def vdc_bound_check(
     constants of the correlation estimate.  The reported margin is
     rhs_core - lhs (nonnegative margin means the core inequality already
     holds without slack)."""
-    if T <= 0 or H <= 0:
-        raise ValueError("T and H must be positive")
+    if not (0 < T < math.inf and 0 < H < math.inf):
+        raise ValueError("T and H must be finite and positive")
     avg = multiple_average(sys, fam, fs, (0.0, T), quad_tol, budget)
     lhs = avg.value.norm2() ** 2
     pairs = _correlation_pairs(sys, fam, fs)

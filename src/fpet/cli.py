@@ -15,9 +15,8 @@ holds one row per command (required keys, output suffix, runner) and drives
 :func:`run`.
 
 The environment variable FPET_LOG in {error, info, debug} sets log verbosity
-(default error).  --threads N sets the number of worker threads (default: the
-hardware count) and --serial is --threads 1.  The thread count changes speed
-only: output files are byte-identical at any thread count.
+(default error).  Every command runs on one thread; --serial is accepted for
+older scripts and has no effect.
 """
 
 from __future__ import annotations
@@ -75,10 +74,10 @@ def _c2(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _convergence(spec, sys_obj, fam, fs, threads):
+def _convergence(spec, sys_obj, fam, fs):
     report = convergence_diagnostic(
         sys_obj, fam, fs, tempered_family(spec.intervals), spec.n_max,
-        tol=spec.pass_tol, quad_tol=spec.tol, budget=spec.budget, threads=threads,
+        tol=spec.pass_tol, quad_tol=spec.tol, budget=spec.budget,
     )
     lines = ["n,a_n,b_n,l2_distance_to_oracle,cauchy_diff,max_coeff_err"]
     for row in report.rows:
@@ -91,7 +90,7 @@ def _convergence(spec, sys_obj, fam, fs, threads):
     return "\n".join(lines) + "\n", 0 if report.passed else 1, summary
 
 
-def _invariance(spec, sys_obj, fam, fs, threads):
+def _invariance(spec, sys_obj, fam, fs):
     base = furstenberg_moment(sys_obj, MomentQuery(tuple(fs), fam))
     records = []
     for j in range(1, fam.height + 1):
@@ -112,7 +111,7 @@ def _invariance(spec, sys_obj, fam, fs, threads):
     return _jsonl(records), 0 if ok else 1, summary
 
 
-def _characteristic(spec, sys_obj, fam, fs, threads):
+def _characteristic(spec, sys_obj, fam, fs):
     report = partially_characteristic_check(sys_obj, fam, fs)
     record = {
         "check": "partially_characteristic",
@@ -125,7 +124,7 @@ def _characteristic(spec, sys_obj, fam, fs, threads):
     return _jsonl([record]), 0 if report.verdict == "AGREE" else 1, summary
 
 
-def _vdc(spec, sys_obj, fam, fs, threads):
+def _vdc(spec, sys_obj, fam, fs):
     report = vdc_bound_check(
         sys_obj, fam, fs, spec.T, spec.H, quad_tol=max(spec.tol, 1e-6), budget=spec.budget
     )
@@ -137,7 +136,7 @@ def _vdc(spec, sys_obj, fam, fs, threads):
     return _jsonl([record]), 0 if report.passed else 1, summary
 
 
-def _precedents(spec, sys_obj, fam, fs, threads):
+def _precedents(spec, sys_obj, fam, fs):
     try:
         dag = induction_dag(fam, max_nodes=spec.max_nodes)
     except DagBudgetError as exc:
@@ -160,7 +159,7 @@ def _timechange_interval(alpha: Fraction, seq, pass_tol: float) -> tuple[float, 
     raise ValueError(f"no affordable interval for alpha = {alpha}")
 
 
-def _timechange(spec, sys_obj, fam, fs, threads):
+def _timechange(spec, sys_obj, fam, fs):
     # pinned intervals start at 0, where s^alpha with alpha < 1 has no bounded
     # derivative: run the sliding-k1 sequence instead
     seq = tempered_family(spec.intervals if spec.intervals != "pinned" else "sliding-k1")
@@ -390,7 +389,7 @@ def _load_inputs(spec: ExperimentSpec):
     return sys_obj, fam, fs
 
 
-def run(spec: ExperimentSpec, out_dir: str = ".", threads: int = 1, stem: str = "experiment") -> int:
+def run(spec: ExperimentSpec, out_dir: str = ".", stem: str = "experiment") -> int:
     """Run one experiment, write its output file; returns the process exit
     code.  A spec that :func:`parse_config` would reject exits 2 at once."""
     problem = _problem({
@@ -403,7 +402,7 @@ def run(spec: ExperimentSpec, out_dir: str = ".", threads: int = 1, stem: str = 
     out.mkdir(parents=True, exist_ok=True)
     command = _COMMANDS[spec.command]
     try:
-        text, code, summary = command.runner(spec, *_load_inputs(spec), threads)
+        text, code, summary = command.runner(spec, *_load_inputs(spec))
     except QuadratureBudgetError as exc:
         print(f"numeric budget error: {exc}", file=sys.stderr)
         return 3
@@ -424,10 +423,8 @@ def main(argv: list[str] | None = None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--config", required=True, help="path to the experiment config")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (default: hardware count)")
     parser.add_argument(
-        "--serial", action="store_true",
-        help="run single-threaded (= --threads 1); outputs do not depend on the thread count",
+        "--serial", action="store_true", help="accepted for older scripts; has no effect"
     )
     parser.add_argument("--out", default=".", help="output directory (default: current)")
     args = parser.parse_args(argv)
@@ -437,12 +434,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
-    threads = 1 if args.serial else args.threads
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         text = Path(args.config).read_text()
     except OSError as exc:
@@ -453,8 +444,8 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    log.info("command %s with %d thread(s)", spec.command, threads)
-    return run(spec, args.out, threads, stem=Path(args.config).stem)
+    log.info("command %s", spec.command)
+    return run(spec, args.out, stem=Path(args.config).stem)
 
 
 if __name__ == "__main__":

@@ -176,10 +176,10 @@ def time_change_weights(alpha: float, interval: tuple[float, float]) -> TimeChan
     as a combination of plain interval averages of v."""
     a, b = float(interval[0]), float(interval[1])
     alpha = float(alpha)
-    if alpha <= 0:
-        raise ValueError("the time-change exponent must be positive")
-    if not 0 <= a < b:
-        raise ValueError("need 0 <= a < b")
+    if not 0 < alpha < math.inf:
+        raise ValueError("the time-change exponent must be finite and positive")
+    if not 0 <= a < b < math.inf:
+        raise ValueError("need finite 0 <= a < b")
     if alpha < 1 and a == 0:
         raise ValueError("alpha < 1 requires a > 0")
     if alpha == 1:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 import numbers
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from typing import Callable, Mapping
 
 import numpy as np
@@ -31,8 +31,7 @@ from numpy.polynomial import polynomial as npoly
 DEFAULT_BUDGET = 10**7
 
 _CYCLES_PER_PANEL = 3.5
-_CHUNK = 1 << 16
-_PIECE_CHUNK = 256  # PanelTable pieces per vectorized curve call
+_CHUNK_POINTS = 1 << 13  # integrand points per vectorized call
 _MAX_ROUNDS = 64
 _EVALS_PER_PANEL = 24 + 15
 _EPS = float(np.finfo(float).eps)
@@ -54,20 +53,26 @@ class QuadratureBudgetError(RuntimeError):
         self.evals = evals
 
 
+def _gauss(f, a: np.ndarray, b: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The Gauss rule (nodes ``x``, weights ``w`` on [-1, 1]) on each panel
+    (a_k, b_k), calling ``f`` on at most ``_CHUNK_POINTS`` points at a time.
+    The weight reduction is an einsum loop, which hands no work to a BLAS
+    thread."""
+    out = np.empty(len(a), dtype=complex)
+    step = max(1, _CHUNK_POINTS // len(x))
+    for s in range(0, len(a), step):
+        aa, bb = a[s : s + step], b[s : s + step]
+        mid, half = 0.5 * (aa + bb), 0.5 * (bb - aa)
+        v = np.asarray(f((mid[:, None] + half[:, None] * x).ravel()), dtype=complex)
+        out[s : s + step] = np.einsum("ij,j->i", v.reshape(len(aa), len(x)), w) * half
+    return out
+
+
 def _eval_panels(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    I = np.empty(len(a), dtype=complex)
-    E = np.empty(len(a), dtype=float)
-    for s in range(0, len(a), _CHUNK):
-        aa, bb = a[s : s + _CHUNK], b[s : s + _CHUNK]
-        mid = 0.5 * (aa + bb)
-        half = 0.5 * (bb - aa)
-        v24 = np.asarray(f((mid[:, None] + half[:, None] * _X24).ravel()), dtype=complex)
-        i24 = (v24.reshape(len(aa), 24) @ _W24) * half
-        v15 = np.asarray(f((mid[:, None] + half[:, None] * _X15).ravel()), dtype=complex)
-        i15 = (v15.reshape(len(aa), 15) @ _W15) * half
-        I[s : s + _CHUNK] = i24
-        E[s : s + _CHUNK] = np.abs(i24 - i15)
-    return I, E
+    """24-point Gauss integrals over the panels and their distance to the
+    15-point ones, the per-panel error estimate."""
+    i24 = _gauss(f, a, b, _X24, _W24)
+    return i24, np.abs(i24 - _gauss(f, a, b, _X15, _W15))
 
 
 def _initial_edges(lo: float, hi: float, freq, budget: int) -> np.ndarray:
@@ -98,8 +103,8 @@ def _adaptive_core(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
     """Shared refinement loop; returns panels sorted left to right as
     (left edges, right edges, panel integrals, error estimate, evaluations)."""
-    if not hi > lo:
-        raise ValueError("empty integration interval")
+    if not (isfinite(lo) and lo < hi and isfinite(hi)):
+        raise ValueError("need a finite, nonempty integration interval")
     edges = _initial_edges(float(lo), float(hi), freq, budget)
     a, b = edges[:-1], edges[1:]
     if _EVALS_PER_PANEL * len(a) > budget:
@@ -187,9 +192,9 @@ class PanelTable:
     or arrays.  A scalar query returns a Python ``complex``.  An array query
     returns a complex array of the broadcast shape, with one ``searchsorted``
     for the panels, one gather of the prefix sums, and the partial Gauss
-    pieces evaluated ``_PIECE_CHUNK`` at a time in vectorized calls of the
-    curve; its values are those of the scalar queries up to the rounding of
-    the Gauss-weight reduction.
+    pieces in vectorized calls of the curve of at most ``_CHUNK_POINTS``
+    points each (:func:`_gauss`, as for the panels themselves); its values
+    are those of the scalar queries.
     """
 
     def __init__(self, f, lo: float, hi: float, tol: float,
@@ -206,11 +211,7 @@ class PanelTable:
         (a NaN endpoint propagates)."""
         out = np.zeros(len(a), dtype=complex)
         todo = np.flatnonzero(~(b <= a))
-        for s in range(0, len(todo), _PIECE_CHUNK):
-            i = todo[s : s + _PIECE_CHUNK]
-            mid, half = 0.5 * (a[i] + b[i]), 0.5 * (b[i] - a[i])
-            v = np.asarray(self._f((mid[:, None] + half[:, None] * _X24).ravel()), dtype=complex)
-            out[i] = (v.reshape(len(i), 24) @ _W24) * half
+        out[todo] = _gauss(self._f, a[todo], b[todo], _X24, _W24)
         return out
 
     def integral_to(self, t):
@@ -246,16 +247,19 @@ def _exponent(e, what: str = "phase exponents") -> Fraction:
 
 def _terms(coeffs: Mapping) -> dict[Fraction, float]:
     table = {_exponent(e): float(c) for e, c in coeffs.items()}
+    if not all(map(isfinite, table.values())):
+        raise ValueError("phase coefficients must be finite")
     return {e: c for e, c in table.items() if c != 0.0}
 
 
 class Phase:
     """The phase theta(t) = sum_e c_e t^e + sum_e s_e (t + h)^e of the curve
     t -> exp(2*pi*i*theta(t)), exponents exact positive rationals (int or
-    Fraction, else ValueError), float coefficients (zeros dropped).  A van der
-    Corput correlation theta_1(t + h) - theta_2(t) puts theta_1 in the shifted
-    block and is moved to each shift h by :meth:`at`.  The curve is evaluated
-    only through :meth:`substitute`."""
+    Fraction, else ValueError), finite float coefficients (zeros dropped, a
+    non-finite one is a ValueError).  A van der Corput correlation
+    theta_1(t + h) - theta_2(t) puts theta_1 in the shifted block and is moved
+    to each shift h by :meth:`at`.  The curve is evaluated only through
+    :meth:`substitute`."""
 
     def __init__(self, coeffs: Mapping = {}, shifted: Mapping = {}):
         self.coeffs, self.shifted, self.h = _terms(coeffs), _terms(shifted), 0.0
@@ -291,9 +295,14 @@ class Phase:
         which moves any average over such t by up to 2*pi times that; when
         this bound exceeds ``tol`` the window is too far out to resolve, and
         :class:`QuadratureBudgetError` is raised with the bound as its error
-        estimate and no evaluations.
+        estimate and no evaluations.  A ``tol`` that is not finite and
+        positive, or an infinite ``hi``, is a ValueError.
         """
+        if not (isfinite(tol) and tol > 0):
+            raise ValueError("tolerance must be finite and positive")
         hi = float(hi)
+        if not isfinite(hi):
+            raise ValueError("the window must be finite")
         noise = 2 * np.pi * _EPS * (
             sum(abs(c) * hi ** float(e) for e, c in self.coeffs.items())
             + sum(abs(s) * (hi + self.h) ** e for e, _, s in self._moved)

@@ -256,12 +256,20 @@ def test_zero_dimension_input_exits_2(tmp_path, capsys, name, text):
     assert not (tmp_path / "out" / "zero.csv").exists()
 
 
-def test_zero_threads_exits_2_and_writes_nothing(tmp_path, capsys):
+def test_threads_option_exits_2_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
-    rc = main(["--config", cfg_path("prec_singleton.cfg"), "--threads", "0", "--out", str(out)])
-    assert rc == 2
-    assert "--threads must be at least 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", cfg_path("prec_singleton.cfg"), "--threads", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_serial_is_accepted_and_changes_nothing(tmp_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["--config", cfg_path("prec_pair.cfg"), "--out", str(out1)]) == 0
+    assert main(["--config", cfg_path("prec_pair.cfg"), "--serial", "--out", str(out2)]) == 0
+    assert (out1 / "prec_pair.dag").read_bytes() == (out2 / "prec_pair.dag").read_bytes()
 
 
 def test_help_lists_every_key_and_command(capsys):

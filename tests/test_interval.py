@@ -117,6 +117,14 @@ def test_weights_domain_errors():
         time_change_weights(2.0, (3.0, 2.0))
 
 
+@pytest.mark.parametrize("alpha,interval", [
+    (float("nan"), (1.0, 2.0)), (float("inf"), (1.0, 2.0)), (2.0, (1.0, float("inf"))),
+])
+def test_weights_reject_non_finite_inputs(alpha, interval):
+    with pytest.raises(ValueError, match="finite"):
+        time_change_weights(alpha, interval)
+
+
 def test_time_changed_average_constant():
     value = time_changed_average(Phase({}), F(1, 2), (1.0, 100.0), tol=1e-10)
     assert abs(value - 1.0) < 1e-10

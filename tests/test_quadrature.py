@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
+import fpet
 from fpet.quadrature import (
     PanelTable,
     Phase,
@@ -93,6 +99,57 @@ def test_rejects_bad_inputs():
         osc_phase_average({F(1): 1.0}, -1.0, 1.0, 1e-8)
     with pytest.raises(ValueError):
         adaptive_integral(lambda x: x, 1.0, 1.0, 1e-8)
+
+
+@pytest.mark.parametrize("route", [
+    lambda hi: adaptive_integral(lambda x: np.ones_like(x), 0.0, hi, 1e-8),
+    lambda hi: osc_phase_average({1: 1.0}, 0.0, hi, 1e-8),
+], ids=["adaptive_integral", "osc_phase_average"])
+def test_infinite_window_is_an_input_error(route):
+    with pytest.raises(ValueError, match="finite"):
+        route(float("inf"))
+
+
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf"), -float("inf")])
+def test_phase_rejects_non_finite_coefficients(coeff):
+    with pytest.raises(ValueError, match="finite"):
+        osc_phase_average({1: coeff}, 0.0, 10.0, 1e-6)
+    with pytest.raises(ValueError, match="finite"):
+        Phase({F(1, 2): 1.0}, shifted={1: coeff})
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
+def test_phase_rejects_bad_tolerances(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        osc_phase_average({1: 0.5}, 0.0, 10.0, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        Phase({F(1, 2): 1.0}, shifted={1: 0.5}).at(2.0).substitute(10.0, tol)
+
+
+THREAD_PROBE = """
+import time
+from fractions import Fraction
+from fpet.quadrature import Phase
+
+t0, c0 = time.perf_counter(), time.process_time()
+for k in range(40):
+    Phase({Fraction(1, 2): 3.0, 1: 0.5 * k}).average(0.0, 4000.0, 1e-8)
+print(time.process_time() - c0, time.perf_counter() - t0)
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a helper thread needs a second core")
+def test_quadrature_starts_no_helper_thread():
+    """Process CPU time stays near wall time with the BLAS and OpenMP pools
+    left at their defaults, as a user runs the library: no hidden thread
+    spins next to the quadrature."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(fpet.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    cpu, wall = map(float, out.split())
+    assert cpu <= 1.3 * wall, f"CPU {cpu:.2f} s over wall {wall:.2f} s"
 
 
 def test_budget_error_carries_partial():
