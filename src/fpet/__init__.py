@@ -26,7 +26,6 @@ from .fpoly import (
     FPoly,
     FPolyFamily,
     degree,
-    evaluate,
     family_from_text,
     family_is_good,
     family_to_text,

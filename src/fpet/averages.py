@@ -260,8 +260,11 @@ def furstenberg_moment(sys: TorusSystem, q: MomentQuery) -> complex:
     A tuple (chi_0, ..., chi_k) contributes iff the chi_i sum to zero (Haar
     orthogonality) and the phase vector of (chi_1, ..., chi_k) vanishes.  An
     off-diagonal shift multiplies each surviving tuple by exp(2*pi*i*t*c_j),
-    computed exactly; since c_j = 0 on surviving tuples the shift never
-    changes the moment, which is the invariance this function exposes.
+    with c_j = sum_i chi_i^T A v_{i,j} computed exactly from A and the v
+    (once per member and support frequency), not from the join's integer
+    tables.  On a correct join c_j = 0, the factor is exactly 1 and the
+    moment is invariant; a join that let through a tuple with c_j != 0 would
+    change the shifted moment.
 
     Both conditions are one hash join: each key is a phase vector followed by
     a frequency, and f_0 joins as one more list with zero phase, so a match
@@ -280,14 +283,22 @@ def furstenberg_moment(sys: TorusSystem, q: MomentQuery) -> complex:
     keys = [[n + chi for chi, _, n in t] for t in tables]
     chi0s = f0.support()
     keys.append([zero_phase + chi0 for chi0 in chi0s])
-    # the shift factor exp(2*pi*i*t*c_j) of a matched tuple, whose c_j is 0
-    shift = _unit_phase(Fraction(0)) if q.shift is not None else None
+    phases = None
+    if q.shift is not None:
+        j, t = q.shift
+        # chi^T A v_{i,j} in exact rationals from A and v, not from the
+        # integer keys the join matched on; A v_{i,j} is formed once per member
+        cols = [matvec(sys.A, p.coeffs[j - 1]) for p in fam.members]
+        phases = [
+            [sum(c * x for c, x in zip(chi, col) if c) for chi, _, _ in table]
+            for col, table in zip(cols, tables)
+        ]
     total = 0j
     for idx in _zero_sum_indices(keys, fam.height + sys.m):
-        _, _, prod = _tuple_term([t[i] for t, i in zip(tables, idx)])
+        _, _, prod = _tuple_term([table[i] for table, i in zip(tables, idx)])
         weight = f0.terms[chi0s[idx[-1]]] * prod
-        if shift is not None:
-            weight *= shift
+        if phases is not None:
+            weight *= _unit_phase(t * sum(p[i] for p, i in zip(phases, idx)))
         total += weight
     return total
 

@@ -23,7 +23,6 @@ from .ratlinalg import (
     as_fraction_vector,
     is_independent,
     matvec,
-    rank,
     rref,
 )
 from .textkv import parse_rational, read_indexed
@@ -93,20 +92,6 @@ class FPoly:
         return 0
 
 
-def evaluate(p: FPoly, t: float) -> tuple[float, ...]:
-    """phi(t) = sum_j t^(j/d) v_j, computed in floating point."""
-    t = float(t)
-    if t < 0:
-        raise ValueError("fractional polynomials are defined for t >= 0 only")
-    d = p.height
-    out = [0.0] * p.ambient_dim
-    for j, v in enumerate(p.coeffs, start=1):
-        w = t ** (j / d)
-        for c in range(p.ambient_dim):
-            out[c] += w * float(v[c])
-    return tuple(out)
-
-
 def degree(p: FPoly) -> Fraction:
     """Largest j/d with v_j != 0; the zero map has degree 0."""
     return Fraction(p.leading_index(), p.height)
@@ -120,12 +105,10 @@ def is_top_degree(p: FPoly) -> bool:
 def is_good(p: FPoly) -> bool:
     """v_1, ..., v_{d*deg} linearly independent over Q (hence all nonzero).
 
-    The zero map is never good.  Values are immutable, so results are cached.
+    The singleton case of :func:`family_is_good`, so the zero map is never
+    good.  Values are immutable, so results are cached.
     """
-    lead = p.leading_index()
-    if lead == 0:
-        return False
-    return is_independent(p.coeffs[:lead])
+    return family_is_good(FPolyFamily(p.height, p.ambient_dim, (p,)))
 
 
 def span_v(p: FPoly) -> tuple[RatVec, ...]:
@@ -200,13 +183,17 @@ class FPolyFamily:
 
 @lru_cache(maxsize=65536)
 def family_is_good(f: FPolyFamily) -> bool:
-    """Every member good, and all nonzero v_{i,j} across the family jointly
-    independent (a repeated vector counts as a dependence).  Cached: this is
+    """Every member nonzero, and v_{i,1}, ..., v_{i,lead_i} of all members
+    jointly independent over Q, decided by one :func:`is_independent` call.
+
+    This is the same as every member good and all nonzero v_{i,j} across the
+    family jointly independent: above its lead a member's vectors are zero,
+    and below it a zero or repeated vector is a dependence.  Cached: this is
     the hot predicate of the precedence order."""
-    if not all(is_good(p) for p in f.members):
+    leads = [p.leading_index() for p in f.members]
+    if 0 in leads:
         return False
-    vectors = [v for p in f.members for v in p.coeffs if any(x != 0 for x in v)]
-    return is_independent(vectors)
+    return is_independent([v for p, lead in zip(f.members, leads) for v in p.coeffs[:lead]])
 
 
 def lift_to_independent(

@@ -318,13 +318,14 @@ class Phase:
     ) -> tuple[complex, float, int]:
         """Average of the curve over (lo, hi) with absolute tolerance ``tol``,
         integrated in u after :meth:`substitute`: (value, error estimate,
-        evaluations).  An identically zero phase short-circuits to 1 exactly."""
+        evaluations).  An identically zero phase short-circuits to 1 exactly,
+        once ``tol`` and the window have passed the same checks as any other."""
+        lo, hi = float(lo), float(hi)
+        if not 0.0 <= lo < hi:
+            raise ValueError("fractional phases need a nonempty, nonnegative interval")
+        L, integrand, freq = self.substitute(hi, tol)
         if not (self.coeffs or self.shifted):
             return 1.0 + 0j, 0.0, 0
-        lo, hi = float(lo), float(hi)
-        if not lo >= 0.0:
-            raise ValueError("fractional phases need a nonnegative interval")
-        L, integrand, freq = self.substitute(hi, tol)
         width = hi - lo
         value, err, evals = adaptive_integral(
             integrand, lo ** (1.0 / L), hi ** (1.0 / L), tol * width, budget, freq

@@ -1,10 +1,12 @@
 """Exact linear algebra over Q and Z.
 
-Rational routines work on tuples of `fractions.Fraction` and decide rank and
-independence symbolically, never through floating-point thresholds.  Integer
-routines use arbitrary-precision ints; subgroups of Z^m are canonicalized
-through a column-style Hermite normal form with positive pivots, so equal
-subgroups compare equal literally.
+Rational routines work on tuples of `fractions.Fraction` and refuse floats.
+Integer routines use arbitrary-precision ints; subgroups of Z^m are
+canonicalized through a column-style Hermite normal form with positive
+pivots, so equal subgroups compare equal literally.  That one integer
+elimination also decides independence over Q (rows cleared of their
+denominators); :func:`rref` gives canonical bases of rational spans and is
+the reference the tests compare :func:`is_independent` against.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ def as_fraction_vector(entries: Iterable) -> RatVec:
     for x in entries:
         if isinstance(x, float):
             raise ValueError(f"refusing to coerce float {x!r} to an exact rational")
-        out.append(Fraction(x))
+        out.append(x if type(x) is Fraction else Fraction(x))
     return tuple(out)
 
 
@@ -37,7 +39,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> list[RatVec]:
     Equal row spans produce literally equal outputs, so the result doubles as
     a canonical basis of the span.
     """
-    work = [[Fraction(x) for x in r] for r in rows]
+    work = [list(as_fraction_vector(r)) for r in rows]
     if not work:
         return []
     ncols = len(work[0])
@@ -65,44 +67,16 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(rows))
 
 
-_P = 2**61 - 1  # a Mersenne prime: residues stay machine-sized
-
-
-def _full_rank_mod_p(rows: Sequence[IntVec]) -> bool:
-    """Gaussian elimination over GF(_P); True iff the rows are independent there."""
-    work = [[x % _P for x in r] for r in rows]
-    ncols = len(work[0])
-    col = 0
-    for i in range(len(work)):
-        while True:
-            if col == ncols:
-                return False
-            pivot = next((j for j in range(i, len(work)) if work[j][col]), None)
-            if pivot is not None:
-                break
-            col += 1
-        work[i], work[pivot] = work[pivot], work[i]
-        inv = pow(work[i][col], -1, _P)
-        row = work[i]
-        for j in range(i + 1, len(work)):
-            f = work[j][col] * inv % _P
-            if f:
-                work[j] = [(a - f * b) % _P for a, b in zip(work[j], row)]
-        col += 1
-    return True
-
-
 def is_independent(rows: Sequence[Sequence[Fraction]]) -> bool:
     """True iff the rows are linearly independent over Q (so all nonzero).
 
-    One-sided modular certificate: each row is scaled to an integer row
-    (which keeps the rank over Q) and eliminated mod the prime p = 2^61 - 1.
-    A nonzero maximal minor mod p is nonzero over Z, so full rank mod p
-    proves independence over Q.  A deficient result proves nothing (p may
-    divide every maximal minor), so it falls back to the exact
-    :func:`rank`; the answer is exact either way, with no threshold.
+    Scaling a row by a positive integer keeps the rank over Q, and integer
+    rows are independent over Q exactly when the subgroup of Z^n they
+    generate has rank equal to their number.  That rank is the length of
+    the subgroup's :func:`column_hermite` basis, an exact integer answer
+    with no threshold.  Floats raise ``ValueError``.
     """
-    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in r] for r in rows]
+    rows = [as_fraction_vector(r) for r in rows]
     if not rows:
         return True
     ncols = len(rows[0])
@@ -110,9 +84,7 @@ def is_independent(rows: Sequence[Sequence[Fraction]]) -> bool:
         raise ValueError("ragged matrix")
     if len(rows) > ncols:
         return False
-    if _full_rank_mod_p([clear_denominators(r) for r in rows]):
-        return True
-    return rank(rows) == len(rows)
+    return len(column_hermite(map(clear_denominators, rows), ncols)) == len(rows)
 
 
 def matvec(matrix: Sequence[RatVec], vec: Sequence[Fraction]) -> RatVec:

@@ -12,7 +12,6 @@ Hermite form, and conditional expectations are Fourier truncations.
 from __future__ import annotations
 
 import cmath
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -50,21 +49,16 @@ class TorusSystem:
         A = tuple(as_fraction_vector(r) for r in rows)
         return cls(len(A), len(A[0]), A)
 
-    def phase(self, chi: Sequence[int], w: Sequence) -> Fraction | float:
-        """chi . (A w); an exact Fraction when every entry of w is rational."""
+    def phase(self, chi: Sequence[int], w: Sequence) -> Fraction:
+        """chi . (A w), exact; a float entry of w raises ``ValueError``."""
+        w = as_fraction_vector(w)
         if len(chi) != self.m or len(w) != self.D:
             raise ValueError("dimension mismatch in phase computation")
-        if all(isinstance(x, numbers.Rational) for x in w):
-            total = Fraction(0)
-            for r, row in enumerate(self.A):
-                if chi[r]:
-                    total += chi[r] * sum(a * Fraction(x) for a, x in zip(row, w))
-            return total
-        total_f = 0.0
+        total = Fraction(0)
         for r, row in enumerate(self.A):
             if chi[r]:
-                total_f += chi[r] * sum(float(a) * float(x) for a, x in zip(row, w))
-        return total_f
+                total += chi[r] * sum(a * x for a, x in zip(row, w))
+        return total
 
 
 _QUARTER_PHASES = {
@@ -75,15 +69,13 @@ _QUARTER_PHASES = {
 }
 
 
-def _unit_phase(phi) -> complex:
-    """exp(2 pi i phi).  Exact rational phases are reduced mod 1 first, and
-    the quarter-turn values come out exactly."""
-    if isinstance(phi, Fraction):
-        phi = phi % 1
-        exact = _QUARTER_PHASES.get(phi)
-        if exact is not None:
-            return exact
-        return cmath.exp(2j * cmath.pi * float(phi))
+def _unit_phase(phi: Fraction) -> complex:
+    """exp(2 pi i phi) of an exact rational phase, reduced mod 1 first; the
+    quarter-turn values come out exactly."""
+    phi = phi % 1
+    exact = _QUARTER_PHASES.get(phi)
+    if exact is not None:
+        return exact
     return cmath.exp(2j * cmath.pi * float(phi))
 
 
@@ -191,8 +183,9 @@ class TrigPoly:
 
 def act(sys: TorusSystem, w: Sequence, f: TrigPoly) -> TrigPoly:
     """Compose an observable with the translation tau^w: each coefficient picks
-    up the unimodular factor exp(2 pi i chi . A w).  Phases are computed
-    exactly when w is rational."""
+    up the unimodular factor exp(2 pi i chi . A w).  The shift w must be
+    rational (a float raises ``ValueError``), and every phase is exact."""
+    w = as_fraction_vector(w)
     if f.m != sys.m:
         raise ValueError("observable does not live on this torus")
     return TrigPoly(

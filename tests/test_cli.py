@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import fields
 from fractions import Fraction
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fpet import averages
 from fpet.cli import ExperimentSpec, main, parse_config, run, serialize_config
 from fpet.textkv import ParseError
 
@@ -130,6 +132,25 @@ def test_check_invariance_cli(tmp_path):
         record = json.loads(line)
         assert record["equal"] is True
         assert record["moment"] == [1.0, 0.0]
+
+
+def test_check_invariance_can_fail(tmp_path, monkeypatch):
+    # a join that lets every frequency tuple through, resonant or not, must
+    # show up as a shifted moment that differs from the unshifted one
+    monkeypatch.setattr(
+        averages, "_zero_sum_indices",
+        lambda keys, width: list(itertools.product(*(range(len(k)) for k in keys))),
+    )
+    for name, terms in (("f0", "-1 1 : 1.0 0.0"), ("f1", "1 0 : 1.0 0.0"), ("f2", "0 -1 : 1.0 0.0")):
+        (tmp_path / f"{name}.obs").write_text(f"m = 2\nterm = {terms}\nterm = 2 0 : 0.5 0.0\n")
+    config = tmp_path / "wide.cfg"
+    config.write_text(
+        f"command = check-invariance\nsystem = {cfg_path('plane.system')}\n"
+        f"family = {cfg_path('pair.family')}\nobservables = f0.obs, f1.obs, f2.obs\n"
+    )
+    assert main(["--config", str(config), "--out", str(tmp_path)]) == 1
+    records = [json.loads(line) for line in (tmp_path / "wide.jsonl").read_text().splitlines()]
+    assert [r["equal"] for r in records] == [True, True, False, False, True]
 
 
 def test_check_characteristic_cli(tmp_path):

@@ -9,7 +9,6 @@ from fpet.fpoly import (
     FPoly,
     FPolyFamily,
     degree,
-    evaluate,
     family_from_text,
     family_is_good,
     family_to_text,
@@ -21,34 +20,13 @@ from fpet.fpoly import (
     span_v,
     subtract,
 )
+from fpet.ratlinalg import rank
 
 F = Fraction
 
 
 def fp(rows, height=None):
     return FPoly.make(rows, height=height)
-
-
-def test_evaluate_linear():
-    p = fp([[1, 0, 0]])
-    assert evaluate(p, 2) == (2.0, 0.0, 0.0)
-
-
-def test_evaluate_zero_map():
-    p = fp([[0, 0]], height=3)
-    for t in (0.0, 1.5, 100.0):
-        assert evaluate(p, t) == (0.0, 0.0)
-
-
-def test_evaluate_sqrt_case():
-    # d=2, v1=e1, v2=e2 at t=4: (sqrt(4), 4)
-    p = fp([[1, 0], [0, 1]])
-    assert evaluate(p, 4) == (2.0, 4.0)
-
-
-def test_evaluate_rejects_negative_t():
-    with pytest.raises(ValueError):
-        evaluate(fp([[1]]), -1.0)
 
 
 def test_degree_examples():
@@ -81,6 +59,41 @@ def test_family_is_good_examples():
     assert family_is_good(f)
     repeated = FPolyFamily.make([[[1, 0]], [[1, 0]]])
     assert not family_is_good(repeated)
+
+
+def _old_family_is_good(f):
+    """The two-stage definition: every member good (its vectors up to the
+    lead independent), and every nonzero vector of the family jointly
+    independent.  Decided by rref rank, a route independent of the Hermite
+    form behind is_independent."""
+
+    def good(p):
+        lead = p.leading_index()
+        return lead > 0 and rank(p.coeffs[:lead]) == lead
+
+    vectors = [v for p in f.members for v in p.coeffs if any(v)]
+    return all(good(p) for p in f.members) and rank(vectors) == len(vectors)
+
+
+def test_family_is_good_matches_the_two_stage_definition(rng):
+    entries = [F(0)] * 6 + [F(1), F(-1), F(2), F(1, 2), F(-3, 2)]
+    verdicts = []
+    for _ in range(2000):
+        d, dim, k = rng.randint(1, 3), rng.randint(1, 4), rng.randint(0, 3)
+        pool = [tuple(rng.choice(entries) for _ in range(dim)) for _ in range(3)]
+        members = []
+        for _ in range(k):
+            # draw from a small pool so repeated vectors across members occur
+            rows = [rng.choice(pool) if rng.random() < 0.3 else
+                    tuple(rng.choice(entries) for _ in range(dim)) for _ in range(d)]
+            members.append(FPoly(d, dim, tuple(rows)))
+        fam = FPolyFamily(d, dim, tuple(members))
+        expected = _old_family_is_good(fam)
+        assert family_is_good(fam) == expected
+        for p in members:
+            assert is_good(p) == _old_family_is_good(FPolyFamily(d, dim, (p,)))
+        verdicts.append(expected)
+    assert 200 < sum(verdicts) < 1800  # both answers are well represented
 
 
 def test_span_v_examples():
@@ -206,12 +219,10 @@ def test_eval_subtract_linearity(rng):
         fam = random_good_family(rng, k=2, height=2, dim=6)
         p, q = fam.members
         diff = subtract(p, q)
-        for _ in range(5):
-            t = rng.uniform(0.0, 1e3)
-            lhs = evaluate(diff, t)
-            rhs = [a - b for a, b in zip(evaluate(p, t), evaluate(q, t))]
-            for x, y in zip(lhs, rhs):
-                assert abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
+        assert diff.coeffs == tuple(
+            tuple(a - b for a, b in zip(u, w)) for u, w in zip(p.coeffs, q.coeffs)
+        )
+        assert subtract(diff, diff).leading_index() == 0
 
 
 def test_family_text_round_trip(rng):

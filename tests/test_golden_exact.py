@@ -1,0 +1,44 @@
+"""Byte-level goldens for the commands that run on exact algebra only.
+
+The digests were recorded before independence moved onto the Hermite form
+and goodness onto one test; a change to how either is decided must leave
+every output of these fixtures, and the exit code, exactly as it was.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from fpet.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# stem -> (exit code, sha256 of stdout with the output directory as "OUT",
+#          {output file name: sha256 of its bytes})
+GOLDEN = {
+    "prec_pair": (0, "47d46b9ce6270c3d5dc089348560393e236ec4d1881251d1e59be36638fea0ca", {
+        "prec_pair.dag": "d0aa0ef5c7d4f1498a0f2ba9793000c8f1783762086c787b87706b3f4c488470",
+    }),
+    "prec_singleton": (0, "9bb1e5634dd75cf3c91e4ae04229def40a60810a6ca204bb7fbf36e46e248935", {
+        "prec_singleton.dag": "7ef4ee0dda0eb6fcc3073c8cad13f0b6a4ac8014e12808c56a68254264701593",
+    }),
+    "characteristic": (0, "219a837b8dd2523df580aa6b40669d596fcfe60bb51f2cc75cc3237ad0df2fd1", {
+        "characteristic.jsonl": "4c14bbf1698d708271883dbb2ca5c5ee2df8e3200a9314139a5e18972115ffe5",
+    }),
+    "invariance": (0, "4635fd7ef941d3fdad6f25e75226643471c1972a5384665f0b28b41bd085e0ea", {
+        "invariance.jsonl": "efeee9cb6715508186fe3cac8752bbebf7f893c3568e8409562d2f0891ee9de7",
+    }),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("stem", sorted(GOLDEN))
+def test_exact_fixture_outputs_are_byte_identical(tmp_path, capsys, stem):
+    rc = main(["--config", str(FIXTURES / f"{stem}.cfg"), "--out", str(tmp_path)])
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "OUT")
+    files = {f.name: _sha(f.read_bytes()) for f in sorted(tmp_path.iterdir())}
+    assert (rc, _sha(stdout.encode()), files) == GOLDEN[stem]

@@ -259,4 +259,5 @@ def test_goodness_cache_counts_on_golden_dag():
     induction_dag(golden_family())
     fig, good = family_is_good.cache_info(), is_good.cache_info()
     assert (fig.hits, fig.misses) == (742, 171)
-    assert (good.hits, good.misses) == (343, 66)
+    # family_is_good decides goodness in one independence test, not through is_good
+    assert (good.hits, good.misses) == (0, 0)

@@ -126,6 +126,16 @@ def test_phase_rejects_bad_tolerances(tol):
         Phase({F(1, 2): 1.0}, shifted={1: 0.5}).at(2.0).substitute(10.0, tol)
 
 
+@pytest.mark.parametrize("route", [
+    lambda: osc_phase_average({}, 0.0, 10.0, float("nan")),
+    lambda: Phase({}).average(3.0, 1.0, 1e-8),
+    lambda: Phase({}).average(-5.0, -1.0, 1e-8),
+], ids=["nan_tol", "reversed_window", "negative_window"])
+def test_zero_phase_is_validated_before_its_exact_average(route):
+    with pytest.raises(ValueError):
+        route()
+
+
 THREAD_PROBE = """
 import time
 from fractions import Fraction

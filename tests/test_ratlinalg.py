@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from fpet import ratlinalg
 from fpet.ratlinalg import (
     as_fraction_vector,
     clear_denominators,
@@ -102,23 +101,20 @@ def test_is_independent_certificate_agrees_with_exact_rank(rng):
         assert is_independent(rows) == (rank(rows) == nrows)
 
 
-def test_is_independent_falls_back_when_p_divides_every_minor(monkeypatch):
-    calls = []
-    exact = ratlinalg.rank
-
-    def counted(rows):
-        calls.append(len(rows))
-        return exact(rows)
-
-    monkeypatch.setattr(ratlinalg, "rank", counted)
+def test_is_independent_falls_back_when_p_divides_every_minor():
     p = 2**61 - 1
-    # determinant p: full rank over Q, deficient mod p
+    # determinant p: full rank over Q although p divides every maximal minor
     assert is_independent([[1, 1], [1, 1 + p]])
-    assert calls == [2]
     assert is_independent([[F(1, 2), 1], [1, F(1, 3)]])
-    assert calls == [2]  # full rank mod p needs no exact elimination
     assert not is_independent([[1, 0], [0, 1], [1, 1]])
-    assert calls == [2]  # more rows than columns: deficient without elimination
+
+
+@pytest.mark.parametrize("route", [is_independent, rank, rref])
+def test_exact_routines_reject_floats(route):
+    # 0.1 is not 1/10 in binary: a silent conversion would call these rows
+    # independent although [1/10, 3/10] and [1, 3] are dependent over Q
+    with pytest.raises(ValueError, match="float"):
+        route([[0.1, 0.3], [1, 3]])
 
 
 def test_is_independent_deficient_shapes():

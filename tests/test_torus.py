@@ -33,6 +33,14 @@ def test_act_half_turn(circle_system):
     assert moved.coeff((1,)) == -1.0 + 0j  # exactly -1: exact phase reduction
 
 
+def test_act_rejects_float_shifts(circle_system):
+    # a float shift used to take a float phase branch: -1 + 1.2e-16j here
+    with pytest.raises(ValueError, match="float"):
+        act(circle_system, [0.5], TrigPoly.character(1, (1,)))
+    with pytest.raises(ValueError, match="float"):
+        circle_system.phase((1,), [0.5])
+
+
 def test_act_preserves_l2_norm(plane_system, rng):
     for _ in range(10):
         terms = {
