@@ -13,7 +13,6 @@ from .averages import (
     CharacteristicReport,
     ConvergenceReport,
     ConvergenceRow,
-    MomentQuery,
     VdcReport,
     convergence_diagnostic,
     furstenberg_moment,

@@ -16,11 +16,13 @@ computed once per support frequency, as integers over one common
 denominator (the phase tables).  Finite-interval averages and the van der
 Corput correlations enumerate every tuple and sum its table rows.  The exact
 limits, self-joining moments and the partially-characteristic-factor
-witnesses need only the tuples whose phase vector vanishes; they find them
-with a meet-in-the-middle hash join on the tables, at a cost of about
-|S|^ceil(k/2) plus the number of survivors for supports of size |S|, instead
-of |S|^k.  Survivors come out in itertools.product order, the order a full
-enumeration visits them, so every float sum is the same.
+witnesses need only the tuples whose phase vector vanishes.  Each exact
+command finds them once, with a meet-in-the-middle hash join on the tables
+(:func:`_resonant_tuples`), at a cost of about |S|^ceil(k/2) plus the number
+of survivors for supports of size |S|, instead of |S|^k; Haar orthogonality
+against f_0 is then one lookup per survivor, outside the join.  Survivors
+come out in itertools.product order, the order a full enumeration visits
+them, so every float sum is the same.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .torus import (
     TorusSystem,
     TrigPoly,
     _unit_phase,
-    project_factor,
     xi_factor,
 )
 
@@ -61,27 +62,6 @@ class AverageResult:
 
     def max_coeff_error(self) -> float:
         return max(self.est_error.values(), default=0.0)
-
-
-@dataclass(frozen=True)
-class MomentQuery:
-    """A self-joining moment: observables f_0, ..., f_k against a family of k
-    fractional polynomials, optionally shifted by the off-diagonal flow at
-    coordinate j (1-based) and exact rational time t."""
-
-    observables: tuple[TrigPoly, ...]
-    family: FPolyFamily
-    shift: tuple[int, Fraction] | None = None
-
-    def __post_init__(self):
-        if len(self.observables) != self.family.k + 1:
-            raise ValueError("need exactly k + 1 observables (f_0 through f_k)")
-        if self.shift is not None:
-            j, t = self.shift
-            if not 1 <= j <= self.family.height:
-                raise ValueError(f"shift coordinate {j} out of range 1..{self.family.height}")
-            if not isinstance(t, numbers.Rational):
-                raise ValueError("shift times must be exact rationals")
 
 
 _Entry = tuple[Freq, complex, tuple[int, ...]]  # (chi, coefficient, integer phase row)
@@ -217,8 +197,8 @@ def multiple_average(
     a, b = float(interval[0]), float(interval[1])
     if not 0 <= a < b:
         raise ValueError("need an interval (a, b) with 0 <= a < b")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
     d = fam.height
     groups: dict[tuple[Fraction, ...], list[tuple[Freq, complex]]] = {}
     for _, out, prod, cvec in _tuple_data(sys, fam, fs):
@@ -254,53 +234,52 @@ def symbolic_limit(
     return _sum_by_output(sys.m, _resonant_tuples(sys, fam, fs))
 
 
-def furstenberg_moment(sys: TorusSystem, q: MomentQuery) -> complex:
-    """Moment of the limiting self-joining: integrate f_0 x f_1 x ... x f_k.
+def furstenberg_moment(
+    sys: TorusSystem,
+    fam: FPolyFamily,
+    observables: Sequence[TrigPoly],
+    shifts: Sequence[tuple[int, Fraction]] = (),
+) -> tuple[complex, list[complex]]:
+    """Moment of the limiting self-joining, integrating f_0 x f_1 x ... x f_k,
+    and the moment after each off-diagonal shift (j, t): the flow at
+    coordinate j (1-based) for exact rational time t.
 
-    A tuple (chi_0, ..., chi_k) contributes iff the chi_i sum to zero (Haar
-    orthogonality) and the phase vector of (chi_1, ..., chi_k) vanishes.  An
-    off-diagonal shift multiplies each surviving tuple by exp(2*pi*i*t*c_j),
-    with c_j = sum_i chi_i^T A v_{i,j} computed exactly from A and the v
-    (once per member and support frequency), not from the join's integer
-    tables.  On a correct join c_j = 0, the factor is exactly 1 and the
-    moment is invariant; a join that let through a tuple with c_j != 0 would
-    change the shifted moment.
-
-    Both conditions are one hash join: each key is a phase vector followed by
-    a frequency, and f_0 joins as one more list with zero phase, so a match
-    has zero phase and zero total frequency.  With supports of size |S| the
-    cost is about |S|^ceil((k+1)/2) plus the number of contributing tuples;
-    they are summed in itertools.product order over (chi_1, ..., chi_k).
+    A tuple (chi_0, ..., chi_k) contributes iff the phase vector of
+    (chi_1, ..., chi_k) vanishes, which one hash join decides (see
+    :func:`symbolic_limit`), and chi_0 cancels their output frequency (Haar
+    orthogonality: one lookup in f_0).  A shift multiplies each contributing
+    tuple by exp(2*pi*i*t*c_j), with c_j = sum_i chi_i^T A v_{i,j} in exact
+    rationals from A and the v (A v_{i,j} once per member and j), not from the
+    join's integer tables.  On a correct join c_j = 0, the factor is exactly
+    1 and the moment is invariant; a join that let through a tuple with
+    c_j != 0 would change the shifted moment.  Tuples are summed in
+    itertools.product order over (chi_1, ..., chi_k).
     """
-    fam = q.family
+    if len(observables) != fam.k + 1:
+        raise ValueError("need exactly k + 1 observables (f_0 through f_k)")
+    for j, t in shifts:
+        if not 1 <= j <= fam.height:
+            raise ValueError(f"shift coordinate {j} out of range 1..{fam.height}")
+        if not isinstance(t, numbers.Rational):
+            raise ValueError("shift times must be exact rationals")
     if not family_is_good(fam):
         raise ValueError("self-joining moments are defined for good families")
-    f0, rest = q.observables[0], q.observables[1:]
+    f0 = observables[0]
     if f0.m != sys.m:
         raise ValueError("observable does not live on this torus")
-    tables, _ = _phase_tables(sys, fam, rest)
-    zero_phase = (0,) * fam.height
-    keys = [[n + chi for chi, _, n in t] for t in tables]
-    chi0s = f0.support()
-    keys.append([zero_phase + chi0 for chi0 in chi0s])
-    phases = None
-    if q.shift is not None:
-        j, t = q.shift
-        # chi^T A v_{i,j} in exact rationals from A and v, not from the
-        # integer keys the join matched on; A v_{i,j} is formed once per member
-        cols = [matvec(sys.A, p.coeffs[j - 1]) for p in fam.members]
-        phases = [
-            [sum(c * x for c, x in zip(chi, col) if c) for chi, _, _ in table]
-            for col, table in zip(cols, tables)
-        ]
-    total = 0j
-    for idx in _zero_sum_indices(keys, fam.height + sys.m):
-        _, _, prod = _tuple_term([table[i] for table, i in zip(tables, idx)])
-        weight = f0.terms[chi0s[idx[-1]]] * prod
-        if phases is not None:
-            weight *= _unit_phase(t * sum(p[i] for p, i in zip(phases, idx)))
-        total += weight
-    return total
+    resonant = _resonant_tuples(sys, fam, observables[1:])
+    cols = {j: [matvec(sys.A, p.coeffs[j - 1]) for p in fam.members] for j, _ in shifts}
+    moment, shifted = 0j, [0j] * len(shifts)
+    for combo, out, prod in resonant:
+        c0 = f0.terms.get(tuple(-x for x in out))
+        if c0 is None:
+            continue
+        weight = c0 * prod
+        moment += weight
+        for s, (j, t) in enumerate(shifts):
+            c_j = sum(c * x for chi, col in zip(combo, cols[j]) for c, x in zip(chi, col) if c)
+            shifted[s] += weight * _unit_phase(t * c_j)
+    return moment, shifted
 
 
 @dataclass(frozen=True)
@@ -456,16 +435,17 @@ def partially_characteristic_check(
     surviving frequency tuples whose last frequency lies outside the factor
     lattice.
 
-    The full limit and the witnesses come from one hash join over the
-    surviving tuples, and the projected limit from a second (see
-    :func:`symbolic_limit` for the cost); witnesses keep itertools.product
-    order."""
+    Both limits and the witnesses come from one hash join (see
+    :func:`symbolic_limit` for the cost): projecting f_k keeps its terms in
+    the factor, so the projected limit sums the survivors whose last
+    frequency lies there, in the product order a join on the projected f_k
+    would visit them.  Witnesses keep itertools.product order."""
     factor = xi_factor(sys, fam)
     resonant = _resonant_tuples(sys, fam, fs)
+    inside = [factor.contains(combo[-1]) for combo, _, _ in resonant]
     limit_full = _sum_by_output(sys.m, resonant)
-    projected = project_factor(fs[-1], factor)
-    limit_proj = symbolic_limit(sys, fam, list(fs[:-1]) + [projected])
-    witnesses = tuple(combo for combo, _, _ in resonant if not factor.contains(combo[-1]))
+    limit_proj = _sum_by_output(sys.m, (term for term, keep in zip(resonant, inside) if keep))
+    witnesses = tuple(term[0] for term, keep in zip(resonant, inside) if not keep)
     diff = limit_full - limit_proj
     verdict = "AGREE" if not diff.terms else "DISAGREE"
     return CharacteristicReport(verdict, diff.norm2(), witnesses, factor)

@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .averages import (
-    MomentQuery,
     convergence_diagnostic,
     furstenberg_moment,
     partially_characteristic_check,
@@ -91,21 +90,19 @@ def _convergence(spec, sys_obj, fam, fs):
 
 
 def _invariance(spec, sys_obj, fam, fs):
-    base = furstenberg_moment(sys_obj, MomentQuery(tuple(fs), fam))
-    records = []
-    for j in range(1, fam.height + 1):
-        for t in spec.shift_times:
-            shifted = furstenberg_moment(sys_obj, MomentQuery(tuple(fs), fam, shift=(j, t)))
-            records.append(
-                {
-                    "check": "off_diagonal_invariance",
-                    "j": j,
-                    "t": str(t),
-                    "moment": _c2(base),
-                    "shifted": _c2(shifted),
-                    "equal": shifted == base,
-                }
-            )
+    shifts = [(j, t) for j in range(1, fam.height + 1) for t in spec.shift_times]
+    base, moments = furstenberg_moment(sys_obj, fam, fs, shifts)
+    records = [
+        {
+            "check": "off_diagonal_invariance",
+            "j": j,
+            "t": str(t),
+            "moment": _c2(base),
+            "shifted": _c2(shifted),
+            "equal": shifted == base,
+        }
+        for (j, t), shifted in zip(shifts, moments)
+    ]
     ok = all(r["equal"] for r in records)
     summary = f"{'PASS' if ok else 'FAIL'} ({len(records)} shifts, moment {base:.6g})"
     return _jsonl(records), 0 if ok else 1, summary
@@ -265,6 +262,7 @@ def _must(holds, what):
 _positive = _must(lambda v: v > 0, "be positive")
 _finite_positive = _must(lambda v: math.isfinite(v) and v > 0, "be finite and positive")
 _nonempty = _must(bool, "list at least one value")
+_positive_list = _must(lambda v: v and all(x > 0 for x in v), "list at least one value, each positive")
 
 
 def _files(key, value) -> str | None:
@@ -312,7 +310,8 @@ class ExperimentSpec:
         _DEFAULT_SHIFTS, _listed(_rational), _nonempty, "comma-separated rational off-diagonal times"
     )
     alphas: tuple[Fraction, ...] = _key(
-        _DEFAULT_ALPHAS, _listed(_rational), _nonempty, "comma-separated rational time-change exponents"
+        _DEFAULT_ALPHAS, _listed(_rational), _positive_list,
+        "comma-separated positive rational time-change exponents",
     )
     max_nodes: int = _key(10_000, parse_int, _positive, "node budget for precedent enumeration")
 

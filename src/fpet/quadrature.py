@@ -105,6 +105,8 @@ def _adaptive_core(
     (left edges, right edges, panel integrals, error estimate, evaluations)."""
     if not (isfinite(lo) and lo < hi and isfinite(hi)):
         raise ValueError("need a finite, nonempty integration interval")
+    if not (isfinite(abs_tol) and abs_tol > 0):
+        raise ValueError("tolerance must be finite and positive")
     edges = _initial_edges(float(lo), float(hi), freq, budget)
     a, b = edges[:-1], edges[1:]
     if _EVALS_PER_PANEL * len(a) > budget:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from fpet import averages
 from fpet.averages import (
-    MomentQuery,
     convergence_diagnostic,
     furstenberg_moment,
     multiple_average,
@@ -39,6 +38,14 @@ def test_multiple_average_all_ones(plane_system, linear_pair_family):
     res = multiple_average(plane_system, linear_pair_family, ones, (3.0, 50.0), 1e-9)
     assert res.value.terms == {(0, 0): 1.0 + 0j}
     assert res.est_error[(0, 0)] == 0.0
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_multiple_average_rejects_non_finite_tol(plane_system, linear_pair_family, tol):
+    # every phase vector vanishes, so no quadrature would catch the tolerance
+    ones = [TrigPoly.one(2), TrigPoly.one(2)]
+    with pytest.raises(ValueError, match="tolerance"):
+        multiple_average(plane_system, linear_pair_family, ones, (3.0, 50.0), tol)
 
 
 def test_multiple_average_k1_closed_form(circle_system):
@@ -99,19 +106,16 @@ def test_symbolic_limit_matches_projection_k1(circle_system):
 
 def test_furstenberg_probability(plane_system, linear_pair_family):
     ones = tuple(TrigPoly.one(2) for _ in range(3))
-    assert furstenberg_moment(plane_system, MomentQuery(ones, linear_pair_family)) == 1.0 + 0j
+    assert furstenberg_moment(plane_system, linear_pair_family, ones) == (1.0 + 0j, [])
 
 
 def test_furstenberg_resonant_triple(plane_system, linear_pair_family):
-    q = MomentQuery(
-        (
-            TrigPoly.character(2, (-1, 1)),
-            TrigPoly.character(2, (1, 0)),
-            TrigPoly.character(2, (0, -1)),
-        ),
-        linear_pair_family,
+    fs = (
+        TrigPoly.character(2, (-1, 1)),
+        TrigPoly.character(2, (1, 0)),
+        TrigPoly.character(2, (0, -1)),
     )
-    assert furstenberg_moment(plane_system, q) == 1.0 + 0j
+    assert furstenberg_moment(plane_system, linear_pair_family, fs)[0] == 1.0 + 0j
 
 
 def test_furstenberg_marginals(plane_system, linear_pair_family, rng):
@@ -120,7 +124,7 @@ def test_furstenberg_marginals(plane_system, linear_pair_family, rng):
         f = TrigPoly(2, {(0, 0): 0.7, (1, 2): 0.3j, (-1, 0): 0.1})
         fs = [TrigPoly.one(2)] * 3
         fs[slot] = f
-        moment = furstenberg_moment(plane_system, MomentQuery(tuple(fs), linear_pair_family))
+        moment, _ = furstenberg_moment(plane_system, linear_pair_family, fs)
         assert abs(moment - f.haar()) < 1e-15
 
 
@@ -130,24 +134,30 @@ def test_furstenberg_shift_invariance_exact(plane_system, linear_pair_family, rn
         TrigPoly(2, {(1, 0): 1.0, (2, 1): 0.5j}),
         TrigPoly(2, {(0, -1): 1.0, (-2, -1): -0.5}),
     )
-    base = furstenberg_moment(plane_system, MomentQuery(fs, linear_pair_family))
-    for j in range(1, linear_pair_family.height + 1):
-        for t in (F(-1), F(1), F(-1, 3), F(1, 3), F(7)):
-            q = MomentQuery(fs, linear_pair_family, shift=(j, t))
-            assert furstenberg_moment(plane_system, q) == base
+    shifts = [
+        (j, t)
+        for j in range(1, linear_pair_family.height + 1)
+        for t in (F(-1), F(1), F(-1, 3), F(1, 3), F(7))
+    ]
+    base, shifted = furstenberg_moment(plane_system, linear_pair_family, fs, shifts)
+    assert base != 0 and shifted == [base] * len(shifts)
 
 
-def test_moment_query_validation(linear_pair_family):
-    with pytest.raises(ValueError):
-        MomentQuery((TrigPoly.one(2),), linear_pair_family)
-    with pytest.raises(ValueError):
-        MomentQuery(
-            tuple(TrigPoly.one(2) for _ in range(3)), linear_pair_family, shift=(3, F(1))
-        )
-    with pytest.raises(ValueError):
-        MomentQuery(
-            tuple(TrigPoly.one(2) for _ in range(3)), linear_pair_family, shift=(1, 0.5)
-        )
+def test_furstenberg_moment_validation(plane_system, linear_pair_family):
+    ones = tuple(TrigPoly.one(2) for _ in range(3))
+    bad = [
+        ((TrigPoly.one(2),), ()),  # k + 1 observables
+        (ones, [(3, F(1))]),  # 1 <= j <= height
+        (ones, [(0, F(1))]),
+        (ones, [(1, 0.5)]),  # exact rational t
+        ((TrigPoly.one(1), *ones[1:]), ()),  # f_0 on the same torus
+    ]
+    for observables, shifts in bad:
+        with pytest.raises(ValueError):
+            furstenberg_moment(plane_system, linear_pair_family, observables, shifts)
+    not_good = FPolyFamily.make([[[1, 0]], [[2, 0]]])
+    with pytest.raises(ValueError, match="good"):
+        furstenberg_moment(plane_system, not_good, ones)
 
 
 def test_convergence_constant_observables(plane_system, linear_pair_family):
@@ -323,13 +333,15 @@ def assert_join_matches(sys, fam, fs, f0, shift):
     # same values and the same insertion order (it fixes later float sums)
     assert list(limit.terms.items()) == list(ref_limit(sys, fam, fs).items())
     observables = (f0, *fs)
-    assert furstenberg_moment(sys, MomentQuery(observables, fam)) == ref_moment(
-        sys, fam, observables
-    )
-    assert furstenberg_moment(sys, MomentQuery(observables, fam, shift)) == ref_moment(
-        sys, fam, observables, shift
-    )
+    moment, shifted = furstenberg_moment(sys, fam, observables, [shift])
+    assert moment == ref_moment(sys, fam, observables)
+    assert shifted == [ref_moment(sys, fam, observables, shift)]
     report = partially_characteristic_check(sys, fam, fs)
+    # the projected limit, bit for bit, as a join on the projected f_k finds it
+    projected = symbolic_limit(sys, fam, [*fs[:-1], project_factor(fs[-1], report.factor)])
+    diff = limit - projected
+    assert (report.verdict == "AGREE") == (not diff.terms)
+    assert report.distance == diff.norm2()
     assert report.witnesses == tuple(
         combo
         for combo, _, _ in ref_resonant(sys, fam, fs)
@@ -397,8 +409,7 @@ def test_zero_phase_join_edge_cases(plane_system, linear_pair_family):
     fs = [TrigPoly.character(2, (1, 0)), TrigPoly.character(2, (0, -1))]
     assert symbolic_limit(plane_system, linear_pair_family, fs).terms == {(1, -1): 1.0 + 0j}
     f0 = TrigPoly(2, {(1, -1): 1.0, (0, 0): 2.0})
-    q = MomentQuery((f0, *fs), linear_pair_family)
-    assert furstenberg_moment(plane_system, q) == 0j
+    assert furstenberg_moment(plane_system, linear_pair_family, (f0, *fs))[0] == 0j
     assert_join_matches(plane_system, linear_pair_family, fs, f0, (1, F(-1, 3)))
     # a torus coordinate the flow never moves: survivors outside the factor
     still = TorusSystem.make([[1, 0, -1], [0, 0, 0]])

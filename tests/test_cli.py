@@ -136,12 +136,15 @@ def test_check_invariance_cli(tmp_path):
 
 def test_check_invariance_can_fail(tmp_path, monkeypatch):
     # a join that lets every frequency tuple through, resonant or not, must
-    # show up as a shifted moment that differs from the unshifted one
+    # show up as a shifted moment that differs from the unshifted one; f_0's
+    # term at (-2, 1) cancels the output of the non-resonant tuple
+    # ((2, 0), (0, -1)), so Haar orthogonality alone does not drop it
     monkeypatch.setattr(
         averages, "_zero_sum_indices",
         lambda keys, width: list(itertools.product(*(range(len(k)) for k in keys))),
     )
-    for name, terms in (("f0", "-1 1 : 1.0 0.0"), ("f1", "1 0 : 1.0 0.0"), ("f2", "0 -1 : 1.0 0.0")):
+    for name, terms in (("f0", "-1 1 : 1.0 0.0\nterm = -2 1 : 0.5 0.0"), ("f1", "1 0 : 1.0 0.0"),
+                        ("f2", "0 -1 : 1.0 0.0")):
         (tmp_path / f"{name}.obs").write_text(f"m = 2\nterm = {terms}\nterm = 2 0 : 0.5 0.0\n")
     config = tmp_path / "wide.cfg"
     config.write_text(
@@ -151,6 +154,19 @@ def test_check_invariance_can_fail(tmp_path, monkeypatch):
     assert main(["--config", str(config), "--out", str(tmp_path)]) == 1
     records = [json.loads(line) for line in (tmp_path / "wide.jsonl").read_text().splitlines()]
     assert [r["equal"] for r in records] == [True, True, False, False, True]
+
+
+@pytest.mark.parametrize("stem", ["invariance", "characteristic"])
+def test_exact_check_runs_one_join(tmp_path, monkeypatch, stem):
+    # the moment, every shifted moment, the projected limit and the witnesses
+    # all read the one list of resonant tuples
+    calls = []
+    real = averages._zero_sum_indices
+    monkeypatch.setattr(
+        averages, "_zero_sum_indices", lambda keys, width: calls.append(1) or real(keys, width)
+    )
+    assert main(["--config", cfg_path(f"{stem}.cfg"), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_check_characteristic_cli(tmp_path):
@@ -318,9 +334,11 @@ def test_help_lists_every_key_and_command(capsys):
         (ExperimentSpec(command="verify-timechange", tol=float("nan"), alphas=()),
          "tol must be finite and positive"),
         (ExperimentSpec(command="verify-timechange", alphas=()), "alphas must list at least one value"),
+        (ExperimentSpec(command="verify-timechange", alphas=(Fraction(1, 2), Fraction(0))),
+         "alphas must list at least one value, each positive"),
     ],
     ids=["vdc-no-inputs", "precedents-no-family", "convergence-no-observables",
-         "unknown-command", "nan-tol-no-alphas", "no-alphas"],
+         "unknown-command", "nan-tol-no-alphas", "no-alphas", "zero-alpha"],
 )
 def test_run_validates_a_spec_built_in_python(tmp_path, capsys, spec, message):
     out = tmp_path / "out"

@@ -1,8 +1,10 @@
 """Byte-level goldens for the commands that run on exact algebra only.
 
-The digests were recorded before independence moved onto the Hermite form
-and goodness onto one test; a change to how either is decided must leave
-every output of these fixtures, and the exit code, exactly as it was.
+The fixture digests were recorded before independence moved onto the Hermite
+form and goodness onto one test; the benchmark digests before the
+self-joining moments, their shifts and the characteristic-factor check moved
+onto one zero-phase join.  A change to how any of these is decided must leave
+every output, and the exit code, exactly as it was.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import pytest
 from fpet.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # stem -> (exit code, sha256 of stdout with the output directory as "OUT",
 #          {output file name: sha256 of its bytes})
@@ -42,3 +45,28 @@ def test_exact_fixture_outputs_are_byte_identical(tmp_path, capsys, stem):
     stdout = capsys.readouterr().out.replace(str(tmp_path), "OUT")
     files = {f.name: _sha(f.read_bytes()) for f in sorted(tmp_path.iterdir())}
     assert (rc, _sha(stdout.encode()), files) == GOLDEN[stem]
+
+
+# the benchmark's seed-1 exact_descent inputs: k = 3 at height 2 on T^3, with
+# 16-term observables, written by perfbench/inputs.py (read, never changed)
+BENCH_GOLDEN = {
+    "characteristic": (0, "219a837b8dd2523df580aa6b40669d596fcfe60bb51f2cc75cc3237ad0df2fd1", {
+        "characteristic.jsonl": "3bdc1cd9a4f0245888bea2b5382998c8b87e177c80bbe7743ab00947b3e98376",
+    }),
+    "invariance": (0, "f9f87fbc2d4effdd19065edb6eba9f2eced42d5e1276fdee94c9e38ed536120d", {
+        "invariance.jsonl": "cf5b82d84a868782f00a1e333db3689516e4d469a8bd1ea60340b42882df999e",
+    }),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(BENCH_GOLDEN))
+def test_benchmark_exact_outputs_are_byte_identical(tmp_path, capsys, monkeypatch, stem):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import inputs
+
+    op = next(op for op in inputs.generate("exact_descent", 1, tmp_path / "in") if op.stem == stem)
+    out = tmp_path / "out"
+    rc = main(["--config", str(op.config), "--out", str(out)])
+    stdout = capsys.readouterr().out.replace(str(out), "OUT")
+    files = {f.name: _sha(f.read_bytes()) for f in sorted(out.iterdir())}
+    assert (rc, _sha(stdout.encode()), files) == BENCH_GOLDEN[stem]

@@ -124,6 +124,12 @@ def test_phase_rejects_bad_tolerances(tol):
         osc_phase_average({1: 0.5}, 0.0, 10.0, tol)
     with pytest.raises(ValueError, match="tolerance"):
         Phase({F(1, 2): 1.0}, shifted={1: 0.5}).at(2.0).substitute(10.0, tol)
+    # the refinement loop itself, before any work: a zero tolerance used to
+    # spend ~10^7 evaluations and end in a budget error
+    with pytest.raises(ValueError, match="tolerance"):
+        adaptive_integral(np.cos, 0.0, 1.0, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        PanelTable(np.cos, 0.0, 1.0, tol)
 
 
 @pytest.mark.parametrize("route", [

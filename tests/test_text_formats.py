@@ -79,6 +79,7 @@ CASES = [
     ("config", "family = pair.family\n", 0, ["missing key 'command'"]),
     ("config", CFG + "alphas = ,\n", 3, ["alphas must list at least one value"]),
     ("config", CFG + "seed = 0\n", 3, ["unknown key 'seed'"]),
+    ("config", CFG + "alphas = 1/2, 0\n", 3, ["alphas must list at least one value, each positive"]),
 ]
 
 
