@@ -34,7 +34,6 @@ from .fpoly import (
     lower_part,
     map_coefficients,
     random_good_family,
-    span_v,
     subtract,
 )
 from .interval import (

@@ -369,8 +369,8 @@ def _correlation_average(
         if not (phase.coeffs or phase.shifted):
             total += weight
             continue
-        L, integrand, freq = phase.at(h).substitute(T, tol)
-        value, _, _ = adaptive_integral(integrand, 0.0, T ** (1.0 / L), tol * T, budget, freq)
+        L, integrand, theta = phase.at(h).substitute(T, tol)
+        value, _, _ = adaptive_integral(integrand, 0.0, T ** (1.0 / L), tol * T, budget, theta)
         total += weight * value / T
     return total
 

@@ -145,14 +145,17 @@ def _timechange_interval(alpha: Fraction, seq, pass_tol: float) -> tuple[float, 
     """Smallest interval of the sequence whose predicted average magnitude for
     exp(2*pi*i*s^alpha) is safely below the threshold, while the oscillation
     count stays affordable."""
-    af = float(alpha)
-    for n in range(1, 60):
-        a, b = seq.interval(n)
-        edge = b if af < 1 else max(a, 1.0)
-        bound = edge ** (1.0 - af) / (math.pi * af * (b - a))
-        cycles = abs(b**af - a**af)
-        if bound < pass_tol / 3 and cycles <= 2e5:
-            return a, b
+    try:
+        af = float(alpha)
+        for n in range(1, 60):
+            a, b = seq.interval(n)
+            edge = b if af < 1 else max(a, 1.0)
+            bound = edge ** (1.0 - af) / (math.pi * af * (b - a))
+            cycles = abs(b**af - a**af)
+            if bound < pass_tol / 3 and cycles <= 2e5:
+                return a, b
+    except (OverflowError, ZeroDivisionError):
+        pass  # alpha, or b^alpha, is out of float range: far too many cycles
     raise ValueError(f"no affordable interval for alpha = {alpha}")
 
 
@@ -163,8 +166,8 @@ def _timechange(spec, sys_obj, fam, fs):
     curve = Phase({1: 1.0})
     records = []
     for alpha in spec.alphas:
-        af = float(alpha)
         a, b = _timechange_interval(alpha, seq, spec.pass_tol)
+        af = float(alpha)
         weights = time_change_weights(af, (a, b))
         mass = weights.w0 + weights.kernel_mass()
         mass_err = abs(mass - 1.0)

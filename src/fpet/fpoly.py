@@ -23,7 +23,6 @@ from .ratlinalg import (
     as_fraction_vector,
     is_independent,
     matvec,
-    rref,
 )
 from .textkv import parse_rational, read_indexed
 
@@ -109,11 +108,6 @@ def is_good(p: FPoly) -> bool:
     good.  Values are immutable, so results are cached.
     """
     return family_is_good(FPolyFamily(p.height, p.ambient_dim, (p,)))
-
-
-def span_v(p: FPoly) -> tuple[RatVec, ...]:
-    """Canonical (reduced echelon) basis of span{v_1, ..., v_d}."""
-    return tuple(rref(p.coeffs))
 
 
 def lower_part(p: FPoly) -> FPoly:

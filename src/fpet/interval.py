@@ -39,9 +39,6 @@ class TemperedSequence:
         a, b = self.rule(n)
         return float(a), float(b)
 
-    def prefix(self, n_max: int) -> list[tuple[float, float]]:
-        return [self.interval(n) for n in range(1, n_max + 1)]
-
 
 def is_tempered_prefix(seq: TemperedSequence, n_max: int, K: float | None = None) -> bool:
     """Finite-prefix temperedness check.
@@ -225,12 +222,12 @@ def time_changed_average_via_weights(
     A, B = weights.support
     # the kernel's weights sum to 1, so phase rounding moves the result by no
     # more than it moves one nested average: the guard takes the route's tol
-    L, integrand, freq = v.substitute(B, tol)
+    L, integrand, theta = v.substitute(B, tol)
     uA, uB = A ** (1.0 / L), B ** (1.0 / L)
     # one panelized pass over the full support, at absolute tolerance
     # tol / 100 * (B - A); the kernel then queries nested averages at
     # single-Gauss-panel cost, well below the outer noise floor
-    table = PanelTable(integrand, uA, uB, tol / 100 * ((B - A) / (uB - uA)), budget, freq)
+    table = PanelTable(integrand, uA, uB, tol / 100 * ((B - A) / (uB - uA)), budget, theta)
 
     def inner_average(lo, hi):
         ulo, uhi = lo ** (1.0 / L), hi ** (1.0 / L)

@@ -7,13 +7,16 @@ the exponents, turns the unshifted terms into a polynomial in u, at the price
 of the smooth amplitude L*u^(L-1).  :meth:`Phase.substitute` is the only
 evaluator of a phase, and it refuses windows so far out that float rounding
 of the phase alone exceeds the tolerance; :meth:`Phase.average` is the route
-from an unshifted phase to its average over a window.  Panels are then sized
-so each carries roughly a fixed number of oscillation cycles (width bounded
-by the inverse local frequency), a fixed-order Gauss-Legendre rule is applied
-per panel, and the difference between the 24-point and 15-point rules serves
-as a conservative per-panel error estimate (a 15-point rule is essentially
-exact below 3 cycles per panel, a 24-point rule well beyond 5, so the
-estimate brackets the truth).  Panels with the largest estimates are bisected
+from an unshifted phase to its average over a window.  The initial panels are
+laid out from the phase itself: the cycles in each of 512 probe cells are the
+variation |theta(p_(i+1)) - theta(p_i)| of the phase across it, and the edges
+split the cumulative count so each panel carries roughly a fixed number of
+cycles (17 uniform edges when no phase is given or its variation is not finite
+and positive).  A fixed-order Gauss-Legendre rule is applied per panel, and
+the difference between the 24-point and 15-point rules serves as a
+conservative per-panel error estimate (a 15-point rule is essentially exact
+below 3 cycles per panel, a 24-point rule well beyond 5, so the estimate
+brackets the truth).  Panels with the largest estimates are bisected
 until the absolute tolerance or the evaluation budget is reached.
 """
 
@@ -75,18 +78,20 @@ def _eval_panels(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return i24, np.abs(i24 - _gauss(f, a, b, _X15, _W15))
 
 
-def _initial_edges(lo: float, hi: float, freq, budget: int) -> np.ndarray:
-    base = np.linspace(lo, hi, 17)
-    if freq is None:
-        return base
+def _probe_cycles(lo: float, hi: float, phase) -> tuple[np.ndarray, np.ndarray]:
+    """513 probes across (lo, hi) and the cycles of ``phase`` in each probe
+    cell: its variation |theta(p_(i+1)) - theta(p_i)| across the cell."""
     probes = np.linspace(lo, hi, 513)
-    with np.errstate(all="ignore"):
-        rate = np.asarray(freq(probes), dtype=float)
-    rate = np.nan_to_num(rate, nan=0.0, posinf=0.0, neginf=0.0)
-    cell_rate = np.maximum(rate[:-1], rate[1:])
-    cycles = cell_rate * np.diff(probes)
+    return probes, np.abs(np.diff(phase(probes)))
+
+
+def _initial_edges(lo: float, hi: float, phase, budget: int) -> np.ndarray:
+    base = np.linspace(lo, hi, 17)
+    if phase is None:
+        return base
+    probes, cycles = _probe_cycles(lo, hi, phase)
     total = float(cycles.sum())
-    if total <= 0.0:
+    if not (isfinite(total) and total > 0.0):
         return base
     # leave at least half the budget for error-driven refinement
     cap = max(16, budget // (2 * _EVALS_PER_PANEL))
@@ -99,7 +104,7 @@ def _initial_edges(lo: float, hi: float, freq, budget: int) -> np.ndarray:
 
 
 def _adaptive_core(
-    f, lo: float, hi: float, abs_tol: float, budget: int, freq
+    f, lo: float, hi: float, abs_tol: float, budget: int, phase
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
     """Shared refinement loop; returns panels sorted left to right as
     (left edges, right edges, panel integrals, error estimate, evaluations)."""
@@ -107,7 +112,7 @@ def _adaptive_core(
         raise ValueError("need a finite, nonempty integration interval")
     if not (isfinite(abs_tol) and abs_tol > 0):
         raise ValueError("tolerance must be finite and positive")
-    edges = _initial_edges(float(lo), float(hi), freq, budget)
+    edges = _initial_edges(float(lo), float(hi), phase, budget)
     a, b = edges[:-1], edges[1:]
     if _EVALS_PER_PANEL * len(a) > budget:
         raise QuadratureBudgetError("budget too small for the initial panels", 0j, np.inf, 0)
@@ -167,16 +172,16 @@ def adaptive_integral(
     hi: float,
     abs_tol: float,
     budget: int = DEFAULT_BUDGET,
-    freq: Callable[[np.ndarray], np.ndarray] | None = None,
+    phase: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[complex, float, int]:
     """Integral of a vectorized complex integrand with absolute tolerance.
 
-    ``freq``, when given, estimates the local oscillation rate in cycles per
-    unit and drives the initial panel layout.  Returns (value, error
-    estimate, evaluations); raises :class:`QuadratureBudgetError` when the
-    tolerance is unreachable within the budget.
+    ``phase``, when given, is the integrand's phase in cycles; its variation
+    lays out the initial panels.  Returns (value, error estimate,
+    evaluations); raises :class:`QuadratureBudgetError` when the tolerance
+    is unreachable within the budget.
     """
-    _, _, I, err, evals = _adaptive_core(f, lo, hi, abs_tol, budget, freq)
+    _, _, I, err, evals = _adaptive_core(f, lo, hi, abs_tol, budget, phase)
     value = complex(I.cumsum()[-1]) if len(I) else 0j
     return value, err, evals
 
@@ -200,8 +205,8 @@ class PanelTable:
     """
 
     def __init__(self, f, lo: float, hi: float, tol: float,
-                 budget: int = DEFAULT_BUDGET, freq=None):
-        a, b, I, err, _ = _adaptive_core(f, float(lo), float(hi), tol * (hi - lo), budget, freq)
+                 budget: int = DEFAULT_BUDGET, phase=None):
+        a, b, I, err, _ = _adaptive_core(f, float(lo), float(hi), tol * (hi - lo), budget, phase)
         self._f = f
         self.lo, self.hi = float(lo), float(hi)
         self._edges = np.append(a, b[-1])
@@ -267,12 +272,11 @@ class Phase:
         self.coeffs, self.shifted, self.h = _terms(coeffs), _terms(shifted), 0.0
         self.L = lcm(*(e.denominator for e in (*self.coeffs, *self.shifted)))
         # the unshifted terms as a polynomial in u = t^(1/L), ascending
-        asc = np.zeros(max((int(e * self.L) for e in self.coeffs), default=0) + 1)
+        self._asc = np.zeros(max((int(e * self.L) for e in self.coeffs), default=0) + 1)
         for e, c in self.coeffs.items():
-            asc[int(e * self.L)] = c
-        self._asc, self._dasc = asc, npoly.polyder(asc)
-        # float exponents of the shifted terms, and those exponents times L
-        self._moved = [(float(e), float(e * self.L), s) for e, s in self.shifted.items()]
+            self._asc[int(e * self.L)] = c
+        # the shifted terms with float exponents
+        self._moved = [(float(e), s) for e, s in self.shifted.items()]
 
     def at(self, h: float) -> "Phase":
         """The same phase at shift h; the term tables are shared."""
@@ -289,8 +293,8 @@ class Phase:
 
     def substitute(self, hi: float, tol: float):
         """t = u^L, L the exponents' common denominator: L, the integrand
-        L*u^(L-1)*exp(2*pi*i*theta(u^L)) and its frequency |d theta(u^L)/du|;
-        the unshifted terms are one polynomial in u (Horner's rule).
+        L*u^(L-1)*exp(2*pi*i*theta(u^L)) and the phase u -> theta(u^L) in
+        cycles; the unshifted terms are one polynomial in u (Horner's rule).
 
         Float phases carry a rounding error of about
         eps * (sum_e |c_e| hi^e + sum_e |s_e| (hi + h)^e) cycles on t <= hi,
@@ -307,13 +311,13 @@ class Phase:
             raise ValueError("the window must be finite")
         noise = 2 * np.pi * _EPS * (
             sum(abs(c) * hi ** float(e) for e, c in self.coeffs.items())
-            + sum(abs(s) * (hi + self.h) ** e for e, _, s in self._moved)
+            + sum(abs(s) * (hi + self.h) ** e for e, s in self._moved)
         )
         if noise > tol:
             raise QuadratureBudgetError(
                 "float phase rounding exceeds the tolerance on this window", 0j, noise, 0
             )
-        return self.L, self._u_integrand, self._u_freq
+        return self.L, self._u_integrand, self._u_theta
 
     def average(
         self, lo: float, hi: float, tol: float, budget: int = DEFAULT_BUDGET
@@ -325,36 +329,28 @@ class Phase:
         lo, hi = float(lo), float(hi)
         if not 0.0 <= lo < hi:
             raise ValueError("fractional phases need a nonempty, nonnegative interval")
-        L, integrand, freq = self.substitute(hi, tol)
+        L, integrand, theta = self.substitute(hi, tol)
         if not (self.coeffs or self.shifted):
             return 1.0 + 0j, 0.0, 0
         width = hi - lo
         value, err, evals = adaptive_integral(
-            integrand, lo ** (1.0 / L), hi ** (1.0 / L), tol * width, budget, freq
+            integrand, lo ** (1.0 / L), hi ** (1.0 / L), tol * width, budget, theta
         )
         return value / width, err / width, evals
 
     def _u_integrand(self, u):
-        L = self.L
         # theta(u^L) stays a temporary, freed as soon as it is used
-        return (L * u ** (L - 1)) * np.exp(2j * np.pi * self._u_theta(u))
+        curve = np.exp(2j * np.pi * self._u_theta(u))
+        L = self.L
+        return curve if L == 1 else (L * u ** (L - 1)) * curve
 
     def _u_theta(self, u):
         theta = npoly.polyval(u, self._asc)
         if self._moved:
             x = u**self.L + self.h
-            for e, _, s in self._moved:
+            for e, s in self._moved:
                 theta = theta + s * x**e
         return theta
-
-    def _u_freq(self, u):
-        rate = npoly.polyval(u, self._dasc)
-        if self._moved:
-            x, lead = u**self.L + self.h, u ** (self.L - 1)
-            with np.errstate(all="ignore"):
-                for e, eL, s in self._moved:
-                    rate = rate + s * eL * lead * x ** (e - 1.0)
-        return np.abs(rate)
 
 
 def osc_phase_average(

@@ -4,9 +4,8 @@ Rational routines work on tuples of `fractions.Fraction` and refuse floats.
 Integer routines use arbitrary-precision ints; subgroups of Z^m are
 canonicalized through a column-style Hermite normal form with positive
 pivots, so equal subgroups compare equal literally.  That one integer
-elimination also decides independence over Q (rows cleared of their
-denominators); :func:`rref` gives canonical bases of rational spans and is
-the reference the tests compare :func:`is_independent` against.
+elimination is the module's only exact route: it also decides independence
+over Q (rows cleared of their denominators).
 """
 
 from __future__ import annotations
@@ -31,40 +30,6 @@ def as_fraction_vector(entries: Iterable) -> RatVec:
             raise ValueError(f"refusing to coerce float {x!r} to an exact rational")
         out.append(x if type(x) is Fraction else Fraction(x))
     return tuple(out)
-
-
-def rref(rows: Sequence[Sequence[Fraction]]) -> list[RatVec]:
-    """Reduced row-echelon form over Q; returns the nonzero rows.
-
-    Equal row spans produce literally equal outputs, so the result doubles as
-    a canonical basis of the span.
-    """
-    work = [list(as_fraction_vector(r)) for r in rows]
-    if not work:
-        return []
-    ncols = len(work[0])
-    if any(len(r) != ncols for r in work):
-        raise ValueError("ragged matrix")
-    piv_r = 0
-    for piv_c in range(ncols):
-        pivot = next((i for i in range(piv_r, len(work)) if work[i][piv_c] != 0), None)
-        if pivot is None:
-            continue
-        work[piv_r], work[pivot] = work[pivot], work[piv_r]
-        inv = 1 / work[piv_r][piv_c]
-        work[piv_r] = [x * inv for x in work[piv_r]]
-        for i in range(len(work)):
-            if i != piv_r and work[i][piv_c] != 0:
-                f = work[i][piv_c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[piv_r])]
-        piv_r += 1
-        if piv_r == len(work):
-            break
-    return [tuple(r) for r in work[:piv_r] if any(x != 0 for x in r)]
-
-
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows))
 
 
 def is_independent(rows: Sequence[Sequence[Fraction]]) -> bool:

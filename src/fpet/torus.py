@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .fpoly import FPolyFamily, is_top_degree, span_v, subtract
+from .fpoly import FPolyFamily, is_top_degree, subtract
 from .ratlinalg import (
     IntVec,
     RatVec,
@@ -274,7 +274,7 @@ def xi_factor(sys: TorusSystem, fam: FPolyFamily) -> CharacterLattice:
         raise ValueError("the last family member must be top-degree")
     pieces = [isotropy_lattice(sys, [last.coeffs[-1]])]
     for member in fam.members[:-1]:
-        pieces.append(isotropy_lattice(sys, span_v(subtract(member, last))))
+        pieces.append(isotropy_lattice(sys, subtract(member, last).coeffs))
     return lattice_join(*pieces)
 
 

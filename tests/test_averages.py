@@ -446,31 +446,24 @@ def test_zero_phase_join_partial_sum_count(monkeypatch):
 
 
 def closure_reference(a1, a2, d, h):
-    """The correlation integrand and u-frequency as closures over float
+    """The correlation phase and integrand as closures over float
     coefficient arrays (index j holds the coefficient of t^((j + 1)/d)),
     after t = u^d: the formula the correlation phase must reproduce."""
 
-    def integrand(u):
-        shifted = u**d + h
-        phase = np.zeros_like(u)
-        for j in range(d):
-            if a1[j]:
-                phase = phase + a1[j] * shifted ** ((j + 1) / d)
-            if a2[j]:
-                phase = phase - a2[j] * u ** (j + 1)
-        return (d * u ** (d - 1)) * np.exp(2j * np.pi * phase)
-
-    def dphase(u):
+    def phase(u):
         shifted = u**d + h
         out = np.zeros_like(u)
         for j in range(d):
             if a1[j]:
-                out = out + a1[j] * (j + 1) * u ** (d - 1) * shifted ** ((j + 1) / d - 1.0)
+                out = out + a1[j] * shifted ** ((j + 1) / d)
             if a2[j]:
-                out = out - a2[j] * (j + 1) * u**j
-        return np.abs(out)
+                out = out - a2[j] * u ** (j + 1)
+        return out
 
-    return integrand, dphase
+    def integrand(u):
+        return (d * u ** (d - 1)) * np.exp(2j * np.pi * phase(u))
+
+    return integrand, phase
 
 
 def test_correlation_phase_matches_closure_formula(plane_system):
@@ -499,14 +492,14 @@ def test_correlation_phase_matches_closure_formula(plane_system):
         if constant:
             continue
         for h in (0.3, 1.7, 25.0):
-            L, integrand, freq = phase.at(h).substitute(u[-1] ** d, 1e-8)
-            ref_integrand, ref_freq = closure_reference(a1, a2, d, h)
+            L, integrand, theta = phase.at(h).substitute(u[-1] ** d, 1e-8)
+            ref_integrand, ref_theta = closure_reference(a1, a2, d, h)
             # the phase substitutes t = v^L with L | d; at v = u^(d/L) its
-            # u-densities are its v-densities times dv/du
+            # u-density is its v-density times dv/du, and theta is the same
             k = d // L
             seen.add(L)
             v, jac = u**k, k * u ** (k - 1)
             assert L * k == d
             assert np.max(np.abs(integrand(v) * jac - ref_integrand(u))) <= 1e-12 * d * u[-1] ** (d - 1)
-            assert np.allclose(freq(v) * jac, ref_freq(u), rtol=1e-12, atol=1e-12)
+            assert np.allclose(theta(v), ref_theta(u), rtol=1e-12, atol=1e-12)
     assert seen == {1, 2}

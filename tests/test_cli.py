@@ -242,6 +242,22 @@ def test_non_finite_knob_exits_2(tmp_path, capsys, key, bad):
     assert not (tmp_path / "knob.jsonl").exists()
 
 
+@pytest.mark.parametrize("alphas, named", [
+    ("1000", "1000"), ("50", "50"), ("1/2, 1000", "1000"),
+    ("1" + "0" * 400, "1" + "0" * 400), ("1/1" + "0" * 400, "1/1" + "0" * 400),
+], ids=["1000", "50", "second", "past-float", "below-float"])
+def test_unaffordable_alpha_exits_2(tmp_path, capsys, alphas, named):
+    """An exponent whose b^alpha leaves the float range, or which is itself
+    out of it, is an input error naming that alpha, not a traceback."""
+    cfg = tmp_path / "alpha.cfg"
+    cfg.write_text(f"command = verify-timechange\nalphas = {alphas}\nintervals = sliding-k1\n")
+    rc = main(["--config", str(cfg), "--serial", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: no affordable interval for alpha = {named}\n"
+    assert not (tmp_path / "alpha.jsonl").exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_observable_coefficient_exits_2(tmp_path, capsys, bad):
     obs = tmp_path / "bad.obs"

@@ -17,10 +17,9 @@ from fpet.fpoly import (
     lower_part,
     map_coefficients,
     random_good_family,
-    span_v,
     subtract,
 )
-from fpet.ratlinalg import rank
+from rref_reference import rank
 
 F = Fraction
 
@@ -94,18 +93,6 @@ def test_family_is_good_matches_the_two_stage_definition(rng):
             assert is_good(p) == _old_family_is_good(FPolyFamily(d, dim, (p,)))
         verdicts.append(expected)
     assert 200 < sum(verdicts) < 1800  # both answers are well represented
-
-
-def test_span_v_examples():
-    assert span_v(fp([[1, 0], [0, 1]])) == ((F(1), F(0)), (F(0), F(1)))
-    assert span_v(fp([[1, 0], [2, 0]])) == ((F(1), F(0)),)
-    assert span_v(fp([[0, 0]], height=2)) == ()
-
-
-def test_span_v_canonical_for_equal_spans():
-    a = fp([[1, 1], [1, -1]])
-    b = fp([[2, 0], [0, 3]])
-    assert span_v(a) == span_v(b)
 
 
 def test_lower_part():

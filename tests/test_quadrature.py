@@ -9,9 +9,12 @@ import pytest
 
 import fpet
 from fpet.quadrature import (
+    DEFAULT_BUDGET,
     PanelTable,
     Phase,
     QuadratureBudgetError,
+    _initial_edges,
+    _probe_cycles,
     adaptive_integral,
     osc_phase_average,
 )
@@ -21,7 +24,8 @@ F = Fraction
 
 def t_theta(phase, t):
     """theta(t) term by term from the phase's tables, in t: the reference
-    that the u-integrand of ``Phase.substitute`` is checked against."""
+    that the u-integrand and u-phase of ``Phase.substitute`` are checked
+    against."""
     t = np.asarray(t, dtype=float)
     theta = np.zeros_like(t)
     for e, c in phase.coeffs.items():
@@ -29,18 +33,6 @@ def t_theta(phase, t):
     for e, s in phase.shifted.items():
         theta = theta + s * (t + phase.h) ** float(e)
     return theta
-
-
-def t_freq(phase, t):
-    """|theta'(t)| term by term, the reference for the u-frequency."""
-    t = np.asarray(t, dtype=float)
-    rate = np.zeros_like(t)
-    with np.errstate(all="ignore"):
-        for e, c in phase.coeffs.items():
-            rate = rate + c * float(e) * t ** float(e - 1)
-        for e, s in phase.shifted.items():
-            rate = rate + s * float(e) * (t + phase.h) ** float(e - 1)
-    return np.abs(rate)
 
 
 def closed_linear_average(c, a, b):
@@ -181,20 +173,57 @@ def test_adaptive_average_smooth_curve():
     assert abs(value / 3.0 - 3.0) < 1e-12
 
 
-def test_exp_phase_curve_freq_and_values():
+def test_exp_phase_curve_theta_and_values():
     # theta(t) = 2 sqrt(t) + t is 2u + u^2 after t = u^2
-    L, integrand, freq = Phase({F(1, 2): 2.0, F(1): 1.0}).substitute(4.0, 1e-8)
+    L, integrand, theta = Phase({F(1, 2): 2.0, F(1): 1.0}).substitute(4.0, 1e-8)
     u = np.array([1.0, 2.0])
     assert L == 2
     assert np.allclose(integrand(u), 2 * u * np.exp(2j * np.pi * (2 * u + u**2)))
-    assert np.allclose(freq(u), np.abs(2.0 + 2 * u))
+    assert np.allclose(theta(u), 2 * u + u**2)
 
 
 def test_adaptive_average_uses_curve_hint():
     curve = lambda t: np.exp(2j * np.pi * t / 3)
-    hint = lambda t: np.full_like(t, 1 / 3)
-    value, _, _ = adaptive_integral(curve, 0.0, 4096.0, 1e-10 * 4096.0, freq=hint)
+    hint = lambda t: t / 3
+    # 1365 cycles: the layout gives them about 400 panels, the uniform 16
+    assert len(_initial_edges(0.0, 4096.0, hint, DEFAULT_BUDGET)) > 400
+    value, _, _ = adaptive_integral(curve, 0.0, 4096.0, 1e-10 * 4096.0, phase=hint)
     assert abs(value / 4096.0 - closed_linear_average(1 / 3, 0.0, 4096.0)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "coeffs, window",
+    [
+        ({F(1, 2): -3.0, F(1): 0.5}, (0.0, 100.0)),  # stationary at t = 9
+        ({F(1, 2): 1.7, F(1): -0.013}, (0.0, 2.0**14)),  # stationary near t = 4275
+        ({F(1, 2): -40.0, F(1): 0.21}, (4e3, 2.0**14)),  # stationary near t = 9070
+        ({F(1, 2): 2.5, F(1): 0.37}, (1e3, 5e3)),  # monotone
+    ],
+)
+def test_layout_counts_the_cycles_of_the_phase(monkeypatch, coeffs, window):
+    """The layout's cycle count is the total variation of theta over the
+    window, as the benchmark's tracer counts it at 30 digits; a stationary
+    point inside the window tells variation from net change."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from spans import phase_cycles
+
+    lo, hi = window
+    L, _, theta = Phase(coeffs).substitute(hi, 1e-8)
+    _, cycles = _probe_cycles(lo ** (1 / L), hi ** (1 / L), theta)
+    assert cycles.sum() == pytest.approx(phase_cycles(coeffs, lo, hi), rel=0.01)
+
+
+@pytest.mark.parametrize("phase", [
+    lambda p: np.zeros_like(p),
+    lambda p: np.where(p > 3.0, np.nan, p),
+    lambda p: np.where(p < p[-1], p, np.inf),
+], ids=["constant", "nan", "inf"])
+def test_layout_falls_back_to_uniform_edges(phase):
+    """A phase whose variation is not finite and positive lays out the 17
+    uniform edges, and the integral still converges from them."""
+    assert np.array_equal(_initial_edges(2.0, 5.0, phase, DEFAULT_BUDGET), np.linspace(2.0, 5.0, 17))
+    value, err, _ = adaptive_integral(np.cos, 2.0, 5.0, 1e-12, phase=phase)
+    assert abs(value - (np.sin(5.0) - np.sin(2.0))) < 1e-12 and err <= 1e-12
 
 
 def test_deterministic_reruns():
@@ -228,9 +257,8 @@ def test_far_window_guard_counts_shifted_terms_at_hi_plus_h():
 
 
 def _table():
-    curve = lambda t: np.exp(2j * np.pi * (0.37 * t - 1.1 * np.sqrt(t)))
-    freq = lambda t: np.abs(0.37 - 0.55 / np.sqrt(t))
-    return PanelTable(curve, 2.0, 300.0, 1e-10, freq=freq)
+    theta = lambda t: 0.37 * t - 1.1 * np.sqrt(t)
+    return PanelTable(lambda t: np.exp(2j * np.pi * theta(t)), 2.0, 300.0, 1e-10, phase=theta)
 
 
 def test_panel_table_array_queries_match_scalar_queries():
@@ -320,15 +348,12 @@ SUBSTITUTED = {
 def test_phase_substitution_matches_definition(name):
     phase = SUBSTITUTED[name]
     u = np.linspace(0.0, 3.0, 301)
-    L, integrand, freq = phase.substitute(u[-1] ** phase.L, 1e-8)
+    L, integrand, theta = phase.substitute(u[-1] ** phase.L, 1e-8)
     assert L == {"plain": 1, "mixed": 6, "shifted": 2}[name]
     amplitude = L * u ** (L - 1)
     curve = np.exp(2j * np.pi * t_theta(phase, u**L))
     assert np.max(np.abs(integrand(u) - amplitude * curve)) <= 1e-12 * np.max(amplitude)
-    with np.errstate(all="ignore"):
-        chain = t_freq(phase, u**L) * amplitude
-    inside = u > 0
-    assert np.allclose(freq(u)[inside], chain[inside], rtol=1e-12, atol=1e-12)
+    assert np.allclose(theta(u), t_theta(phase, u**L), rtol=1e-12, atol=1e-12)
 
 
 def test_phase_shift_moves_only_the_shifted_block():

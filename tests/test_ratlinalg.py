@@ -9,9 +9,8 @@ from fpet.ratlinalg import (
     hermite_contains,
     int_kernel,
     is_independent,
-    rank,
-    rref,
 )
+from rref_reference import rank, rref
 
 F = Fraction
 

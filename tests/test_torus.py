@@ -2,8 +2,9 @@ import cmath
 from fractions import Fraction
 
 import pytest
+from rref_reference import rref
 
-from fpet.fpoly import FPolyFamily
+from fpet.fpoly import FPolyFamily, random_good_family, subtract
 from fpet.torus import (
     CharacterLattice,
     TorusSystem,
@@ -153,6 +154,32 @@ def test_xi_factor_contains_full_invariance(plane_system, rng):
         identity = [[1, 0], [0, 1]]
         full_inv = isotropy_lattice(plane_system, identity)
         assert xi.contains_lattice(full_inv)
+
+
+def test_xi_factor_matches_the_rref_span_route(rng):
+    """Each difference member - last enters through its own coefficient
+    vectors, not a reduced basis of their span: the isotropy lattice of a
+    spanning set is that of the span, so the old route (a canonical rref
+    basis per difference) must give the same factor."""
+    entries = [F(0)] * 4 + [F(1), F(-1), F(2), F(1, 2), F(-3, 2), F(2, 3)]
+    checked = 0
+    while checked < 300:
+        k, height = rng.randint(1, 4), rng.randint(1, 3)
+        fam = random_good_family(rng, k, height, rng.randint(k, k * height))
+        top = [p for p in fam.members if p.leading_index() == height]
+        if not top:
+            continue
+        last = top[0]
+        fam = FPolyFamily.of([p for p in fam.members if p is not last] + [last])
+        sys_obj = TorusSystem.make(
+            [[rng.choice(entries) for _ in range(fam.ambient_dim)] for _ in range(rng.randint(1, 4))]
+        )
+        old = lattice_join(
+            isotropy_lattice(sys_obj, [last.coeffs[-1]]),
+            *(isotropy_lattice(sys_obj, rref(subtract(p, last).coeffs)) for p in fam.members[:-1]),
+        )
+        assert xi_factor(sys_obj, fam) == old
+        checked += 1
 
 
 def test_xi_factor_requires_top_degree(plane_system):
