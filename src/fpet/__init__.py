@@ -4,8 +4,9 @@ Exact-rational fractional polynomials and their goodness taxonomy, the
 precedence induction order with its descent DAG, tempered interval sequences
 and fractional-power time changes, torus translation systems with
 trigonometric-polynomial observables and integer-lattice factors, and the
-averages themselves: finite-interval values by oscillatory quadrature, limits
-and self-joining moments by exact character arithmetic.
+averages themselves: finite-interval values by Fresnel closed forms or
+oscillatory quadrature, limits and self-joining moments by exact character
+arithmetic.
 """
 
 from .averages import (

@@ -7,9 +7,12 @@ coefficient product times the scalar average of exp(2*pi*i*theta(t)), where
 theta(t) = sum_j c_j t^(j/d) and c_j = sum_i chi_i^T A v_{i,j}.  The c_j are
 exact rationals, so the tempered-uniform limit of each scalar average is
 decided symbolically (1 when every c_j vanishes, else 0); only finite-
-interval averages touch floating point, through the oscillatory quadrature
-engine: each scalar average, and each van der Corput correlation
-theta_1(t + h) - theta_2(t), is one :class:`~fpet.quadrature.Phase`.
+interval averages touch floating point.  Each scalar average, and each van
+der Corput correlation theta_1(t + h) - theta_2(t), is one
+:class:`~fpet.quadrature.Phase`.  At height d <= 2 a scalar average is a
+Fresnel closed form with a derived error bound (see
+:meth:`~fpet.quadrature.Phase.average`); higher heights, the correlations and
+closed forms whose bound misses the tolerance run on adaptive Gauss panels.
 
 c_j is linear in the tuple, so each member's contribution chi^T A v_{i,j} is
 computed once per support frequency, as integers over one common
@@ -54,7 +57,7 @@ Freq = tuple[int, ...]
 @dataclass(frozen=True)
 class AverageResult:
     """A finite-interval multiple average in Fourier coordinates, with a
-    per-coefficient quadrature error bound."""
+    per-coefficient error bound."""
 
     value: TrigPoly
     interval: tuple[float, float]
@@ -187,11 +190,15 @@ def multiple_average(
 ) -> AverageResult:
     """The multiple ergodic average over a finite interval.
 
-    Each distinct exact phase vector is integrated once; an identically zero
-    phase contributes exactly 1 with zero error.  ``tol`` bounds the absolute
-    quadrature error of each distinct phase integral, not of each output
-    coefficient: a coefficient sums several integrals, and its bound,
-    sum |coefficient product| * integral error, is the one reported in
+    Each distinct exact phase vector is averaged once, by
+    :func:`~fpet.quadrature.osc_phase_average` on its float coefficients; an
+    identically zero phase contributes exactly 1 with zero error.  At height
+    d <= 2 the average is the Fresnel closed form and its error a derived
+    bound; otherwise, or when that bound exceeds ``tol``, it is adaptive
+    panels and their error estimate.  ``tol`` bounds the absolute error of
+    each distinct phase average, not of each output coefficient: a
+    coefficient sums several averages, and its bound,
+    sum |coefficient product| * average error, is the one reported in
     ``AverageResult.est_error``.
     """
     a, b = float(interval[0]), float(interval[1])

@@ -7,11 +7,14 @@ every tempered sequence as soon as they converge along one, and a change of
 time variable s -> s^alpha preserves both the convergence and the limit.
 This module materializes the sequences, the exact weight decomposition behind
 the time change, and the averaged quantities themselves.  Both time-change
-routes take a :class:`~fpet.quadrature.Phase` and integrate it only through
+routes take a :class:`~fpet.quadrature.Phase` and pass the window guard of
 :meth:`~fpet.quadrature.Phase.substitute`, so both refuse windows too far out
-for the float phase: the direct one averages ``v.power(alpha)`` with
-:meth:`~fpet.quadrature.Phase.average`, the weight route tabulates v itself
-in u = t^(1/L) and weights its nested averages by the kernel.
+for the float phase.  The direct one averages ``v.power(alpha)`` with
+:meth:`~fpet.quadrature.Phase.average`, which is a Fresnel closed form when
+the powered phase has exponents within {1/2, 1} or within {1, 2} (v = t at
+alpha = 1/2 or 2) and adaptive panels otherwise; the weight route tabulates v
+itself on adaptive panels in u = t^(1/L) and weights its nested averages by
+the kernel.
 """
 
 from __future__ import annotations

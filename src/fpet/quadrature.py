@@ -1,31 +1,44 @@
-"""Adaptive Gauss-panel quadrature for oscillatory interval averages.
+"""Phase averages: Fresnel closed forms and adaptive Gauss panels.
 
 Every oscillatory integrand is a :class:`Phase`: t -> exp(2*pi*i*theta(t)),
 theta a sum of exact positive rational powers of t (and of t + h in van der
 Corput correlations).  Substituting t = u^L, with L a common denominator of
 the exponents, turns the unshifted terms into a polynomial in u, at the price
-of the smooth amplitude L*u^(L-1).  :meth:`Phase.substitute` is the only
-evaluator of a phase, and it refuses windows so far out that float rounding
-of the phase alone exceeds the tolerance; :meth:`Phase.average` is the route
-from an unshifted phase to its average over a window.  The initial panels are
-laid out from the phase itself: the cycles in each of 512 probe cells are the
-variation |theta(p_(i+1)) - theta(p_i)| of the phase across it, and the edges
-split the cumulative count so each panel carries roughly a fixed number of
-cycles (17 uniform edges when no phase is given or its variation is not finite
-and positive).  A fixed-order Gauss-Legendre rule is applied per panel, and
-the difference between the 24-point and 15-point rules serves as a
-conservative per-panel error estimate (a 15-point rule is essentially exact
-below 3 cycles per panel, a 24-point rule well beyond 5, so the estimate
-brackets the truth).  Panels with the largest estimates are bisected
-until the absolute tolerance or the evaluation budget is reached.
-"""
+of the smooth amplitude L*u^(L-1).  :meth:`Phase.substitute` guards every
+window: it refuses windows so far out that float rounding of the phase alone
+exceeds the tolerance.  :meth:`Phase.average` is the route from an unshifted
+phase to its average over a window, and it picks one of two methods.
 
+* Closed form.  With no shifted block, L <= 2 and degree at most 2 in u
+  (exponents within {1/2, 1} or within {1, 2}), the integral of
+  A(u)*exp(2*pi*i*(a*u + b*u^2)), A = 1 or 2u, is elementary when b = 0 and
+  otherwise a boundary term plus a Fresnel (erf) integral.  The erf is taken
+  as erfc(z) = exp(-z^2)*w(iz), with the Faddeeva function w from Weideman's
+  32-term rational approximation (SIAM J. Numer. Anal. 31, 1994); the window
+  is split at the stationary point u = -a/(2b), so every w lies on the ray
+  arg z = pi/4 and no two erf values of similar size are subtracted.  The
+  result carries a derived error bound and no evaluations.
+* Adaptive panels, for every other phase and whenever the closed form's
+  bound exceeds the tolerance (b tiny against a, or a tiny with b = 0, where
+  its terms cancel).  The initial panels are laid out from the phase itself:
+  the cycles in each of 512 probe cells are the variation
+  |theta(p_(i+1)) - theta(p_i)| of the phase across it, and the edges split
+  the cumulative count so each panel carries roughly a fixed number of
+  cycles (17 uniform edges when no phase is given or its variation is not
+  finite and positive).  A fixed-order Gauss-Legendre rule is applied per
+  panel, and the difference between the 24-point and 15-point rules serves
+  as a conservative per-panel error estimate (a 15-point rule is essentially
+  exact below 3 cycles per panel, a 24-point rule well beyond 5, so the
+  estimate brackets the truth).  Panels with the largest estimates are
+  bisected until the absolute tolerance or the evaluation budget is reached.
+"""
 from __future__ import annotations
 
+import cmath
 import copy
 import numbers
 from fractions import Fraction
-from math import isfinite, lcm
+from math import isfinite, lcm, pi, sqrt
 from typing import Callable, Mapping
 
 import numpy as np
@@ -41,6 +54,42 @@ _EPS = float(np.finfo(float).eps)
 
 _X24, _W24 = np.polynomial.legendre.leggauss(24)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
+
+
+# Weideman's rational approximation of the Faddeeva function w with N = 32
+# terms (SIAM J. Numer. Anal. 31, 1994): w(z) = 2 p(Z)/(L - iz)^2 +
+# 1/(sqrt(pi) (L - iz)), Z = (L + iz)/(L - iz), L = sqrt(N/sqrt(2)).  The
+# coefficients of p, highest degree first, are the cosine transform
+# (1/4N) sum_|k|<2N f_k cos(j k pi/2N), j = N..1, of f = exp(-t^2)(L^2 + t^2)
+# at t_k = L tan(k pi/4N); the tests recompute them.
+_W_SCALE = 4.756828460010884
+_W_COEF = (
+    -1.3034885548441693e-12, 3.7408268384242064e-12, 8.030465932676146e-12,
+    -2.154348875603919e-11, -5.5442427144316124e-11, 1.1658250033151165e-10,
+    4.153745280117561e-10, -5.231019761194638e-10, -3.2080153550387087e-09,
+    8.124891243090202e-10, 2.3797556915947108e-08, 2.2930439048292067e-08,
+    -1.4813078906099092e-07, -4.184076369645526e-07, 4.2558331374156795e-07,
+    4.401531731373141e-06, 6.821031944028696e-06, -2.1409619201695104e-05,
+    -0.00013075449254618186, -0.0002453298027001782, 0.000392591360700679,
+    0.004519541105349353, 0.019006155784845494, 0.05730440352983712,
+    0.1406071622689377, 0.2954445107150872, 0.5460139720639342,
+    0.9019254893647999, 1.3455441692345451, 1.8256696296324813,
+    2.2635372999002676, 2.5722534081245696,
+)
+# relative accuracy of _faddeeva on the ray arg z = pi/4, the only one the
+# closed form uses: 5.7e-14 against 30-digit mpmath, with margin
+_W_REL = 1e-13
+_E8 = cmath.exp(0.25j * pi)  # exp(i*pi/4)
+
+
+def _faddeeva(z: complex) -> complex:
+    """w(z) = exp(-z^2)*erfc(-iz) for Im z >= 0, by Weideman's approximation."""
+    d = _W_SCALE - 1j * z
+    big_z = (_W_SCALE + 1j * z) / d
+    p = 0j
+    for c in _W_COEF:
+        p = p * big_z + c
+    return (2 * p / d + 1 / sqrt(pi)) / d
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -265,8 +314,9 @@ class Phase:
     Fraction, else ValueError), finite float coefficients (zeros dropped, a
     non-finite one is a ValueError).  A van der Corput correlation
     theta_1(t + h) - theta_2(t) puts theta_1 in the shifted block and is moved
-    to each shift h by :meth:`at`.  The curve is evaluated only through
-    :meth:`substitute`."""
+    to each shift h by :meth:`at`.  Adaptive panels evaluate the curve only
+    through :meth:`substitute`; the closed form of :meth:`average` evaluates
+    theta only at the window's endpoints and its stationary point."""
 
     def __init__(self, coeffs: Mapping = {}, shifted: Mapping = {}):
         self.coeffs, self.shifted, self.h = _terms(coeffs), _terms(shifted), 0.0
@@ -304,6 +354,11 @@ class Phase:
         estimate and no evaluations.  A ``tol`` that is not finite and
         positive, or an infinite ``hi``, is a ValueError.
         """
+        self._noise(hi, tol)
+        return self.L, self._u_integrand, self._u_theta
+
+    def _noise(self, hi: float, tol: float) -> float:
+        """The rounding bound of :meth:`substitute`, after its checks."""
         if not (isfinite(tol) and tol > 0):
             raise ValueError("tolerance must be finite and positive")
         hi = float(hi)
@@ -317,26 +372,109 @@ class Phase:
             raise QuadratureBudgetError(
                 "float phase rounding exceeds the tolerance on this window", 0j, noise, 0
             )
-        return self.L, self._u_integrand, self._u_theta
+        return noise
 
     def average(
         self, lo: float, hi: float, tol: float, budget: int = DEFAULT_BUDGET
     ) -> tuple[complex, float, int]:
-        """Average of the curve over (lo, hi) with absolute tolerance ``tol``,
-        integrated in u after :meth:`substitute`: (value, error estimate,
-        evaluations).  An identically zero phase short-circuits to 1 exactly,
-        once ``tol`` and the window have passed the same checks as any other."""
+        """Average of the curve over (lo, hi) with absolute tolerance ``tol``:
+        (value, error, evaluations).  Both methods run after the window guard
+        of :meth:`substitute`.
+
+        With no shifted block, L <= 2 and degree at most 2 in u, the value is
+        the Fresnel closed form, the error a derived bound and the
+        evaluations 0.  The bound adds three terms: the guard's rounding
+        bound; the rounding of the terms the closed form combines, which is
+        (2 * that bound + 32 eps) times their summed magnitude over the
+        window's width, plus the rounding of the distances to the stationary
+        point; and w's relative accuracy times the magnitude of its terms.
+        Every other phase, and a closed form whose bound exceeds ``tol``, is
+        integrated in u by adaptive panels, and the error is their
+        estimate.  An identically zero phase short-circuits to 1
+        exactly, once ``tol`` and the window have passed the same checks as
+        any other."""
         lo, hi = float(lo), float(hi)
         if not 0.0 <= lo < hi:
             raise ValueError("fractional phases need a nonempty, nonnegative interval")
-        L, integrand, theta = self.substitute(hi, tol)
+        noise = self._noise(hi, tol)
         if not (self.coeffs or self.shifted):
             return 1.0 + 0j, 0.0, 0
+        if not self.shifted and self.L <= 2 and len(self._asc) <= 3:
+            value, err = self._fresnel(lo, hi, noise)
+            if err <= tol:
+                return value, err, 0
         width = hi - lo
+        L, integrand, theta = self.substitute(hi, tol)
         value, err, evals = adaptive_integral(
             integrand, lo ** (1.0 / L), hi ** (1.0 / L), tol * width, budget, theta
         )
         return value / width, err / width, evals
+
+    def _fresnel(self, lo: float, hi: float, noise: float) -> tuple[complex, float]:
+        """The closed-form average of exp(2*pi*i*(a*u + b*u^2)) * A(u) over
+        u^L in (lo, hi), A = 1 (L = 1) or 2u (L = 2), and its error bound.
+
+        With b < 0 the conjugate phase is averaged and the value conjugated.
+        With b = 0 the antiderivative is elementary.  Otherwise 2u*e(theta) =
+        e(theta)'/(2*pi*i*b) - (a/b)*e(theta) gives a boundary term, and the
+        Fresnel integral of e(theta) is
+        e(theta*) * integral of exp(i*beta*s^2) over s = u - u*, with
+        beta = 2*pi*b and theta* the phase at the stationary point
+        u* = -a/(2b).  Each endpoint contributes its tail
+        integral from |s| to infinity, which is
+        sqrt(pi/beta)/2 * exp(i*pi/4) * e(theta(u)) * w(exp(i*pi/4)*sqrt(beta)*|s|);
+        a window that holds u* adds twice the tail from 0.  Every phase
+        e(theta) is taken at a point of the window, with a*u and b*u^2
+        reduced mod 1 before they are summed."""
+        a = float(self._asc[1])
+        b = float(self._asc[2]) if len(self._asc) == 3 else 0.0
+        flip = b < 0.0
+        if flip:
+            a, b = -a, -b
+        L = self.L
+        ts = (lo, hi)
+        us = tuple(map(sqrt, ts)) if L == 2 else ts
+        squares = ts if L == 2 else tuple(t * t for t in ts)
+
+        def e(u: float, square: float) -> complex:
+            return cmath.exp(2j * pi * ((a * u) % 1.0 + (b * square) % 1.0))
+
+        e0, e1 = (e(u, q) for u, q in zip(us, squares))
+        u0, u1 = us
+        slack = 0.0  # error of the terms beyond their rounding
+        if b == 0.0:
+            k = 2j * pi * a
+            if L == 1:
+                terms = [e1 / k, -e0 / k]
+            else:
+                # divided by k twice: k * k underflows to 0 for |a| below 1e-154
+                terms = [2 * e1 * u1 / k, -2 * e1 / k / k, -2 * e0 * u0 / k, 2 * e0 / k / k]
+        else:
+            beta = 2 * pi * b
+            terms = [e1 / (1j * beta), -e0 / (1j * beta)] if L == 2 else []
+            weight = 1.0 if L == 1 else -a / b
+            if weight:
+                ustar = -a / (2 * b)
+                root = sqrt(beta)
+                tail0 = 0.5 * sqrt(pi) / root * _E8 * weight
+                s0, s1 = u0 - ustar, u1 - ustar
+                w0, w1 = _faddeeva(_E8 * root * abs(s0)), _faddeeva(_E8 * root * abs(s1))
+                terms += [
+                    (1.0 if s0 >= 0 else -1.0) * tail0 * e0 * w0,
+                    (-1.0 if s1 > 0 else 1.0) * tail0 * e1 * w1,
+                ]
+                if s0 < 0 < s1:
+                    terms.append(2 * tail0 * e(ustar, ustar * ustar))
+                # s rounds by up to 4 eps (|u| + |u*|) at each endpoint, and a
+                # tail's derivative in s has modulus at most 1 on the ray
+                # (sqrt(pi)/2 |w'(z)| <= 1 there): 12 eps charges it 3 times
+                slack = abs(weight) * 12 * _EPS * (u0 + u1 + 2 * abs(ustar))
+                slack += _W_REL * abs(tail0) * (abs(w0) + abs(w1))
+        width = hi - lo
+        value = sum(terms) / width
+        size = sum(map(abs, terms)) / width
+        err = noise + (2 * noise + 32 * _EPS) * size + slack / width
+        return (value.conjugate() if flip else value), err
 
     def _u_integrand(self, u):
         # theta(u^L) stays a temporary, freed as soon as it is used
@@ -361,5 +499,9 @@ def osc_phase_average(
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[complex, float, int]:
     """Average of exp(2*pi*i * sum_e c_e t^e) over (lo, hi): the
-    :meth:`Phase.average` of the term table ``coeffs``."""
+    :meth:`Phase.average` of the term table ``coeffs``, so (value, error,
+    evaluations) from the Fresnel closed form (a derived error bound, no
+    evaluations) when the exponents lie within {1/2, 1} or within {1, 2} and
+    its bound meets ``tol``, and from adaptive panels (their error estimate)
+    otherwise."""
     return Phase(coeffs).average(lo, hi, tol, budget)

@@ -1,11 +1,15 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import fpet
 from fpet import averages
 from fpet.cli import ExperimentSpec, main, parse_config, run, serialize_config
 from fpet.textkv import ParseError
@@ -362,3 +366,16 @@ def test_run_validates_a_spec_built_in_python(tmp_path, capsys, spec, message):
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
     assert not out.exists()
+
+
+def test_cli_import_loads_neither_scipy_nor_mpmath():
+    """The library runs on numpy alone: a fresh interpreter that imports the
+    CLI has loaded no scipy (scipy.special alone costs about 0.3 s of
+    start-up) and no mpmath, which only the tests use as a reference."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fpet.__file__).resolve().parents[1]))
+    probe = "import sys, fpet.cli; print(sorted({m.partition('.')[0] for m in sys.modules}))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    loaded = set(json.loads(out.replace("'", '"')))
+    assert "numpy" in loaded and "fpet" in loaded
+    assert not loaded & {"scipy", "mpmath"}

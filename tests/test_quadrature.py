@@ -6,13 +6,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fpet
 from fpet.quadrature import (
+    _E8,
+    _W_COEF,
+    _W_REL,
+    _W_SCALE,
     DEFAULT_BUDGET,
     PanelTable,
     Phase,
     QuadratureBudgetError,
+    _faddeeva,
     _initial_edges,
     _probe_cycles,
     adaptive_integral,
@@ -141,7 +148,7 @@ from fpet.quadrature import Phase
 
 t0, c0 = time.perf_counter(), time.process_time()
 for k in range(40):
-    Phase({Fraction(1, 2): 3.0, 1: 0.5 * k}).average(0.0, 4000.0, 1e-8)
+    Phase({Fraction(1, 3): 3.0, 1: 0.5 * k}).average(0.0, 4000.0, 1e-8)
 print(time.process_time() - c0, time.perf_counter() - t0)
 """
 
@@ -365,3 +372,184 @@ def test_phase_shift_moves_only_the_shifted_block():
         _, integrand, _ = phase.substitute(10.0, 1e-8)
         expected = 2 * u * np.exp(2j * np.pi * (0.8 * np.sqrt(u**2 + h) - 0.2 * u**2))
         assert np.allclose(integrand(u), expected, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the Fresnel closed form of Phase.average
+
+
+def _digits(x: float) -> int:
+    return int(np.log10(1.0 + x)) + 1
+
+
+def fresnel_reference(coeffs, lo, hi):
+    """The average of exp(2 pi i theta(t)) over (lo, hi) for exponents within
+    {1/2, 1} or within {1, 2}, from mpmath's erf at 30 digits beyond those
+    that the size of the phase and the cancellation of its terms take.  After
+    t = u^L, theta = a u + b u^2; with L = 2 the amplitude 2u is
+    e(theta)' / (2 pi i b) - (a / b) e(theta), and the integral of e(theta)
+    is the erf difference of the completed square."""
+    import mpmath as mp
+
+    terms = {F(e): c for e, c in coeffs.items() if c}
+    L = 2 if F(1, 2) in terms else 1
+    a, b = terms.get(F(1, L), 0.0), terms.get(F(2, L), 0.0)
+    if not (a or b):
+        return 1 + 0j
+    u1 = hi ** (1 / L)
+    extra = _digits(abs(a) * u1 + abs(b) * u1 * u1)
+    if b:
+        extra += _digits(abs(a) / abs(b)) + _digits(1 / min(abs(b), 1.0))
+    else:
+        extra += 2 * _digits(1 / min(abs(a), 1.0))
+    with mp.workdps(30 + extra):
+        a, b = mp.mpf(a), mp.mpf(b)
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        u0, u1 = (mp.sqrt(lo), mp.sqrt(hi)) if L == 2 else (lo, hi)
+        al, be = 2 * mp.pi * a, 2 * mp.pi * b
+        if b == 0:
+            if L == 1:
+                integral = (mp.expj(al * u1) - mp.expj(al * u0)) / (1j * al)
+            else:
+                def prim(u):
+                    return 2 * mp.expj(al * u) * (u / (1j * al) + 1 / al**2)
+
+                integral = prim(u1) - prim(u0)
+        else:
+            kappa = mp.sqrt(-1j * be)
+            shift = al / (2 * be)
+            fresnel = mp.expj(-al**2 / (4 * be)) * mp.sqrt(mp.pi) / (2 * kappa) * (
+                mp.erf(kappa * (u1 + shift)) - mp.erf(kappa * (u0 + shift))
+            )
+            integral = fresnel
+            if L == 2:
+                edge = mp.expj(al * u1 + be * u1**2) - mp.expj(al * u0 + be * u0**2)
+                integral = edge / (1j * be) - (a / b) * fresnel
+        return complex(integral / (hi - lo))
+
+
+# 0 or 1e-9 <= |c| < 50: nearer 0 the reference's erf needs hundreds of
+# digits, and the closed form falls back to panels anyway
+_COEF = st.one_of(
+    st.just(0.0),
+    st.builds(float.__mul__, st.floats(1e-9, 50, exclude_max=True), st.sampled_from([1.0, -1.0])),
+)
+
+
+@st.composite
+def fresnel_cases(draw):
+    """A phase with exponents {1/2, 1} or {1, 2}, coefficients in (-50, 50),
+    on a pinned (0, 2^(n+1)) or sliding (2^n, 2^(n+1)) window up to 2^17 in
+    t; in one case of three the coefficients put the stationary point
+    u* = -a/(2b) inside the window.  Windows of {1, 2} stop at 2^10, beyond
+    which the rounding guard rejects most coefficients."""
+    low, high = draw(st.sampled_from([(F(1, 2), F(1)), (F(1), F(2))]))
+    L = low.denominator
+    n = draw(st.integers(0, 16 if L == 2 else 9))
+    lo, hi = (0.0, 2.0 ** (n + 1)) if draw(st.booleans()) else (2.0**n, 2.0 ** (n + 1))
+    if draw(st.integers(0, 2)) == 0:
+        a = draw(_COEF.filter(bool))
+        ustar = draw(st.floats(lo ** (1 / L), hi ** (1 / L)).filter(bool))
+        b = -a / (2 * ustar)
+        assume(abs(b) < 50)
+    else:
+        a, b = draw(_COEF), draw(_COEF)
+    return {low: a, high: b}, lo, hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(fresnel_cases())
+def test_fresnel_closed_form_within_its_bound(case):
+    """The closed form lies within its reported bound of the 30-digit erf
+    reference; a fallback lies within tol of it.  Where the phase has at most
+    2e4 cycles the adaptive panels, substitute + adaptive_integral, are a
+    second reference, within tol."""
+    coeffs, lo, hi = case
+    tol = 1e-8
+    try:
+        value, err, evals = osc_phase_average(coeffs, lo, hi, tol)
+    except QuadratureBudgetError as exc:
+        assert exc.evals == 0 and exc.est_error > tol  # the window guard
+        return
+    ref = fresnel_reference(coeffs, lo, hi)
+    if evals == 0:
+        assert abs(value - ref) <= err <= tol
+    else:
+        assert abs(value - ref) <= tol
+    phase = Phase(coeffs)
+    L, integrand, theta = phase.substitute(hi, tol)
+    u0, u1 = lo ** (1 / L), hi ** (1 / L)
+    if sum(abs(c) * u1 ** int(e * L) for e, c in phase.coeffs.items()) <= 2e4:
+        panels, _, _ = adaptive_integral(integrand, u0, u1, tol * (hi - lo), phase=theta)
+        assert abs(value - panels / (hi - lo)) <= tol
+
+
+def test_weideman_coefficients_match_the_fft_recipe():
+    """The literal coefficients of w are those of Weideman's own recipe: the
+    FFT of exp(-t^2) (L^2 + t^2) at t = L tan(k pi / 2M), M = 2N, N = 32."""
+    n = 32
+    m = 2 * n
+    scale = np.sqrt(n / np.sqrt(2))
+    t = scale * np.tan(np.arange(1 - m, m) * np.pi / (2 * m))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (scale * scale + t * t)))
+    a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
+    assert _W_SCALE == scale
+    assert np.allclose(_W_COEF, a[1 : n + 1][::-1], rtol=0, atol=1e-15)
+
+
+def test_faddeeva_meets_its_accuracy_constant_on_the_ray():
+    """w on the ray arg z = pi/4, from 0 to 1e12, within the relative
+    accuracy the closed form's bound charges for it (mpmath at 30 digits
+    beyond those of the phase z^2)."""
+    import mpmath as mp
+
+    radii = np.concatenate(([0.0], np.logspace(-8, 12, 241), np.linspace(0.05, 30.0, 600)))
+    worst = 0.0
+    for r in radii:
+        z = complex(_E8 * r)
+        with mp.workdps(30 + 2 * _digits(r)):
+            zm = mp.mpc(z)
+            ref = complex(mp.exp(-zm * zm) * mp.erfc(-1j * zm))
+        worst = max(worst, abs(_faddeeva(z) - ref) / abs(ref))
+    assert worst <= _W_REL
+
+
+@pytest.mark.parametrize(
+    "coeffs, window",
+    [
+        ({F(1): 0.37}, (3.0, 997.0)),
+        ({F(1): -7.0}, (0.0, 2.0**17)),
+        ({F(2): 1.0}, (64.0, 128.0)),  # t at alpha = 2: L = 1
+        ({F(1, 2): 1.0}, (1024.0, 2048.0)),  # t at alpha = 1/2
+        ({F(1, 2): -20 / 3, F(1): 1 / 3}, (0.0, 2.0**14)),  # stationary at t = 100
+        ({F(1): 2.5, F(2): -0.01}, (10.0, 300.0)),  # stationary at t = 125
+    ],
+)
+def test_closed_form_route_spends_no_evaluations(coeffs, window):
+    value, err, evals = osc_phase_average(coeffs, *window, 1e-8)
+    assert evals == 0
+    assert abs(value - fresnel_reference(coeffs, *window)) <= err <= 1e-8
+
+
+@pytest.mark.parametrize("coeffs, window", [
+    ({F(1, 2): 3.0, F(1): 1e-13}, (0.0, 1e4)),
+    ({F(1, 2): 1e-170}, (0.0, 10.0)),
+], ids=["small_b", "tiny_a"])
+def test_cancelling_closed_form_falls_back_to_panels(coeffs, window):
+    """With b = 1e-13 against a = 3 the closed form's boundary and Fresnel
+    terms, near 1e12 each, cancel; with b = 0 and a = 1e-170 its terms
+    overflow.  Either way its bound exceeds tol, and the panels answer
+    instead."""
+    value, err, evals = osc_phase_average(coeffs, *window, 1e-8)
+    assert evals > 0
+    assert abs(value - fresnel_reference(coeffs, *window)) <= 1e-8
+
+
+@pytest.mark.parametrize("phase", [
+    Phase({F(3, 2): 0.1}),
+    Phase({F(1, 2): 1.0, F(3, 2): 0.1}),
+    Phase({F(1, 2): 1.0}, shifted={F(1): 0.5}).at(2.0),
+], ids=["three_halves", "half_and_three_halves", "shifted"])
+def test_phases_beyond_the_closed_form_stay_on_panels(phase):
+    _, _, evals = phase.average(0.0, 100.0, 1e-8)
+    assert evals > 0
