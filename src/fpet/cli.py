@@ -5,7 +5,9 @@ duplicated keys are errors; relative paths resolve against the config file's
 directory).  Outputs land in the --out directory: a CSV per convergence
 experiment, a JSONL verdict stream for the checks, a text DAG for precedent
 enumeration.  Exit codes: 0 pass, 1 check failure, 2 input error, 3 numeric
-budget error.
+budget error.  The ``tol`` key is the quadrature tolerance of each phase
+integral, with two floors: check-vdc runs at max(tol, 1e-6), and the route
+check of verify-timechange at max(tol, 1e-7).
 
 Two tables define the front end.  :class:`ExperimentSpec` declares each
 config key once, as a field with its default and, in the field's metadata,
@@ -304,7 +306,11 @@ class ExperimentSpec:
         "because alpha < 1 needs intervals with a > 0",
     )
     n_max: int = _key(12, parse_int, _positive, "interval index bound")
-    tol: float = _key(1e-8, _number, _finite_positive, "quadrature tolerance per phase integral")
+    tol: float = _key(
+        1e-8, _number, _finite_positive,
+        "quadrature tolerance per phase integral; check-vdc runs at max(tol, 1e-6) and the "
+        "route check of verify-timechange at max(tol, 1e-7)",
+    )
     pass_tol: float = _key(1e-2, _number, _finite_positive, "pass threshold for diagnostics")
     budget: int = _key(10**7, parse_int, _positive, "evaluation budget per oscillatory integral")
     T: float = _key(1e4, _number, _finite_positive, "van der Corput horizon")

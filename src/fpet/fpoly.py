@@ -8,6 +8,10 @@ The height is part of the object's identity: the same map rewritten at a
 doubled height (zero vectors at the odd indices) is a different object, and
 the goodness predicate genuinely depends on the choice.  All coefficients are
 exact rationals; every predicate here is decided symbolically.
+
+The lead of phi is the integer j of its last nonzero vector v_j (0 for the
+zero map); its degree is the paper's j/d.  Within one height degrees compare
+as leads do, so the precedence order and the descent moves work on leads.
 """
 
 from __future__ import annotations
@@ -43,7 +47,9 @@ def _cache_hash(obj, fields: tuple) -> None:
 class FPoly:
     """One fractional polynomial: height, ambient dimension, coefficient rows.
 
-    ``coeffs[j-1]`` is the vector attached to the power t^(j/d).
+    ``coeffs[j-1]`` is the vector attached to the power t^(j/d).  ``lead``,
+    computed once at construction and outside equality and hashing, is the
+    largest j with v_j != 0, or 0 for the zero map.
     """
 
     height: int
@@ -63,6 +69,8 @@ class FPoly:
             if len(v) != self.ambient_dim:
                 raise ValueError("coefficient vector of wrong dimension")
         _cache_hash(self, (self.height, self.ambient_dim, self.coeffs))
+        lead = next((j for j in range(self.height, 0, -1) if any(self.coeffs[j - 1])), 0)
+        object.__setattr__(self, "lead", lead)
 
     def __hash__(self):
         return self._hash
@@ -83,21 +91,14 @@ class FPoly:
         vecs.extend([(_ZERO,) * dim] * (d - len(vecs)))
         return cls(height=d, ambient_dim=dim, coeffs=tuple(vecs))
 
-    def leading_index(self) -> int:
-        """Largest j with v_j != 0, or 0 for the zero map."""
-        for j in range(self.height, 0, -1):
-            if any(x != 0 for x in self.coeffs[j - 1]):
-                return j
-        return 0
-
 
 def degree(p: FPoly) -> Fraction:
     """Largest j/d with v_j != 0; the zero map has degree 0."""
-    return Fraction(p.leading_index(), p.height)
+    return Fraction(p.lead, p.height)
 
 
 def is_top_degree(p: FPoly) -> bool:
-    return p.leading_index() == p.height
+    return p.lead == p.height
 
 
 @lru_cache(maxsize=65536)
@@ -171,9 +172,6 @@ class FPolyFamily:
     def k(self) -> int:
         return len(self.members)
 
-    def degrees(self) -> tuple[Fraction, ...]:
-        return tuple(degree(p) for p in self.members)
-
 
 @lru_cache(maxsize=65536)
 def family_is_good(f: FPolyFamily) -> bool:
@@ -184,10 +182,9 @@ def family_is_good(f: FPolyFamily) -> bool:
     family jointly independent: above its lead a member's vectors are zero,
     and below it a zero or repeated vector is a dependence.  Cached: this is
     the hot predicate of the precedence order."""
-    leads = [p.leading_index() for p in f.members]
-    if 0 in leads:
+    if any(p.lead == 0 for p in f.members):
         return False
-    return is_independent([v for p, lead in zip(f.members, leads) for v in p.coeffs[:lead]])
+    return is_independent([v for p in f.members for v in p.coeffs[: p.lead]])
 
 
 def lift_to_independent(

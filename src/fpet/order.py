@@ -2,9 +2,10 @@
 
 A family psi precedes a family phi of the same height when psi is no larger,
 its degree-sorted members are pointwise no larger in degree, and something is
-strictly smaller (fewer members, or a strict degree drop).  Families of
-distinct heights always compare by height.  Three descent constructions
-realize the order:
+strictly smaller (fewer members, or a strict degree drop).  At one height d a
+degree is a lead j over d, so the comparison runs on the members' integer
+leads (:class:`~fpet.fpoly.FPoly`).  Families of distinct heights always
+compare by height.  Three descent constructions realize the order:
 
 * type I:   subtract a member of minimal leading degree from all others;
 * type II:  replace a top-degree member by its lower part (omitting it
@@ -26,7 +27,6 @@ from enum import Enum
 from .fpoly import (
     FPoly,
     FPolyFamily,
-    degree,
     family_is_good,
     is_top_degree,
     lower_part,
@@ -60,13 +60,13 @@ def precedes(a: FPolyFamily, b: FPolyFamily) -> bool:
         raise ValueError("precedence is defined on good families")
     if a.height != b.height:
         return a.height < b.height
-    da = sorted(a.degrees(), reverse=True)
-    db = sorted(b.degrees(), reverse=True)
-    if len(da) > len(db):
+    la = sorted((p.lead for p in a.members), reverse=True)
+    lb = sorted((p.lead for p in b.members), reverse=True)
+    if len(la) > len(lb):
         return False
-    if any(x > y for x, y in zip(da, db)):
+    if any(x > y for x, y in zip(la, lb)):
         return False
-    return len(da) < len(db) or any(x < y for x, y in zip(da, db))
+    return len(la) < len(lb) or any(x < y for x, y in zip(la, lb))
 
 
 def _checked(step: PrecedentStep) -> PrecedentStep:
@@ -84,7 +84,7 @@ def type1_precedent(f: FPolyFamily) -> PrecedentStep:
         raise ValueError("a type-I precedent needs at least two members")
     if not family_is_good(f):
         raise ValueError("type-I precedent is defined on good families")
-    leads = [p.leading_index() for p in f.members]
+    leads = [p.lead for p in f.members]
     j1 = min(leads)
     i1 = leads.index(j1)  # smallest index among the minimizers
     base = f.members[i1]
@@ -104,7 +104,7 @@ def type2_precedent(f: FPolyFamily, i: int) -> PrecedentStep:
     if not is_top_degree(member):
         raise ValueError("type-II precedent requires a top-degree member")
     low = lower_part(member)
-    if low.leading_index() == 0:
+    if low.lead == 0:
         new = f.members[: i - 1] + f.members[i:]
     else:
         new = f.members[: i - 1] + (low,) + f.members[i:]
@@ -119,8 +119,7 @@ def height_drop(f: FPolyFamily) -> PrecedentStep:
         raise ValueError("cannot drop the height of an empty family")
     if not family_is_good(f):
         raise ValueError("height drop is defined on good families")
-    leads = [p.leading_index() for p in f.members]
-    new_d = max(leads)
+    new_d = max(p.lead for p in f.members)
     if new_d == f.height:
         raise ValueError("height drop applies only when no member is top-degree")
     members = tuple(
@@ -131,8 +130,8 @@ def height_drop(f: FPolyFamily) -> PrecedentStep:
 
 
 def canonical_family(f: FPolyFamily) -> FPolyFamily:
-    """Members sorted by (degree descending, lexicographic coefficients)."""
-    members = sorted(f.members, key=lambda p: (-degree(p), p.coeffs))
+    """Members sorted by (lead descending, lexicographic coefficients)."""
+    members = sorted(f.members, key=lambda p: (-p.lead, p.coeffs))
     return FPolyFamily(f.height, f.ambient_dim, tuple(members))
 
 

@@ -168,37 +168,27 @@ def _adaptive_core(
     I, E = _eval_panels(f, a, b)
     evals = _EVALS_PER_PANEL * len(a)
 
-    def _sorted(a, b, I):
-        order = np.argsort(a, kind="stable")
-        return a[order], b[order], I[order]
-
-    def _partial(I, a):
-        order = np.argsort(a, kind="stable")
-        return complex(I[order].cumsum()[-1]) if len(I) else 0j
-
     prev_err = np.inf
     stalled = 0
+    failure = "panel refinement did not converge"
     for _ in range(_MAX_ROUNDS):
         err = float(E.sum())
         if err <= abs_tol:
-            a, b, I = _sorted(a, b, I)
-            return a, b, I, err, evals
+            break
         # refinement that stops reducing the estimate has hit a noise floor
         stalled = stalled + 1 if err > 0.97 * prev_err else 0
         prev_err = err
         if stalled >= 5:
-            raise QuadratureBudgetError(
-                "error estimate stagnated above tolerance", _partial(I, a), err, evals
-            )
+            failure = "error estimate stagnated above tolerance"
+            break
         cut = abs_tol / (2 * len(a))
         mask = E > cut
         if not mask.any():
             mask[int(np.argmax(E))] = True
         cost = 2 * _EVALS_PER_PANEL * int(mask.sum())
         if evals + cost > budget:
-            raise QuadratureBudgetError(
-                "evaluation budget exhausted", _partial(I, a), err, evals
-            )
+            failure = "evaluation budget exhausted"
+            break
         sa, sb = a[mask], b[mask]
         sm = 0.5 * (sa + sb)
         na = np.concatenate((a[~mask], sa, sm))
@@ -208,11 +198,14 @@ def _adaptive_core(
         I = np.concatenate((I[~mask], nI))
         E = np.concatenate((E[~mask], nE))
         a, b = na, nb
-    err = float(E.sum())
+    else:
+        err = float(E.sum())
+    order = np.argsort(a, kind="stable")
+    a, b, I = a[order], b[order], I[order]
     if err <= abs_tol:
-        a, b, I = _sorted(a, b, I)
         return a, b, I, err, evals
-    raise QuadratureBudgetError("panel refinement did not converge", _partial(I, a), err, evals)
+    # a failure carries the partial value, summed left to right
+    raise QuadratureBudgetError(failure, complex(I.cumsum()[-1]), err, evals)
 
 
 def adaptive_integral(
@@ -231,8 +224,7 @@ def adaptive_integral(
     is unreachable within the budget.
     """
     _, _, I, err, evals = _adaptive_core(f, lo, hi, abs_tol, budget, phase)
-    value = complex(I.cumsum()[-1]) if len(I) else 0j
-    return value, err, evals
+    return complex(I.cumsum()[-1]), err, evals
 
 
 class PanelTable:
@@ -315,8 +307,9 @@ class Phase:
     non-finite one is a ValueError).  A van der Corput correlation
     theta_1(t + h) - theta_2(t) puts theta_1 in the shifted block and is moved
     to each shift h by :meth:`at`.  Adaptive panels evaluate the curve only
-    through :meth:`substitute`; the closed form of :meth:`average` evaluates
-    theta only at the window's endpoints and its stationary point."""
+    through the u-integrand of :meth:`substitute`, after its window guard;
+    the closed form of :meth:`average` evaluates theta only at the window's
+    endpoints and its stationary point."""
 
     def __init__(self, coeffs: Mapping = {}, shifted: Mapping = {}):
         self.coeffs, self.shifted, self.h = _terms(coeffs), _terms(shifted), 0.0
@@ -378,8 +371,8 @@ class Phase:
         self, lo: float, hi: float, tol: float, budget: int = DEFAULT_BUDGET
     ) -> tuple[complex, float, int]:
         """Average of the curve over (lo, hi) with absolute tolerance ``tol``:
-        (value, error, evaluations).  Both methods run after the window guard
-        of :meth:`substitute`.
+        (value, error, evaluations).  Both methods run after one pass of the
+        window guard of :meth:`substitute`.
 
         With no shifted block, L <= 2 and degree at most 2 in u, the value is
         the Fresnel closed form, the error a derived bound and the
@@ -403,10 +396,9 @@ class Phase:
             value, err = self._fresnel(lo, hi, noise)
             if err <= tol:
                 return value, err, 0
-        width = hi - lo
-        L, integrand, theta = self.substitute(hi, tol)
+        width, L = hi - lo, self.L
         value, err, evals = adaptive_integral(
-            integrand, lo ** (1.0 / L), hi ** (1.0 / L), tol * width, budget, theta
+            self._u_integrand, lo ** (1.0 / L), hi ** (1.0 / L), tol * width, budget, self._u_theta
         )
         return value / width, err / width, evals
 

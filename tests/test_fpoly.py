@@ -34,6 +34,28 @@ def test_degree_examples():
     assert degree(fp([[0, 0]], height=2)) == 0
 
 
+def _scanned_lead(p):
+    """The largest j whose v_j has an entry != 0, or 0 for the zero map."""
+    return max((j for j, v in enumerate(p.coeffs, start=1) if any(x != 0 for x in v)), default=0)
+
+
+def test_lead_is_the_last_nonzero_index(rng):
+    members = [
+        p
+        for _ in range(40)
+        for p in random_good_family(rng, k=rng.randint(1, 4), height=rng.randint(1, 4), dim=14).members
+    ]
+    assert any(p.lead > 1 for p in members)
+    padded = [fp([[1, 0]], height=3), fp([[0, 0], [2, 1]], height=4), fp([[0, 0]], height=2),
+              fp([[1], [0], [1]]), fp([[0], [0], [1]])]
+    assert [p.lead for p in padded] == [1, 2, 0, 3, 3]
+    zeros = [lower_part(fp([[1]])), lower_part(fp([[0, 0], [1, 0]], height=2))]
+    zeros += [subtract(p, p) for p in members[:10]]
+    assert all(p.lead == 0 for p in zeros)
+    for p in members + padded + zeros + [lower_part(p) for p in members]:
+        assert p.lead == _scanned_lead(p)
+
+
 def test_is_good_examples():
     assert is_good(fp([[1, 0], [0, 1]]))
     assert not is_good(fp([[1, 0], [2, 0]]))
@@ -67,7 +89,7 @@ def _old_family_is_good(f):
     form behind is_independent."""
 
     def good(p):
-        lead = p.leading_index()
+        lead = p.lead
         return lead > 0 and rank(p.coeffs[:lead]) == lead
 
     vectors = [v for p in f.members for v in p.coeffs if any(v)]
@@ -119,7 +141,7 @@ def test_subtract_never_cancels_below_minimal_degree():
     rng = random.Random(7)
     for _ in range(30):
         fam = random_good_family(rng, k=3, height=3, dim=10)
-        j_min = min(p.leading_index() for p in fam.members)
+        j_min = min(p.lead for p in fam.members)
         for i, p in enumerate(fam.members):
             for q in fam.members[i + 1 :]:
                 diff = subtract(p, q)
@@ -209,7 +231,7 @@ def test_eval_subtract_linearity(rng):
         assert diff.coeffs == tuple(
             tuple(a - b for a, b in zip(u, w)) for u, w in zip(p.coeffs, q.coeffs)
         )
-        assert subtract(diff, diff).leading_index() == 0
+        assert subtract(diff, diff).lead == 0
 
 
 def test_family_text_round_trip(rng):

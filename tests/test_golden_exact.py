@@ -47,9 +47,14 @@ def test_exact_fixture_outputs_are_byte_identical(tmp_path, capsys, stem):
     assert (rc, _sha(stdout.encode()), files) == GOLDEN[stem]
 
 
-# the benchmark's seed-1 exact_descent inputs: k = 3 at height 2 on T^3, with
-# 16-term observables, written by perfbench/inputs.py (read, never changed)
+# the benchmark's seed-1 exact_descent inputs, written by perfbench/inputs.py
+# (read, never changed): the descent template, leads (3, 3, 2, 2, 1, 1) at
+# height 3 in Q^12, whose DAG has 574 nodes and 1,478 edges; and k = 3 at
+# height 2 on T^3, with 16-term observables
 BENCH_GOLDEN = {
+    "precedents": (0, "977761a2a9d432bae31bf11c528c25b58f6edbc13105a961075c0463c2837f73", {
+        "precedents.dag": "1b09b45e2f9c606bb12e863c7433cb8a1a4011443dfa5aa7d191e089235b2092",
+    }),
     "characteristic": (0, "219a837b8dd2523df580aa6b40669d596fcfe60bb51f2cc75cc3237ad0df2fd1", {
         "characteristic.jsonl": "3bdc1cd9a4f0245888bea2b5382998c8b87e177c80bbe7743ab00947b3e98376",
     }),

@@ -148,7 +148,7 @@ def test_xi_factor_contains_full_invariance(plane_system, rng):
 
     for _ in range(10):
         fam = fpoly.random_good_family(rng, k=2, height=1, dim=2)
-        if fam.members[-1].leading_index() != 1:
+        if fam.members[-1].lead != 1:
             continue
         xi = xi_factor(plane_system, fam)
         identity = [[1, 0], [0, 1]]
@@ -166,7 +166,7 @@ def test_xi_factor_matches_the_rref_span_route(rng):
     while checked < 300:
         k, height = rng.randint(1, 4), rng.randint(1, 3)
         fam = random_good_family(rng, k, height, rng.randint(k, k * height))
-        top = [p for p in fam.members if p.leading_index() == height]
+        top = [p for p in fam.members if p.lead == height]
         if not top:
             continue
         last = top[0]
