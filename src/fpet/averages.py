@@ -15,17 +15,18 @@ Fresnel closed form with a derived error bound (see
 closed forms whose bound misses the tolerance run on adaptive Gauss panels.
 
 c_j is linear in the tuple, so each member's contribution chi^T A v_{i,j} is
-computed once per support frequency, as integers over one common
-denominator (the phase tables).  Finite-interval averages and the van der
-Corput correlations enumerate every tuple and sum its table rows.  The exact
-limits, self-joining moments and the partially-characteristic-factor
-witnesses need only the tuples whose phase vector vanishes.  Each exact
-command finds them once, with a meet-in-the-middle hash join on the tables
-(:func:`_resonant_tuples`), at a cost of about |S|^ceil(k/2) plus the number
-of survivors for supports of size |S|, instead of |S|^k; Haar orthogonality
-against f_0 is then one lookup per survivor, outside the join.  Survivors
-come out in itertools.product order, the order a full enumeration visits
-them, so every float sum is the same.
+computed once per support frequency, as integers over one common denominator
+(the phase tables).  A finite-interval command enumerates the tuples once,
+grouped by phase vector and output (:func:`_phase_groups`): a window averages
+each distinct phase vector once, and the van der Corput step pairs phase
+groups.  The exact limits, self-joining moments and the
+partially-characteristic-factor witnesses need only the tuples whose phase
+vector vanishes.  Each exact command finds them once, with a
+meet-in-the-middle hash join on the tables (:func:`_resonant_tuples`), at a
+cost of about |S|^ceil(k/2) plus the number of survivors for supports of size
+|S|, instead of |S|^k; Haar orthogonality against f_0 is then one lookup per
+survivor, outside the join.  Survivors come out in itertools.product order,
+the order a full enumeration visits them, so every float sum is the same.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ Freq = tuple[int, ...]
 
 @dataclass(frozen=True)
 class AverageResult:
-    """A finite-interval multiple average in Fourier coordinates, with a
-    per-coefficient error bound."""
+    """A finite-interval multiple average in Fourier coordinates and its
+    per-coefficient error (an estimate wherever adaptive panels ran)."""
 
     value: TrigPoly
     interval: tuple[float, float]
@@ -68,6 +69,7 @@ class AverageResult:
 
 
 _Entry = tuple[Freq, complex, tuple[int, ...]]  # (chi, coefficient, integer phase row)
+_Group = tuple[dict[Fraction, float], dict[Freq, list[complex]]]  # see _phase_groups
 
 
 def _phase_tables(
@@ -116,14 +118,27 @@ def _tuple_term(entries: Sequence[_Entry]):
 
 
 def _tuple_data(
-    sys: TorusSystem, fam: FPolyFamily, fs: Sequence[TrigPoly]
-) -> Iterator[tuple[tuple[Freq, ...], Freq, complex, tuple[Fraction, ...]]]:
+    tables: Sequence[Sequence[_Entry]], width: int
+) -> Iterator[tuple[tuple[Freq, ...], Freq, complex, tuple[int, ...]]]:
     """Enumerate frequency tuples: (tuple, output frequency, coefficient
-    product, exact phase vector), in itertools.product order."""
-    tables, denom = _phase_tables(sys, fam, fs)
+    product, integer phase vector over denom), in itertools.product order."""
     for entries in itertools.product(*tables):
-        phase = _vsum((n for _, _, n in entries), fam.height)
-        yield *_tuple_term(entries), tuple(Fraction(n, denom) for n in phase)
+        yield *_tuple_term(entries), _vsum((n for _, _, n in entries), width)
+
+
+def _phase_groups(sys: TorusSystem, fam: FPolyFamily, fs: Sequence[TrigPoly]) -> list[_Group]:
+    """The tuples grouped by phase vector n, in increasing n.  A group holds
+    its Phase coefficients {j/d: n_j/denom} (empty for n = 0) and, per
+    output, its tuples' coefficient products in itertools.product order."""
+    tables, denom = _phase_tables(sys, fam, fs)
+    d = fam.height
+    groups: dict[tuple[int, ...], dict[Freq, list[complex]]] = {}
+    for _, out, prod, n in _tuple_data(tables, d):
+        groups.setdefault(n, {}).setdefault(out, []).append(prod)
+    return [
+        ({Fraction(j + 1, d): nj / denom for j, nj in enumerate(n)} if any(n) else {}, groups[n])
+        for n in sorted(groups)
+    ]
 
 
 def _partial_sums(
@@ -193,37 +208,33 @@ def multiple_average(
     Each distinct exact phase vector is averaged once, by
     :func:`~fpet.quadrature.osc_phase_average` on its float coefficients; an
     identically zero phase contributes exactly 1 with zero error.  At height
-    d <= 2 the average is the Fresnel closed form and its error a derived
-    bound; otherwise, or when that bound exceeds ``tol``, it is adaptive
-    panels and their error estimate.  ``tol`` bounds the absolute error of
-    each distinct phase average, not of each output coefficient: a
-    coefficient sums several averages, and its bound,
-    sum |coefficient product| * average error, is the one reported in
-    ``AverageResult.est_error``.
+    d <= 2 the average is the Fresnel closed form and its error a derived bound;
+    otherwise, or when that bound exceeds ``tol``, it is adaptive panels and
+    their error estimate.  ``tol`` applies to each distinct phase average, not
+    to each output coefficient, whose ``AverageResult.est_error`` is sum
+    |coefficient product| * average error: a bound or an estimate as above.
     """
+    return _window_average(sys.m, _phase_groups(sys, fam, fs), interval, tol, budget)
+
+
+def _window_average(
+    m: int, groups: Sequence[_Group], interval: tuple[float, float], tol: float, budget: int
+) -> AverageResult:
+    """:func:`multiple_average` over one window, from the phase groups."""
     a, b = float(interval[0]), float(interval[1])
     if not 0 <= a < b:
         raise ValueError("need an interval (a, b) with 0 <= a < b")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be finite and positive")
-    d = fam.height
-    groups: dict[tuple[Fraction, ...], list[tuple[Freq, complex]]] = {}
-    for _, out, prod, cvec in _tuple_data(sys, fam, fs):
-        groups.setdefault(cvec, []).append((out, prod))
-
     value: dict[Freq, complex] = {}
     errors: dict[Freq, float] = {}
-    for cvec in sorted(groups):
-        if all(c == 0 for c in cvec):
-            avg, err = 1.0 + 0j, 0.0
-        else:
-            avg, err, _ = osc_phase_average(
-                {Fraction(j + 1, d): float(c) for j, c in enumerate(cvec)}, a, b, tol, budget
-            )
-        for out, prod in groups[cvec]:
-            value[out] = value.get(out, 0j) + prod * avg
-            errors[out] = errors.get(out, 0.0) + abs(prod) * err
-    return AverageResult(TrigPoly(sys.m, value), (a, b), errors)
+    for coeffs, by_out in groups:
+        avg, err = osc_phase_average(coeffs, a, b, tol, budget)[:2] if coeffs else (1.0 + 0j, 0.0)
+        for out, prods in by_out.items():
+            for prod in prods:
+                value[out] = value.get(out, 0j) + prod * avg
+                errors[out] = errors.get(out, 0.0) + abs(prod) * err
+    return AverageResult(TrigPoly(m, value), (a, b), errors)
 
 
 def symbolic_limit(
@@ -323,11 +334,12 @@ def convergence_diagnostic(
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     limit = symbolic_limit(sys, fam, fs)
+    groups = _phase_groups(sys, fam, fs)
     rows = []
     prev: TrigPoly | None = None
     for n in range(1, n_max + 1):
         a, b = seq.interval(n)
-        res = multiple_average(sys, fam, fs, (a, b), quad_tol, budget)
+        res = _window_average(sys.m, groups, (a, b), quad_tol, budget)
         dist = (res.value - limit).norm2()
         cauchy = (res.value - prev).norm2() if prev is not None else math.nan
         rows.append(ConvergenceRow(n, a, b, dist, cauchy, res.max_coeff_error()))
@@ -346,16 +358,14 @@ class VdcReport:
     H: float
 
 
-def _correlation_pairs(
-    sys: TorusSystem, fam: FPolyFamily, fs: Sequence[TrigPoly]
-) -> list[tuple[complex, Phase]]:
+def _correlation_pairs(groups: Sequence[_Group]) -> list[tuple[complex, Phase]]:
     """Weighted phases theta_1(t + h) - theta_2(t) entering <u(t+h), u(t)>:
-    frequency tuples pair up exactly when their output frequencies agree
-    (Haar orthogonality)."""
+    two phase groups pair up at each output they share (Haar orthogonality),
+    weighted P * conj(P'), P the group's summed coefficient products there."""
     by_out: dict[Freq, list[tuple[complex, dict[Fraction, float]]]] = {}
-    for _, out, prod, cvec in _tuple_data(sys, fam, fs):
-        terms = {Fraction(j + 1, fam.height): float(c) for j, c in enumerate(cvec)}
-        by_out.setdefault(out, []).append((prod, terms))
+    for coeffs, outs in groups:
+        for out, prods in outs.items():
+            by_out.setdefault(out, []).append((sum(prods), coeffs))
     return [
         (p1 * p2.conjugate(), Phase({e: -c for e, c in c2.items()}, shifted=c1))
         for out in sorted(by_out)
@@ -403,9 +413,9 @@ def vdc_bound_check(
     holds without slack)."""
     if not (0 < T < math.inf and 0 < H < math.inf):
         raise ValueError("T and H must be finite and positive")
-    avg = multiple_average(sys, fam, fs, (0.0, T), quad_tol, budget)
-    lhs = avg.value.norm2() ** 2
-    pairs = _correlation_pairs(sys, fam, fs)
+    groups = _phase_groups(sys, fam, fs)
+    lhs = _window_average(sys.m, groups, (0.0, T), quad_tol, budget).value.norm2() ** 2
+    pairs = _correlation_pairs(groups)
 
     def outer(hs):
         return np.array(

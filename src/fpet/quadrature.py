@@ -27,10 +27,12 @@ phase to its average over a window, and it picks one of two methods.
   cycles (17 uniform edges when no phase is given or its variation is not
   finite and positive).  A fixed-order Gauss-Legendre rule is applied per
   panel, and the difference between the 24-point and 15-point rules serves
-  as a conservative per-panel error estimate (a 15-point rule is essentially
-  exact below 3 cycles per panel, a 24-point rule well beyond 5, so the
-  estimate brackets the truth).  Panels with the largest estimates are
-  bisected until the absolute tolerance or the evaluation budget is reached.
+  as the per-panel error estimate.  It is an estimate, not a proven bound:
+  it mostly measures the 15-point rule's own error (a 15-point rule is
+  essentially exact below 3 cycles per panel, a 24-point rule well beyond
+  5), and nothing shows that it brackets the true error of the 24-point
+  value.  Panels with the largest estimates are bisected until the absolute
+  tolerance or the evaluation budget is reached.
 """
 from __future__ import annotations
 

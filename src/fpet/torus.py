@@ -12,6 +12,7 @@ Hermite form, and conditional expectations are Fourier truncations.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -79,11 +80,22 @@ def _unit_phase(phi: Fraction) -> complex:
     return cmath.exp(2j * cmath.pi * float(phi))
 
 
+def _frequency(chi: Sequence[int]) -> tuple[int, ...]:
+    """chi as a tuple of ints; an entry that is not an integer (1.5, and also
+    1.0 or Fraction(1)) is a ValueError rather than truncated.  numpy integers
+    are integers."""
+    try:
+        return tuple(map(operator.index, chi))
+    except TypeError:
+        raise ValueError(f"frequency {tuple(chi)!r} has a non-integer entry") from None
+
+
 class TrigPoly:
     """Finitely supported frequency-to-coefficient map on T^m.
 
     Instances are immutable by convention; every operation returns a fresh
-    object and drops exactly-zero coefficients.
+    object and drops exactly-zero coefficients.  Frequencies must be integer
+    vectors and coefficients finite (else ``ValueError``).
     """
 
     __slots__ = ("m", "terms")
@@ -93,10 +105,12 @@ class TrigPoly:
             raise ValueError("torus dimension must be positive")
         table: dict[tuple[int, ...], complex] = {}
         for chi, c in (terms or {}).items():
-            chi = tuple(int(x) for x in chi)
+            chi = _frequency(chi)
             if len(chi) != m:
                 raise ValueError(f"frequency {chi} does not live on T^{m}")
             c = complex(c)
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient {c} at frequency {chi} is not finite")
             if c != 0:
                 table[chi] = c
         self.m = m
@@ -214,7 +228,7 @@ class CharacterLattice:
         return cls(m, ())
 
     def contains(self, chi: Sequence[int]) -> bool:
-        chi = tuple(int(x) for x in chi)
+        chi = _frequency(chi)
         if len(chi) != self.m:
             raise ValueError("character of the wrong dimension")
         return hermite_contains(self.basis, chi)

@@ -19,6 +19,7 @@ from fpet.averages import (
 )
 from fpet.fpoly import FPolyFamily, random_good_family
 from fpet.interval import TemperedSequence, tempered_family
+from fpet.quadrature import DEFAULT_BUDGET, Phase
 from fpet.torus import CharacterLattice, TorusSystem, TrigPoly, act, project_factor, xi_factor
 
 F = Fraction
@@ -466,6 +467,17 @@ def closure_reference(a1, a2, d, h):
     return integrand, phase
 
 
+def _grouped_reference(sys, fam, fs):
+    """The tuple rows of ``_tuple_data`` grouped by (output, n): per output,
+    in sorted order, the sorted (n, summed coefficient products)."""
+    tables, denom = averages._phase_tables(sys, fam, fs)
+    sums = {}
+    for _, out, prod, n in averages._tuple_data(tables, fam.height):
+        row = sums.setdefault(out, {})
+        row[n] = row.get(n, 0j) + prod
+    return denom, [sorted(sums[out].items()) for out in sorted(sums)]
+
+
 def test_correlation_phase_matches_closure_formula(plane_system):
     fam = FPolyFamily.make([[[1, 0], [0, 1]], [[F(1, 3), 1], [1, 0]]])
     fs = [
@@ -473,16 +485,14 @@ def test_correlation_phase_matches_closure_formula(plane_system):
         TrigPoly(2, {(-1, 0): 0.7, (0, 0): 0.1, (0, -1): 0.4 - 0.1j}),
     ]
     d = fam.height
-    by_out = {}
-    for _, out, prod, cvec in averages._tuple_data(plane_system, fam, fs):
-        by_out.setdefault(out, []).append((prod, np.array([float(c) for c in cvec])))
+    denom, by_out = _grouped_reference(plane_system, fam, fs)
     expected = [
-        (p1 * p2.conjugate(), a1, a2)
-        for out in sorted(by_out)
-        for p1, a1 in by_out[out]
-        for p2, a2 in by_out[out]
+        (p1 * p2.conjugate(), np.array(n1) / denom, np.array(n2) / denom)
+        for groups in by_out
+        for n1, p1 in groups
+        for n2, p2 in groups
     ]
-    pairs = averages._correlation_pairs(plane_system, fam, fs)
+    pairs = averages._correlation_pairs(averages._phase_groups(plane_system, fam, fs))
     assert [w for w, _ in pairs] == [w for w, _, _ in expected]
     u = np.linspace(0.0, 10.0, 201)
     seen = set()
@@ -503,3 +513,59 @@ def test_correlation_phase_matches_closure_formula(plane_system):
             assert np.max(np.abs(integrand(v) * jac - ref_integrand(u))) <= 1e-12 * d * u[-1] ** (d - 1)
             assert np.allclose(theta(v), ref_theta(u), rtol=1e-12, atol=1e-12)
     assert seen == {1, 2}
+
+
+def test_correlation_pairs_merge_tuples_with_one_phase_and_output(plane_system):
+    """Two identical members on the identity system: a tuple's phase vector is
+    its output frequency, so each output holds one phase group.  The 25
+    tuples have 12 outputs, hence 12 group pairs against 65 tuple pairs, and
+    both sums of correlations agree within the quadrature tolerance."""
+    fam = FPolyFamily.make([[[1, 0], [0, 1]], [[1, 0], [0, 1]]])
+    support = [(-1, -1), (-1, 0), (0, -1), (0, 0), (1, 0)]
+    fs = [
+        TrigPoly(2, {chi: complex(0.3 + 0.1 * i, 0.2 * j - 0.15) for i, chi in enumerate(support)})
+        for j in range(2)
+    ]
+    pairs = averages._correlation_pairs(averages._phase_groups(plane_system, fam, fs))
+    assert len(pairs) == 12
+    _, by_out = _grouped_reference(plane_system, fam, fs)
+    assert [w for w, _ in pairs] == [
+        p1 * p2.conjugate() for groups in by_out for _, p1 in groups for _, p2 in groups
+    ]
+
+    tables, denom = averages._phase_tables(plane_system, fam, fs)
+    tuples = {}
+    for _, out, prod, n in averages._tuple_data(tables, fam.height):
+        coeffs = {F(j + 1, fam.height): x / denom for j, x in enumerate(n)}
+        tuples.setdefault(out, []).append((prod, coeffs))
+    tuple_pairs = [
+        (p1 * p2.conjugate(), Phase({e: -c for e, c in c2.items()}, shifted=c1))
+        for out in sorted(tuples)
+        for p1, c1 in tuples[out]
+        for p2, c2 in tuples[out]
+    ]
+    assert len(tuple_pairs) == 65
+    T, tol = 50.0, 1e-6
+    slack = 2 * tol * sum(abs(w) for w, _ in tuple_pairs)
+    for h in (0.3, 1.7, 4.0):
+        grouped = averages._correlation_average(pairs, T, h, tol, DEFAULT_BUDGET)
+        single = averages._correlation_average(tuple_pairs, T, h, tol, DEFAULT_BUDGET)
+        assert abs(grouped - single) <= slack
+
+
+def test_tuples_are_enumerated_once_per_command(circle_system, monkeypatch):
+    calls = []
+    enumerate_tuples = averages._tuple_data
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_tuples(*args)
+
+    monkeypatch.setattr(averages, "_tuple_data", counted)
+    fam = FPolyFamily.make([[[F(1, 3)], [1]]])
+    f = TrigPoly(1, {(1,): 0.5, (-2,): 0.3j, (0,): 0.2})
+    report = convergence_diagnostic(circle_system, fam, [f], tempered_family("pinned"), 4)
+    assert len(report.rows) == 4 and len(calls) == 1
+    calls.clear()
+    vdc_bound_check(circle_system, fam, [f], 20.0, 2.0)
+    assert len(calls) == 1

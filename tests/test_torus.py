@@ -1,6 +1,7 @@
 import cmath
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from rref_reference import rref
 
@@ -221,6 +222,33 @@ def test_trigpoly_algebra():
     assert (f + g).norm2() == pytest.approx(2**0.5)
     assert (f - f).terms == {}
     assert TrigPoly.one(1).haar() == 1.0 + 0j
+
+
+def test_trigpoly_rejects_non_integer_frequencies():
+    # int() used to truncate: the (1.5, 0) term silently became (1, 0) and was
+    # then overwritten by the genuine (1, 0) term
+    with pytest.raises(ValueError, match="non-integer"):
+        TrigPoly(2, {(1.5, 0): 1.0, (1, 0): 2.0})
+    with pytest.raises(ValueError, match="non-integer"):
+        TrigPoly(1, {(F(1, 2),): 1.0})
+    f = TrigPoly(2, {(np.int64(1), np.int32(-2)): 1.0})
+    assert f.terms == {(1, -2): 1.0 + 0j}
+    assert all(type(x) is int for x in f.support()[0])
+
+
+def test_lattice_contains_rejects_non_integer_characters():
+    full = CharacterLattice.full(2)
+    with pytest.raises(ValueError, match="non-integer"):
+        full.contains((0.5, 0))
+    assert full.contains(np.array([1, -2]))
+    assert not CharacterLattice.from_generators(2, [[2, 0], [0, 1]]).contains((1, 0))
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), complex(1.0, float("-inf"))])
+def test_trigpoly_rejects_non_finite_coefficients(c):
+    # a nan coefficient used to pass, and multiple_average then returned nan+nanj
+    with pytest.raises(ValueError, match="not finite"):
+        TrigPoly(2, {(1, 0): c})
 
 
 def test_system_text_round_trip():
