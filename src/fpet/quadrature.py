@@ -33,6 +33,16 @@ phase to its average over a window, and it picks one of two methods.
   5), and nothing shows that it brackets the true error of the 24-point
   value.  Panels with the largest estimates are bisected until the absolute
   tolerance or the evaluation budget is reached.
+
+The adaptive panels have a batch axis.  A phase moved to a vector of N
+shifts by :meth:`Phase.at` returns N rows, and one adaptive pass integrates
+them all on one window: the rows share one layout, from the largest
+variation over the rows in each probe cell, and one refinement mask, which
+bisects a panel where some row that has not converged still has an estimate
+above its cut.  Each row meets the tolerance on its own summed estimate,
+within its own evaluation budget, and the batch reports the largest row
+error.  A single integrand is a batch with no row axis and runs the same
+code.
 """
 from __future__ import annotations
 
@@ -40,7 +50,7 @@ import cmath
 import copy
 import numbers
 from fractions import Fraction
-from math import isfinite, lcm, pi, sqrt
+from math import isfinite, lcm, pi, prod, sqrt
 from typing import Callable, Mapping
 
 import numpy as np
@@ -51,6 +61,8 @@ DEFAULT_BUDGET = 10**7
 _CYCLES_PER_PANEL = 3.5
 _CHUNK_POINTS = 1 << 13  # integrand points per vectorized call
 _MAX_ROUNDS = 64
+_PROBES = 513  # layout probes per row
+_BATCH_ROWS = _CHUNK_POINTS // _PROBES  # rows whose layout probes fill one chunk
 _EVALS_PER_PANEL = 24 + 15
 _EPS = float(np.finfo(float).eps)
 
@@ -97,7 +109,8 @@ def _faddeeva(z: complex) -> complex:
 class QuadratureBudgetError(RuntimeError):
     """Non-convergence within the evaluation budget.
 
-    Carries the partial value and the achieved error estimate.
+    Carries the partial value (an array over a batch) and the achieved error
+    estimate (the largest row error of a batch).
     """
 
     def __init__(self, message: str, value: complex, est_error: float, evals: int):
@@ -107,43 +120,56 @@ class QuadratureBudgetError(RuntimeError):
         self.evals = evals
 
 
-def _gauss(f, a: np.ndarray, b: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _gauss(
+    f, a: np.ndarray, b: np.ndarray, x: np.ndarray, w: np.ndarray, batch: tuple = ()
+) -> np.ndarray:
     """The Gauss rule (nodes ``x``, weights ``w`` on [-1, 1]) on each panel
-    (a_k, b_k), calling ``f`` on at most ``_CHUNK_POINTS`` points at a time.
-    The weight reduction is an einsum loop, which hands no work to a BLAS
-    thread."""
-    out = np.empty(len(a), dtype=complex)
-    step = max(1, _CHUNK_POINTS // len(x))
+    (a_k, b_k), of shape ``batch + (len(a),)``.  ``f`` gets the nodes of a
+    run of panels as one vector, or for a batch of N rows as a broadcast
+    (N, m) view of it, and returns values of the same shape; each call
+    holds at most ``_CHUNK_POINTS`` points in all.  The weight reduction is
+    an einsum loop, which hands no work to a BLAS thread."""
+    out = np.empty(batch + (len(a),), dtype=complex)
+    step = max(1, _CHUNK_POINTS // (len(x) * prod(batch)))
     for s in range(0, len(a), step):
         aa, bb = a[s : s + step], b[s : s + step]
         mid, half = 0.5 * (aa + bb), 0.5 * (bb - aa)
-        v = np.asarray(f((mid[:, None] + half[:, None] * x).ravel()), dtype=complex)
-        out[s : s + step] = np.einsum("ij,j->i", v.reshape(len(aa), len(x)), w) * half
+        nodes = (mid[:, None] + half[:, None] * x).ravel()
+        v = f(np.broadcast_to(nodes, batch + nodes.shape) if batch else nodes)
+        v = np.asarray(v, dtype=complex).reshape(batch + (len(aa), len(x)))
+        out[..., s : s + step] = np.einsum("...ij,j->...i", v, w) * half
     return out
 
 
-def _eval_panels(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eval_panels(f, a: np.ndarray, b: np.ndarray, batch: tuple) -> tuple[np.ndarray, np.ndarray]:
     """24-point Gauss integrals over the panels and their distance to the
-    15-point ones, the per-panel error estimate."""
-    i24 = _gauss(f, a, b, _X24, _W24)
-    return i24, np.abs(i24 - _gauss(f, a, b, _X15, _W15))
+    15-point ones, the per-panel error estimate, per row of the batch."""
+    i24 = _gauss(f, a, b, _X24, _W24, batch)
+    return i24, np.abs(i24 - _gauss(f, a, b, _X15, _W15, batch))
 
 
 def _probe_cycles(lo: float, hi: float, phase) -> tuple[np.ndarray, np.ndarray]:
     """513 probes across (lo, hi) and the cycles of ``phase`` in each probe
-    cell: its variation |theta(p_(i+1)) - theta(p_i)| across the cell."""
-    probes = np.linspace(lo, hi, 513)
+    cell: its variation |theta(p_(i+1)) - theta(p_i)| across the cell, one
+    row per row of a batched phase."""
+    probes = np.linspace(lo, hi, _PROBES)
     return probes, np.abs(np.diff(phase(probes)))
 
 
-def _initial_edges(lo: float, hi: float, phase, budget: int) -> np.ndarray:
+def _initial_edges(lo: float, hi: float, phase, budget: int) -> tuple[np.ndarray, tuple]:
+    """The initial panel edges and the batch shape: () for one integrand,
+    (N,) for a phase that returns N rows.  A batch shares one layout, laid
+    out from the largest variation over its rows in each probe cell."""
     base = np.linspace(lo, hi, 17)
     if phase is None:
-        return base
+        return base, ()
     probes, cycles = _probe_cycles(lo, hi, phase)
+    batch = cycles.shape[:-1]
+    if batch:
+        cycles = cycles.max(axis=0)
     total = float(cycles.sum())
     if not (isfinite(total) and total > 0.0):
-        return base
+        return base, batch
     # leave at least half the budget for error-driven refinement
     cap = max(16, budget // (2 * _EVALS_PER_PANEL))
     n_panels = int(min(total / _CYCLES_PER_PANEL + 16, cap))
@@ -151,42 +177,60 @@ def _initial_edges(lo: float, hi: float, phase, budget: int) -> np.ndarray:
     targets = np.linspace(0.0, total, n_panels + 1)
     edges = np.interp(targets, cum, probes)
     edges[0], edges[-1] = lo, hi
-    return np.union1d(edges, base)
+    return np.union1d(edges, base), batch
+
+
+def _row_sums(I: np.ndarray):
+    """Panel integrals summed left to right along the last axis: a complex
+    for one row, else an array over the batch."""
+    total = I.cumsum(axis=-1)[..., -1]
+    return complex(total) if total.ndim == 0 else total
 
 
 def _adaptive_core(
     f, lo: float, hi: float, abs_tol: float, budget: int, phase
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
-    """Shared refinement loop; returns panels sorted left to right as
-    (left edges, right edges, panel integrals, error estimate, evaluations)."""
+    """Shared refinement loop over one batch of integrands on one window.
+
+    Returns panels sorted left to right as (left edges, right edges, panel
+    integrals of shape batch + (panels,), largest row error estimate,
+    evaluations per row).  The rows share their panels: a round bisects
+    each panel where some row that has not converged has an estimate above
+    the cut, and a row has converged when its own summed estimate is at
+    most ``abs_tol``.  ``budget`` and the stall rule apply to each row, as
+    for a single integrand."""
     if not (isfinite(lo) and lo < hi and isfinite(hi)):
         raise ValueError("need a finite, nonempty integration interval")
     if not (isfinite(abs_tol) and abs_tol > 0):
         raise ValueError("tolerance must be finite and positive")
-    edges = _initial_edges(float(lo), float(hi), phase, budget)
+    edges, batch = _initial_edges(float(lo), float(hi), phase, budget)
     a, b = edges[:-1], edges[1:]
     if _EVALS_PER_PANEL * len(a) > budget:
-        raise QuadratureBudgetError("budget too small for the initial panels", 0j, np.inf, 0)
-    I, E = _eval_panels(f, a, b)
+        zero = np.zeros(batch, dtype=complex) if batch else 0j
+        raise QuadratureBudgetError("budget too small for the initial panels", zero, np.inf, 0)
+    # rows on the first axis, one row when unbatched
+    I, E = (x.reshape(-1, len(a)) for x in _eval_panels(f, a, b, batch))
     evals = _EVALS_PER_PANEL * len(a)
 
-    prev_err = np.inf
-    stalled = 0
+    prev_err = np.full(len(I), np.inf)
+    stalled = np.zeros(len(I), dtype=int)
     failure = "panel refinement did not converge"
     for _ in range(_MAX_ROUNDS):
-        err = float(E.sum())
-        if err <= abs_tol:
+        errs = E.sum(axis=1)
+        open_rows = errs > abs_tol
+        if not open_rows.any():
             break
-        # refinement that stops reducing the estimate has hit a noise floor
-        stalled = stalled + 1 if err > 0.97 * prev_err else 0
-        prev_err = err
-        if stalled >= 5:
+        # refinement that stops reducing a row's estimate has hit a noise floor
+        stalled = np.where(open_rows & (errs > 0.97 * prev_err), stalled + 1, 0)
+        prev_err = errs
+        if stalled.max() >= 5:
             failure = "error estimate stagnated above tolerance"
             break
         cut = abs_tol / (2 * len(a))
-        mask = E > cut
+        worst = E[open_rows].max(axis=0)
+        mask = worst > cut
         if not mask.any():
-            mask[int(np.argmax(E))] = True
+            mask[int(np.argmax(worst))] = True
         cost = 2 * _EVALS_PER_PANEL * int(mask.sum())
         if evals + cost > budget:
             failure = "evaluation budget exhausted"
@@ -195,19 +239,20 @@ def _adaptive_core(
         sm = 0.5 * (sa + sb)
         na = np.concatenate((a[~mask], sa, sm))
         nb = np.concatenate((b[~mask], sm, sb))
-        nI, nE = _eval_panels(f, np.concatenate((sa, sm)), np.concatenate((sm, sb)))
+        nI, nE = _eval_panels(f, np.concatenate((sa, sm)), np.concatenate((sm, sb)), batch)
         evals += cost
-        I = np.concatenate((I[~mask], nI))
-        E = np.concatenate((E[~mask], nE))
+        I = np.concatenate((I[:, ~mask], nI.reshape(len(I), -1)), axis=1)
+        E = np.concatenate((E[:, ~mask], nE.reshape(len(E), -1)), axis=1)
         a, b = na, nb
     else:
-        err = float(E.sum())
+        errs = E.sum(axis=1)
+    err = float(errs.max())
     order = np.argsort(a, kind="stable")
-    a, b, I = a[order], b[order], I[order]
+    a, b, I = a[order], b[order], I[:, order].reshape(batch + (len(a),))
     if err <= abs_tol:
         return a, b, I, err, evals
     # a failure carries the partial value, summed left to right
-    raise QuadratureBudgetError(failure, complex(I.cumsum()[-1]), err, evals)
+    raise QuadratureBudgetError(failure, _row_sums(I), err, evals)
 
 
 def adaptive_integral(
@@ -217,16 +262,25 @@ def adaptive_integral(
     abs_tol: float,
     budget: int = DEFAULT_BUDGET,
     phase: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[complex, float, int]:
+) -> tuple[complex | np.ndarray, float, int]:
     """Integral of a vectorized complex integrand with absolute tolerance.
 
     ``phase``, when given, is the integrand's phase in cycles; its variation
     lays out the initial panels.  Returns (value, error estimate,
     evaluations); raises :class:`QuadratureBudgetError` when the tolerance
     is unreachable within the budget.
+
+    A phase that maps the m probes to an (N, m) array makes a batch: N
+    integrands on one window, which ``f`` evaluates at once, mapping an
+    (N, m) array of nodes (a broadcast view of one node vector) to their N
+    rows of values.  The rows share their panels and are refined in one
+    pass per round; each row meets ``abs_tol`` on its own, within its own
+    ``budget`` of evaluations.  The value is then an array of the N
+    integrals, the error the largest row error, and the evaluations are
+    counted per row.
     """
     _, _, I, err, evals = _adaptive_core(f, lo, hi, abs_tol, budget, phase)
-    return complex(I.cumsum()[-1]), err, evals
+    return _row_sums(I), err, evals
 
 
 class PanelTable:
@@ -323,10 +377,14 @@ class Phase:
         # the shifted terms with float exponents
         self._moved = [(float(e), s) for e, s in self.shifted.items()]
 
-    def at(self, h: float) -> "Phase":
-        """The same phase at shift h; the term tables are shared."""
+    def at(self, h) -> "Phase":
+        """The same phase at shift h; the term tables are shared.  A vector
+        of N shifts gives one phase for all of them: its phase and
+        u-integrand then return one row per shift, shape (N, m)."""
         moved = copy.copy(self)
-        moved.h = float(h)
+        h = np.asarray(h, dtype=float)
+        # a batch of shifts runs down the rows
+        moved.h = float(h) if h.ndim == 0 else h[:, None]
         return moved
 
     def power(self, alpha) -> "Phase":
@@ -343,8 +401,9 @@ class Phase:
 
         Float phases carry a rounding error of about
         eps * (sum_e |c_e| hi^e + sum_e |s_e| (hi + h)^e) cycles on t <= hi,
-        which moves any average over such t by up to 2*pi times that; when
-        this bound exceeds ``tol`` the window is too far out to resolve, and
+        h the shift (the largest of a batch), which moves any average over
+        such t by up to 2*pi times that; when this bound exceeds ``tol`` the
+        window is too far out to resolve, and
         :class:`QuadratureBudgetError` is raised with the bound as its error
         estimate and no evaluations.  A ``tol`` that is not finite and
         positive, or an infinite ``hi``, is a ValueError.
@@ -359,9 +418,10 @@ class Phase:
         hi = float(hi)
         if not isfinite(hi):
             raise ValueError("the window must be finite")
+        h = self.h if isinstance(self.h, float) else float(self.h.max())  # largest of a batch
         noise = 2 * np.pi * _EPS * (
             sum(abs(c) * hi ** float(e) for e, c in self.coeffs.items())
-            + sum(abs(s) * (hi + self.h) ** e for e, s in self._moved)
+            + sum(abs(s) * (hi + h) ** e for e, s in self._moved)
         )
         if noise > tol:
             raise QuadratureBudgetError(
@@ -482,7 +542,9 @@ class Phase:
             x = u**self.L + self.h
             for e, s in self._moved:
                 theta = theta + s * x**e
-        return theta
+        if isinstance(self.h, float):
+            return theta
+        return np.broadcast_to(theta, np.broadcast(theta, self.h).shape)
 
 
 def osc_phase_average(

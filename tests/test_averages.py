@@ -19,7 +19,7 @@ from fpet.averages import (
 )
 from fpet.fpoly import FPolyFamily, random_good_family
 from fpet.interval import TemperedSequence, tempered_family
-from fpet.quadrature import DEFAULT_BUDGET, Phase
+from fpet.quadrature import _BATCH_ROWS, DEFAULT_BUDGET, Phase, adaptive_integral
 from fpet.torus import CharacterLattice, TorusSystem, TrigPoly, act, project_factor, xi_factor
 
 F = Fraction
@@ -569,3 +569,82 @@ def test_tuples_are_enumerated_once_per_command(circle_system, monkeypatch):
     calls.clear()
     vdc_bound_check(circle_system, fam, [f], 20.0, 2.0)
     assert len(calls) == 1
+
+
+def _panel_correlation(pairs, T, h, tol):
+    """avg over (0, T) of <u(t+h), u(t)>, each pair on its own panels at the
+    one shift h: the route of every non-constant pair before batching."""
+    total = 0j
+    for weight, phase in pairs:
+        if phase.coeffs or phase.shifted:
+            L, integrand, theta = phase.at(h).substitute(T, tol)
+            u1 = T ** (1.0 / L)
+            value, _, _ = adaptive_integral(integrand, 0.0, u1, tol * T, DEFAULT_BUDGET, theta)
+            total += weight * value / T
+        else:
+            total += weight
+    return total
+
+
+def _counting_integrals(monkeypatch):
+    calls = []
+    real = averages.adaptive_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(averages, "adaptive_integral", counted)
+    return calls
+
+
+def test_linear_pairs_take_the_closed_form(plane_system, linear_pair_family, monkeypatch):
+    """At height 1 a pair's phase is (c1 - c2) t + c1 h: its average is
+    e(c1 h) times the average of e((c1 - c2) t), with no panels.  The pairs
+    here cover c1 = c2 != 0, c1 != c2 and an empty shifted block."""
+    fs = [
+        TrigPoly(2, {(1, 0): 0.5, (0, 1): 0.3j, (1, 1): -0.2}),
+        TrigPoly(2, {(-1, 0): 0.7, (0, 0): 0.1, (0, -1): 0.4 - 0.1j}),
+    ]
+    groups = averages._phase_groups(plane_system, linear_pair_family, fs)
+    pairs = averages._correlation_pairs(groups)
+    kinds = {
+        (phase.shifted.get(1, 0.0) == -phase.coeffs.get(1, 0.0), bool(phase.shifted))
+        for _, phase in pairs
+        if phase.coeffs or phase.shifted
+    }
+    # (c1 == c2, a shifted block)
+    assert kinds == {(True, True), (False, True), (False, False)}
+    T, tol = 20.0, 1e-6
+    hs = np.linspace(0.0, 2.0, 23)[1:]
+    reference = np.array([_panel_correlation(pairs, T, h, tol) for h in hs])
+    calls = _counting_integrals(monkeypatch)
+    batched = averages._correlation_average(pairs, T, hs, tol, DEFAULT_BUDGET)
+    assert calls == []
+    assert np.max(np.abs(batched - reference)) <= tol * sum(abs(w) for w, _ in pairs)
+    vdc_bound_check(plane_system, linear_pair_family, fs, T, 2.0)
+    assert len(calls) == 1  # the outer integral over h alone
+
+
+def test_correlation_batches_match_scalar_shifts(plane_system, monkeypatch):
+    """At height 2 every pair with a term in t^(1/2) runs one adaptive
+    integral per batch of at most _BATCH_ROWS shifts (the others are
+    linear, or constant), and the batched correlations agree with the pairs'
+    own panels at each shift."""
+    fam = FPolyFamily.make([[[1, 0], [0, 1]], [[F(1, 3), 1], [1, 0]]])
+    fs = [
+        TrigPoly(2, {(1, 0): 0.5, (0, 1): 0.3j, (1, 1): -0.2}),
+        TrigPoly(2, {(-1, 0): 0.7, (0, 0): 0.1, (0, -1): 0.4 - 0.1j}),
+    ]
+    pairs = averages._correlation_pairs(averages._phase_groups(plane_system, fam, fs))
+    moving = sum(1 for _, phase in pairs if (set(phase.coeffs) | set(phase.shifted)) - {1})
+    T, tol = 50.0, 1e-7
+    hs = np.linspace(0.1, 6.0, 2 * _BATCH_ROWS + 3)
+    calls = _counting_integrals(monkeypatch)
+    batched = averages._correlation_average(pairs, T, hs, tol, DEFAULT_BUDGET)
+    assert len(calls) == 3 * moving > 0
+    assert batched.shape == hs.shape
+    slack = tol * sum(abs(w) for w, _ in pairs)
+    for h, value in zip(hs, batched):
+        assert abs(value - _panel_correlation(pairs, T, h, tol)) <= slack
+    assert isinstance(averages._correlation_average(pairs, T, 1.5, tol, DEFAULT_BUDGET), complex)

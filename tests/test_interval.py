@@ -203,9 +203,9 @@ def test_weighted_average_queries_inner_once_per_batch(monkeypatch, alpha, inter
     rounds = []
     real_eval = quadrature._eval_panels
 
-    def counting_eval(f, a, b):
+    def counting_eval(f, a, b, *batch):
         rounds.append(len(a))
-        return real_eval(f, a, b)
+        return real_eval(f, a, b, *batch)
 
     monkeypatch.setattr(quadrature, "_eval_panels", counting_eval)
     calls, points = [], []

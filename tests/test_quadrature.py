@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import fpet
 from fpet.quadrature import (
+    _BATCH_ROWS,
+    _CHUNK_POINTS,
     _E8,
     _W_COEF,
     _W_REL,
@@ -193,7 +195,8 @@ def test_adaptive_average_uses_curve_hint():
     curve = lambda t: np.exp(2j * np.pi * t / 3)
     hint = lambda t: t / 3
     # 1365 cycles: the layout gives them about 400 panels, the uniform 16
-    assert len(_initial_edges(0.0, 4096.0, hint, DEFAULT_BUDGET)) > 400
+    edges, batch = _initial_edges(0.0, 4096.0, hint, DEFAULT_BUDGET)
+    assert len(edges) > 400 and batch == ()
     value, _, _ = adaptive_integral(curve, 0.0, 4096.0, 1e-10 * 4096.0, phase=hint)
     assert abs(value / 4096.0 - closed_linear_average(1 / 3, 0.0, 4096.0)) < 1e-9
 
@@ -228,7 +231,8 @@ def test_layout_counts_the_cycles_of_the_phase(monkeypatch, coeffs, window):
 def test_layout_falls_back_to_uniform_edges(phase):
     """A phase whose variation is not finite and positive lays out the 17
     uniform edges, and the integral still converges from them."""
-    assert np.array_equal(_initial_edges(2.0, 5.0, phase, DEFAULT_BUDGET), np.linspace(2.0, 5.0, 17))
+    edges, batch = _initial_edges(2.0, 5.0, phase, DEFAULT_BUDGET)
+    assert np.array_equal(edges, np.linspace(2.0, 5.0, 17)) and batch == ()
     value, err, _ = adaptive_integral(np.cos, 2.0, 5.0, 1e-12, phase=phase)
     assert abs(value - (np.sin(5.0) - np.sin(2.0))) < 1e-12 and err <= 1e-12
 
@@ -553,3 +557,89 @@ def test_cancelling_closed_form_falls_back_to_panels(coeffs, window):
 def test_phases_beyond_the_closed_form_stay_on_panels(phase):
     _, _, evals = phase.average(0.0, 100.0, 1e-8)
     assert evals > 0
+
+
+# ---------------------------------------------------------------------------
+# the batch axis of the adaptive core
+
+
+def _u_integral(phase, T, tol, wrap=lambda f: f):
+    """The integral of ``phase`` over t in (0, T) in u = t^(1/L), as the van
+    der Corput correlations take it: (value, error, evaluations)."""
+    L, integrand, theta = phase.substitute(T, tol)
+    return adaptive_integral(wrap(integrand), 0.0, T ** (1.0 / L), tol * T, phase=theta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    T=st.floats(4.0, 600.0),
+    hs=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=_BATCH_ROWS),
+    tol=st.sampled_from([1e-6, 1e-10]),
+)
+def test_batched_rows_match_scalar_calls(coeffs, T, hs, tol):
+    a, b, s1, s2 = coeffs
+    phase = Phase({F(1, 2): a, F(1): b / 10}, shifted={F(1, 2): s1, F(1): s2 / 10})
+    values, err, _ = _u_integral(phase.at(hs), T, tol)
+    assert values.shape == (len(hs),) and err <= tol * T
+    for h, value in zip(hs, values):
+        single, _, _ = _u_integral(phase.at(h), T, tol)
+        assert abs(value - single) <= tol * T
+
+
+def test_batch_refines_a_row_that_alone_needs_it():
+    """Row 0 is constant and exact on the 16 uniform panels that a flat
+    phase lays out; row 1 winds 400.5 times over them.  Only row 1 asks for
+    refinement, and it still converges."""
+    freqs = np.array([0.0, 400.5])
+
+    def f(u):
+        return np.exp(2j * np.pi * freqs[:, None] * u)
+
+    flat = lambda u: np.zeros((2, np.size(u)))
+    values, err, _ = adaptive_integral(f, 0.0, 1.0, 1e-10, phase=flat)
+    assert err <= 1e-10
+    assert values[0] == 1.0
+    assert abs(values[1] - closed_linear_average(400.5, 0.0, 1.0)) <= 1e-10
+
+
+def test_batch_hands_its_integrand_broadcast_rows_within_one_chunk():
+    """A batch of N equal shifts lays out and refines exactly as the one
+    shift does, so a counting wrapper sees N times the points of the single
+    call, in (N, m) arrays of at most one chunk each."""
+    phase = Phase({F(1, 2): 1.3, F(1): -0.02}, shifted={F(1, 2): -0.7, F(1): 0.025})
+    T, tol, N = 3000.0, 1e-9, _BATCH_ROWS
+    shapes = {"one": [], "batch": []}
+
+    def recorder(name):
+        def wrap(f):
+            def counted(u):
+                shapes[name].append(np.shape(u))
+                return f(u)
+            return counted
+        return wrap
+
+    one, _, one_evals = _u_integral(phase.at(2.5), T, tol, recorder("one"))
+    batch, _, evals = _u_integral(phase.at(np.full(N, 2.5)), T, tol, recorder("batch"))
+    assert all(len(s) == 1 for s in shapes["one"])
+    assert len(shapes["batch"]) > len(shapes["one"])  # the chunk bound splits the batch
+    assert all(len(s) == 2 and s[0] == N for s in shapes["batch"])
+    assert max(map(np.prod, shapes["batch"])) <= _CHUNK_POINTS
+    assert sum(map(np.prod, shapes["batch"])) == N * sum(map(np.prod, shapes["one"]))
+    assert evals == one_evals
+    assert np.max(np.abs(batch - one)) <= 1e-14 * T
+
+
+def test_far_window_guard_takes_the_largest_shift_of_a_batch():
+    """The guard of a batch is that of its largest shift: a last shift of
+    1e14 refuses the window with the bound the scalar call at 1e14 reports,
+    while the same batch without it passes."""
+    phase = Phase({F(1): -1e-3}, shifted={F(1): 0.1234567})
+    hs = np.array([1e3, 1e6, 1e14])
+    assert phase.at(hs[:-1]).substitute(1000.5, 1e-8)[0] == 1
+    with pytest.raises(QuadratureBudgetError) as batch:
+        phase.at(hs).substitute(1000.5, 1e-8)
+    with pytest.raises(QuadratureBudgetError) as single:
+        phase.at(hs[-1]).substitute(1000.5, 1e-8)
+    assert batch.value.evals == 0
+    assert batch.value.est_error == single.value.est_error > 1e-8
