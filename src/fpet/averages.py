@@ -11,9 +11,8 @@ interval averages touch floating point.  Each scalar average, and each van
 der Corput correlation theta_1(t + h) - theta_2(t), is one
 :class:`~fpet.quadrature.Phase`.  At height d <= 2 a scalar average is a
 Fresnel closed form with a derived error bound (see
-:meth:`~fpet.quadrature.Phase.average`); higher heights, the correlations
-(but for pairs of linear phases) and closed forms whose bound misses the
-tolerance run on adaptive Gauss panels.
+:meth:`~fpet.quadrature.Phase.average`); higher heights, the correlations and
+closed forms whose bound misses the tolerance run on adaptive Gauss panels.
 
 c_j is linear in the tuple, so each member's contribution chi^T A v_{i,j} is
 computed once per support frequency, as integers over one common denominator
@@ -22,10 +21,9 @@ grouped by phase vector and output (:func:`_phase_groups`): a window averages
 each distinct phase vector once, and the van der Corput step pairs phase
 groups.  A van der Corput correlation runs at many shifts h at once: each
 pair's phase is moved to a batch of shifts and integrated in one adaptive
-pass (see :func:`_correlation_average`), and a pair of two linear phases has
-a closed form in t and h.  The exact limits, self-joining moments and the
-partially-characteristic-factor witnesses need only the tuples whose phase
-vector vanishes.  Each exact command finds them once, with a
+pass (see :func:`_correlation_average`).  The exact limits, self-joining
+moments and the partially-characteristic-factor witnesses need only the
+tuples whose phase vector vanishes.  Each exact command finds them once, with a
 meet-in-the-middle hash join on the tables (:func:`_resonant_tuples`), at a
 cost of about |S|^ceil(k/2) plus the number of survivors for supports of size
 |S|, instead of |S|^k; Haar orthogonality against f_0 is then one lookup per
@@ -384,30 +382,21 @@ def _correlation_average(
     """avg over t in (0, T) of <u(t+h), u(t)> at each shift h of ``hs``: a
     complex for a scalar h, else an array over the shifts.
 
-    Each pair's phase is moved to all the shifts at once, and its window
-    guard (which refuses a window too far out for the float phase) runs at
-    the largest of them before any work.  A pair whose two blocks hold only
-    the exponent 1 has the phase (c1 - c2) t + c1 h, so its average is
-    e(c1 h) times the closed-form average of e((c1 - c2) t), computed once
-    per pair.  Every other pair is integrated after its substitution
-    t = u^L, which keeps the phase derivative bounded near zero even for
-    fractional exponents, on batches of ``_BATCH_ROWS`` shifts: one
+    Each non-constant pair is integrated after its substitution t = u^L,
+    which keeps the phase derivative bounded near zero even for fractional
+    exponents, on batches of ``_BATCH_ROWS`` shifts: one
     :func:`~fpet.quadrature.adaptive_integral` per batch, whose rows share
-    their panels and each meet ``tol`` on their own."""
+    their panels and each meet ``tol`` on their own.  The window guard of a
+    batch (which refuses a window too far out for the float phase) takes
+    its largest shift."""
     shifts = np.atleast_1d(np.asarray(hs, dtype=float))
     total = np.zeros(shifts.shape, dtype=complex)
     for weight, phase in pairs:
         if not (phase.coeffs or phase.shifted):
             total += weight
             continue
-        L, _, _ = phase.at(shifts).substitute(T, tol)
-        if set(phase.coeffs) | set(phase.shifted) == {1}:
-            c1 = phase.shifted.get(1, 0.0)
-            base, _, _ = Phase({1: c1 + phase.coeffs.get(1, 0.0)}).average(0.0, T, tol, budget)
-            total += weight * (np.exp(2j * np.pi * ((c1 * shifts) % 1.0)) * base)
-            continue
         for s in range(0, len(shifts), _BATCH_ROWS):
-            _, integrand, theta = phase.at(shifts[s : s + _BATCH_ROWS]).substitute(T, tol)
+            L, integrand, theta = phase.at(shifts[s : s + _BATCH_ROWS]).substitute(T, tol)
             values, _, _ = adaptive_integral(integrand, 0.0, T ** (1.0 / L), tol * T, budget, theta)
             total[s : s + _BATCH_ROWS] += weight * values / T
     return complex(total[0]) if np.ndim(hs) == 0 else total

@@ -598,46 +598,17 @@ def _counting_integrals(monkeypatch):
     return calls
 
 
-def test_linear_pairs_take_the_closed_form(plane_system, linear_pair_family, monkeypatch):
-    """At height 1 a pair's phase is (c1 - c2) t + c1 h: its average is
-    e(c1 h) times the average of e((c1 - c2) t), with no panels.  The pairs
-    here cover c1 = c2 != 0, c1 != c2 and an empty shifted block."""
-    fs = [
-        TrigPoly(2, {(1, 0): 0.5, (0, 1): 0.3j, (1, 1): -0.2}),
-        TrigPoly(2, {(-1, 0): 0.7, (0, 0): 0.1, (0, -1): 0.4 - 0.1j}),
-    ]
-    groups = averages._phase_groups(plane_system, linear_pair_family, fs)
-    pairs = averages._correlation_pairs(groups)
-    kinds = {
-        (phase.shifted.get(1, 0.0) == -phase.coeffs.get(1, 0.0), bool(phase.shifted))
-        for _, phase in pairs
-        if phase.coeffs or phase.shifted
-    }
-    # (c1 == c2, a shifted block)
-    assert kinds == {(True, True), (False, True), (False, False)}
-    T, tol = 20.0, 1e-6
-    hs = np.linspace(0.0, 2.0, 23)[1:]
-    reference = np.array([_panel_correlation(pairs, T, h, tol) for h in hs])
-    calls = _counting_integrals(monkeypatch)
-    batched = averages._correlation_average(pairs, T, hs, tol, DEFAULT_BUDGET)
-    assert calls == []
-    assert np.max(np.abs(batched - reference)) <= tol * sum(abs(w) for w, _ in pairs)
-    vdc_bound_check(plane_system, linear_pair_family, fs, T, 2.0)
-    assert len(calls) == 1  # the outer integral over h alone
-
-
 def test_correlation_batches_match_scalar_shifts(plane_system, monkeypatch):
-    """At height 2 every pair with a term in t^(1/2) runs one adaptive
-    integral per batch of at most _BATCH_ROWS shifts (the others are
-    linear, or constant), and the batched correlations agree with the pairs'
-    own panels at each shift."""
+    """At height 2 every non-constant pair, linear ones included, runs one
+    adaptive integral per batch of at most _BATCH_ROWS shifts, and the
+    batched correlations agree with the pairs' own panels at each shift."""
     fam = FPolyFamily.make([[[1, 0], [0, 1]], [[F(1, 3), 1], [1, 0]]])
     fs = [
         TrigPoly(2, {(1, 0): 0.5, (0, 1): 0.3j, (1, 1): -0.2}),
         TrigPoly(2, {(-1, 0): 0.7, (0, 0): 0.1, (0, -1): 0.4 - 0.1j}),
     ]
     pairs = averages._correlation_pairs(averages._phase_groups(plane_system, fam, fs))
-    moving = sum(1 for _, phase in pairs if (set(phase.coeffs) | set(phase.shifted)) - {1})
+    moving = sum(1 for _, phase in pairs if phase.coeffs or phase.shifted)
     T, tol = 50.0, 1e-7
     hs = np.linspace(0.1, 6.0, 2 * _BATCH_ROWS + 3)
     calls = _counting_integrals(monkeypatch)

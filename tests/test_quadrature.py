@@ -578,13 +578,16 @@ def _u_integral(phase, T, tol, wrap=lambda f: f):
     tol=st.sampled_from([1e-6, 1e-10]),
 )
 def test_batched_rows_match_scalar_calls(coeffs, T, hs, tol):
+    """Each batched row and the scalar call at its shift both estimate
+    their error at most tol * T, on different panels, so they agree to
+    within twice that."""
     a, b, s1, s2 = coeffs
     phase = Phase({F(1, 2): a, F(1): b / 10}, shifted={F(1, 2): s1, F(1): s2 / 10})
     values, err, _ = _u_integral(phase.at(hs), T, tol)
     assert values.shape == (len(hs),) and err <= tol * T
     for h, value in zip(hs, values):
         single, _, _ = _u_integral(phase.at(h), T, tol)
-        assert abs(value - single) <= tol * T
+        assert abs(value - single) <= 2 * tol * T
 
 
 def test_batch_refines_a_row_that_alone_needs_it():

@@ -60,7 +60,7 @@ def test_traced_commands_count_work_and_keep_outputs(tmp_path):
     counts = result["counts"]
     assert counts.get("averages.phase_vectors", 0) > 0
     # one outer integral over the shift, then one per batch of shifts for each
-    # pair that is neither constant nor linear
+    # non-constant pair
     assert counts.get("averages.correlation_integrals", 0) > 1
     assert counts.get("quadrature.evals", 0) > 0
     assert counts.get("interval.kernel_points", 0) > 0
