@@ -12,9 +12,13 @@ routes take a :class:`~fpet.quadrature.Phase` and pass the window guard of
 for the float phase.  The direct one averages ``v.power(alpha)`` with
 :meth:`~fpet.quadrature.Phase.average`, which is a Fresnel closed form when
 the powered phase has exponents within {1/2, 1} or within {1, 2} (v = t at
-alpha = 1/2 or 2) and adaptive panels otherwise; the weight route tabulates v
-itself on adaptive panels in u = t^(1/L) and weights its nested averages by
-the kernel.
+alpha = 1/2 or 2) and adaptive panels otherwise; the weight route takes the
+nested averages of v itself in that closed form, on arrays of windows, and
+weights them by the kernel, so its v must have exponents within {1/2, 1} or
+within {1, 2}.  Where the direct route also takes the closed form, the two
+use different branches of it: for v = t the nested averages are linear in t,
+while v.power(2) is quadratic (the Fresnel branch) and v.power(1/2) is
+linear in u = t^(1/2) with the amplitude 2u.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import DEFAULT_BUDGET, PanelTable, Phase, adaptive_integral
+from .quadrature import DEFAULT_BUDGET, Phase, QuadratureBudgetError, adaptive_integral
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,11 @@ class TimeChangeWeights:
         ``inner_average`` must accept arrays: it is called as
         ``inner_average(ts, B)`` (tail) or ``inner_average(A, ts)`` (head) once
         per batch of outer quadrature nodes ``ts``, and must return the array
-        of averages over the windows; :meth:`PanelTable.average` does.
+        of averages over the windows, as
+        :meth:`~fpet.quadrature.Phase.average` does on arrays of windows.  The
+        outer integral meets ``tol`` on its error estimate, or
+        :class:`~fpet.quadrature.QuadratureBudgetError` is raised; the error of
+        the rule's own values is the caller's to add.
         """
         A, B = self.support
         total = self.w0 * inner_average(A, B)
@@ -220,20 +228,28 @@ def time_changed_average_via_weights(
 ) -> complex:
     """The same average through the weight decomposition; the independent
     cross-check route for :func:`time_changed_average` (agreement within
-    2 * tol is the consistency contract)."""
+    2 * tol is the consistency contract).
+
+    The nested averages of ``v`` are the closed form of
+    :meth:`~fpet.quadrature.Phase.average` on arrays of windows, each with
+    its bound, so ``v`` must have exponents within {1/2, 1} or within {1, 2}
+    (ValueError otherwise).  The kernel is nonnegative and w0 plus its mass
+    is 1, so the route errs by at most the outer integral's error (at most
+    tol / 2) plus the largest nested bound; where that sum exceeds ``tol``,
+    :class:`~fpet.quadrature.QuadratureBudgetError` is raised."""
     weights = time_change_weights(alpha, interval)
-    A, B = weights.support
-    # the kernel's weights sum to 1, so phase rounding moves the result by no
-    # more than it moves one nested average: the guard takes the route's tol
-    L, integrand, theta = v.substitute(B, tol)
-    uA, uB = A ** (1.0 / L), B ** (1.0 / L)
-    # one panelized pass over the full support, at absolute tolerance
-    # tol / 100 * (B - A); the kernel then queries nested averages at
-    # single-Gauss-panel cost, well below the outer noise floor
-    table = PanelTable(integrand, uA, uB, tol / 100 * ((B - A) / (uB - uA)), budget, theta)
+    worst = 0.0  # the largest nested bound
 
     def inner_average(lo, hi):
-        ulo, uhi = lo ** (1.0 / L), hi ** (1.0 / L)
-        return table.average(ulo, uhi) * ((uhi - ulo) / (hi - lo))
+        nonlocal worst
+        # an array end takes the closed form's array route, for w0's window too
+        values, bounds, _ = v.average(np.asarray(lo, dtype=float), hi, tol / 2, budget)
+        worst = max(worst, float(np.max(bounds)))
+        return values
 
-    return weights.weighted_average(inner_average, tol / 2, budget)
+    value = weights.weighted_average(inner_average, tol / 2, budget)
+    if tol / 2 + worst > tol:
+        raise QuadratureBudgetError(
+            "the nested averages miss their share of the tolerance", complex(value), tol / 2 + worst, 0
+        )
+    return complex(value)

@@ -17,7 +17,14 @@ phase to its average over a window, and it picks one of two methods.
   32-term rational approximation (SIAM J. Numer. Anal. 31, 1994); the window
   is split at the stationary point u = -a/(2b), so every w lies on the ray
   arg z = pi/4 and no two erf values of similar size are subtracted.  The
-  result carries a derived error bound and no evaluations.
+  result carries a derived error bound and no evaluations.  The formula is
+  written once for floats and numpy arrays: each end of the window
+  contributes its own terms of a primitive, so :meth:`Phase.average` also
+  takes arrays of windows (a float end, such as the shared end of the
+  time-change kernel's tail or head windows, is evaluated once), returning
+  a value and a bound per window.  A narrow window, whose end terms cancel,
+  takes e(a*mid)*sinc when the phase is linear and otherwise one 24-point
+  Gauss piece in u with a bound from Cauchy's estimate.
 * Adaptive panels, for every other phase and whenever the closed form's
   bound exceeds the tolerance (b tiny against a, or a tiny with b = 0, where
   its terms cancel).  The initial panels are laid out from the phase itself:
@@ -50,7 +57,7 @@ import cmath
 import copy
 import numbers
 from fractions import Fraction
-from math import isfinite, lcm, pi, prod, sqrt
+from math import comb, isfinite, lcm, pi, prod, sqrt
 from typing import Callable, Mapping
 
 import numpy as np
@@ -96,14 +103,26 @@ _W_REL = 1e-13
 _E8 = cmath.exp(0.25j * pi)  # exp(i*pi/4)
 
 
-def _faddeeva(z: complex) -> complex:
-    """w(z) = exp(-z^2)*erfc(-iz) for Im z >= 0, by Weideman's approximation."""
+def _faddeeva(z):
+    """w(z) = exp(-z^2)*erfc(-iz) for Im z >= 0, by Weideman's approximation;
+    ``z`` a complex or an array of them."""
     d = _W_SCALE - 1j * z
     big_z = (_W_SCALE + 1j * z) / d
     p = 0j
     for c in _W_COEF:
         p = p * big_z + c
     return (2 * p / d + 1 / sqrt(pi)) / d
+
+
+# truncation constant of the 24-point Gauss rule under Cauchy's estimate,
+# 1 / (49 C(48, 24)^2): see Phase._gauss_bound
+_G24_TRUNC = 1.0 / (49 * comb(48, 24) ** 2)
+
+
+def _one_row(u):
+    """The node vector of a broadcast (N, m) view of one, as the rows of a
+    batch get their nodes from :func:`_gauss`; any other ``u`` itself."""
+    return u[0] if u.ndim == 2 and u.strides[0] == 0 else u
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -283,63 +302,6 @@ def adaptive_integral(
     return _row_sums(I), err, evals
 
 
-class PanelTable:
-    """Panelized antiderivative of a curve over a fixed window.
-
-    One adaptive pass stores the panel decomposition and its prefix sums;
-    integrals from ``lo`` to any point then cost one prefix-sum lookup plus
-    one 24-point Gauss piece from the left edge of the point's panel.  Built
-    for the time-change decomposition, whose kernel weights a continuum of
-    nested interval averages of the same curve.
-
-    Array protocol: :meth:`integral_to` and :meth:`average` accept scalars
-    or arrays.  A scalar query returns a Python ``complex``.  An array query
-    returns a complex array of the broadcast shape, with one ``searchsorted``
-    for the panels, one gather of the prefix sums, and the partial Gauss
-    pieces in vectorized calls of the curve of at most ``_CHUNK_POINTS``
-    points each (:func:`_gauss`, as for the panels themselves); its values
-    are those of the scalar queries.
-    """
-
-    def __init__(self, f, lo: float, hi: float, tol: float,
-                 budget: int = DEFAULT_BUDGET, phase=None):
-        a, b, I, err, _ = _adaptive_core(f, float(lo), float(hi), tol * (hi - lo), budget, phase)
-        self._f = f
-        self.lo, self.hi = float(lo), float(hi)
-        self._edges = np.append(a, b[-1])
-        self._prefix = np.concatenate(([0j], I.cumsum()))
-        self.est_error = err
-
-    def _gauss_pieces(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """24-point Gauss integrals over (a, b) elementwise; 0 where b <= a
-        (a NaN endpoint propagates)."""
-        out = np.zeros(len(a), dtype=complex)
-        todo = np.flatnonzero(~(b <= a))
-        out[todo] = _gauss(self._f, a[todo], b[todo], _X24, _W24)
-        return out
-
-    def integral_to(self, t):
-        """Integral of the curve from ``lo`` to ``t``, clamped to the window."""
-        t = np.asarray(t, dtype=float)
-        x = np.clip(t.ravel(), self.lo, self.hi)
-        k = np.searchsorted(self._edges, x, side="right") - 1
-        np.clip(k, 0, len(self._edges) - 2, out=k)
-        value = self._prefix[k] + self._gauss_pieces(self._edges[k], x)
-        return complex(value[0]) if t.ndim == 0 else value.reshape(t.shape)
-
-    def average(self, lo, hi):
-        """Average of the curve over (lo, hi); raises if any window is empty."""
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        if not np.all(hi > lo):
-            raise ValueError("empty averaging window")
-        diff, width = np.broadcast_arrays(self.integral_to(hi) - self.integral_to(lo), hi - lo)
-        # divide the parts by the real width, as Python's complex / float does
-        # (numpy's complex division multiplies by a reciprocal)
-        out = np.empty(diff.shape, dtype=complex)
-        out.real, out.imag = diff.real / width, diff.imag / width
-        return complex(out) if out.ndim == 0 else out
-
-
 def _exponent(e, what: str = "phase exponents") -> Fraction:
     # a float such as 0.2 would bring a denominator near 2^54
     if not isinstance(e, numbers.Rational):
@@ -374,8 +336,9 @@ class Phase:
         self._asc = np.zeros(max((int(e * self.L) for e in self.coeffs), default=0) + 1)
         for e, c in self.coeffs.items():
             self._asc[int(e * self.L)] = c
-        # the shifted terms with float exponents
+        # the terms with float exponents and, unshifted, absolute coefficients
         self._moved = [(float(e), s) for e, s in self.shifted.items()]
+        self._sizes = [(float(e), abs(c)) for e, c in self.coeffs.items()]
 
     def at(self, h) -> "Phase":
         """The same phase at shift h; the term tables are shared.  A vector
@@ -420,7 +383,7 @@ class Phase:
             raise ValueError("the window must be finite")
         h = self.h if isinstance(self.h, float) else float(self.h.max())  # largest of a batch
         noise = 2 * np.pi * _EPS * (
-            sum(abs(c) * hi ** float(e) for e, c in self.coeffs.items())
+            sum(c * hi**e for e, c in self._sizes)
             + sum(abs(s) * (hi + h) ** e for e, s in self._moved)
         )
         if noise > tol:
@@ -429,9 +392,7 @@ class Phase:
             )
         return noise
 
-    def average(
-        self, lo: float, hi: float, tol: float, budget: int = DEFAULT_BUDGET
-    ) -> tuple[complex, float, int]:
+    def average(self, lo, hi, tol: float, budget: int = DEFAULT_BUDGET):
         """Average of the curve over (lo, hi) with absolute tolerance ``tol``:
         (value, error, evaluations).  Both methods run after one pass of the
         window guard of :meth:`substitute`.
@@ -445,9 +406,18 @@ class Phase:
         point; and w's relative accuracy times the magnitude of its terms.
         Every other phase, and a closed form whose bound exceeds ``tol``, is
         integrated in u by adaptive panels, and the error is their
-        estimate.  An identically zero phase short-circuits to 1
+        estimate plus, for L > 1, the rounding of the window's ends in u
+        (2 L eps (lo + hi) / (hi - lo)), with
+        :class:`QuadratureBudgetError` where that sum exceeds ``tol``.  An
+        identically zero phase short-circuits to 1
         exactly, once ``tol`` and the window have passed the same checks as
-        any other."""
+        any other.
+
+        Arrays of windows: when ``lo`` or ``hi`` is a numpy array, the
+        windows are their broadcast and the return is (array of values,
+        array of bounds, evaluations); see :meth:`_window_averages`."""
+        if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
+            return self._window_averages(lo, hi, tol)
         lo, hi = float(lo), float(hi)
         if not 0.0 <= lo < hi:
             raise ValueError("fractional phases need a nonempty, nonnegative interval")
@@ -462,64 +432,166 @@ class Phase:
         value, err, evals = adaptive_integral(
             self._u_integrand, lo ** (1.0 / L), hi ** (1.0 / L), tol * width, budget, self._u_theta
         )
-        return value / width, err / width, evals
+        err /= width
+        if L > 1:
+            # the panels span the ends as rounded in u, each within L eps of
+            # its t, and |curve| = 1: a narrow window far out can miss tol
+            err += 2 * L * _EPS * (lo + hi) / width
+            if err > tol:
+                raise QuadratureBudgetError(
+                    "the window is too narrow for its ends in u", value / width, err, evals
+                )
+        return value / width, err, evals
 
-    def _fresnel(self, lo: float, hi: float, noise: float) -> tuple[complex, float]:
+    def _ab(self) -> tuple[float, float]:
+        """(a, b): the coefficients of u and u^2 of a closed-form phase."""
+        asc = self._asc
+        return float(asc[1]), (float(asc[2]) if len(asc) == 3 else 0.0)
+
+    def _window_averages(self, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+        """The averages over the broadcast windows (lo, hi) of a phase in the
+        closed-form class, each with its bound; any other phase is a
+        ValueError, and so is an empty, negative or NaN window.  The window
+        guard runs once, at the largest ``hi``, and its bound serves every
+        window.
+
+        Every window takes the closed form.  Where its bound exceeds ``tol``
+        (a narrow window, whose ends cancel in G(hi) - G(lo)), a linear
+        phase (L = 1, b = 0) takes e(a*mid)*sinc(a*(hi - lo)), which does not
+        cancel, with bound noise + 16 eps; any other phase takes one 24-point
+        Gauss piece in u, with the bound of :meth:`_gauss_bound`.  The bounds
+        are returned as they are, for the caller to hold against its share of
+        the tolerance; the evaluations are those of the Gauss pieces."""
+        if self.shifted or self.L > 2 or len(self._asc) > 3:
+            raise ValueError(
+                "arrays of windows need the closed form: no shifted block and "
+                "exponents within {1/2, 1} or within {1, 2}"
+            )
+        # a float end stays a float: it is shared by every window
+        lo, hi = (np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
+                  for x in (lo, hi))
+        if not np.all((0.0 <= lo) & (lo < hi)):
+            raise ValueError("fractional phases need nonempty, nonnegative intervals")
+        noise = self._noise(np.max(hi), tol)
+        shape = np.broadcast_shapes(np.shape(lo), np.shape(hi))
+        if not self.coeffs:
+            return np.ones(shape, dtype=complex), np.zeros(shape), 0
+        value, err = (np.array(np.broadcast_to(x, shape)) for x in self._fresnel(lo, hi, noise))
+        narrow = err > tol
+        if not narrow.any():
+            return value, err, 0
+        a, b = self._ab()
+        nlo, nhi = (np.broadcast_to(x, shape)[narrow] for x in (lo, hi))
+        if self.L == 1 and b == 0.0:
+            mid = 0.5 * (nlo + nhi)
+            value[narrow] = np.exp(2j * np.pi * ((a * mid) % 1.0)) * np.sinc(a * (nhi - nlo))
+            err[narrow] = noise + 16 * _EPS
+            return value, err, 0
+        ulo, uhi = (np.sqrt(x) if self.L == 2 else x for x in (nlo, nhi))
+        # the width of (ulo^L, uhi^L), the window as rounded in u
+        width = (uhi - ulo) * (uhi + ulo) if self.L == 2 else nhi - nlo
+        value[narrow] = _gauss(self._u_integrand, ulo, uhi, _X24, _W24) / width
+        err[narrow] = self._gauss_bound(ulo, uhi, width, noise)
+        return value, err, 24 * len(width)
+
+    def _gauss_bound(self, ulo: np.ndarray, uhi: np.ndarray, width: np.ndarray,
+                     noise: float) -> np.ndarray:
+        """A bound on the error of one 24-point Gauss piece over each (ulo,
+        uhi) of the integrand f = A(u)*e(a*u + b*u^2), divided by ``width``,
+        the t-width of (ulo^L, uhi^L), as the average over (lo, hi).
+
+        On a panel of width d the n-point rule errs by at most
+        d^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) * max |f^(2n)|, and Cauchy's
+        estimate on discs of radius d about the panel bounds f^(2n) by
+        (2n)! M / d^(2n): the truncation is at most d M / (49 C(48, 24)^2),
+        M the modulus of f within distance d of the panel, at most
+        max|A| * exp(2 pi d (|a| + 2|b| (uhi + d))).  Phase rounding at the
+        nodes (Horner's rule: within 3 times the guard's ``noise``, in
+        radians) and the 24-term sum (32 eps) add their share of the
+        integral of |f| over the panel, at most d * max|A|.  The square roots
+        of the ends and the panel's rounded midpoint move each end of the
+        window by at most eps * t, and a move of the ends by at most eps * t
+        moves an average by at most 2 pi eps max_t |theta'(t) t|, which is
+        within the guard's ``noise``: 3 noise more."""
+        a, b = map(abs, self._ab())
+        d = uhi - ulo
+        amplitude = 1.0 if self.L == 1 else 2 * (uhi + 2 * d)
+        # a growth beyond exp(700) leaves the bound far above any tolerance
+        growth = np.exp(np.minimum(2 * pi * d * (a + 2 * b * (uhi + d)), 700.0))
+        return d * amplitude * (_G24_TRUNC * growth + 3 * noise + 32 * _EPS) / width + 3 * noise
+
+    def _fresnel(self, lo, hi, noise: float):
         """The closed-form average of exp(2*pi*i*(a*u + b*u^2)) * A(u) over
         u^L in (lo, hi), A = 1 (L = 1) or 2u (L = 2), and its error bound.
+        ``lo`` and ``hi`` are floats or arrays of window ends: one formula
+        serves both, and a float end is evaluated once for all windows.
 
-        With b < 0 the conjugate phase is averaged and the value conjugated.
-        With b = 0 the antiderivative is elementary.  Otherwise 2u*e(theta) =
+        The integral is G(hi) - G(lo), each end's terms of the primitive G
+        taken on its own, and the terms of the bound add over the ends the
+        same way.  With b < 0 the conjugate phase is averaged and the value
+        conjugated.  With b = 0, G is elementary.  Otherwise 2u*e(theta) =
         e(theta)'/(2*pi*i*b) - (a/b)*e(theta) gives a boundary term, and the
         Fresnel integral of e(theta) is
         e(theta*) * integral of exp(i*beta*s^2) over s = u - u*, with
         beta = 2*pi*b and theta* the phase at the stationary point
-        u* = -a/(2b).  Each endpoint contributes its tail
-        integral from |s| to infinity, which is
-        sqrt(pi/beta)/2 * exp(i*pi/4) * e(theta(u)) * w(exp(i*pi/4)*sqrt(beta)*|s|);
-        a window that holds u* adds twice the tail from 0.  Every phase
-        e(theta) is taken at a point of the window, with a*u and b*u^2
-        reduced mod 1 before they are summed."""
-        a = float(self._asc[1])
-        b = float(self._asc[2]) if len(self._asc) == 3 else 0.0
+        u* = -a/(2b).  Its term of G at an end is minus the tail integral
+        from |s| to infinity, which is
+        sqrt(pi/beta)/2 * exp(i*pi/4) * e(theta(u)) * w(exp(i*pi/4)*sqrt(beta)*|s|),
+        signed by the end's side of u* (s >= 0 counts as the right); a
+        window with one end on each side adds twice the tail from 0.  So
+        every w lies on the ray arg z = pi/4 and no two erf values of similar
+        size are subtracted.  Every phase e(theta) is taken at a point of the
+        window, with a*u and b*u^2 reduced mod 1 before they are summed."""
+        a, b = self._ab()
         flip = b < 0.0
         if flip:
             a, b = -a, -b
         L = self.L
-        ts = (lo, hi)
-        us = tuple(map(sqrt, ts)) if L == 2 else ts
-        squares = ts if L == 2 else tuple(t * t for t in ts)
+        array = isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray)
+        exp, root_of = (np.exp, np.sqrt) if array else (cmath.exp, sqrt)
 
-        def e(u: float, square: float) -> complex:
-            return cmath.exp(2j * pi * ((a * u) % 1.0 + (b * square) % 1.0))
+        def e(u, square):
+            return exp(2j * pi * ((a * u) % 1.0 + (b * square) % 1.0))
 
-        e0, e1 = (e(u, q) for u, q in zip(us, squares))
-        u0, u1 = us
         slack = 0.0  # error of the terms beyond their rounding
         if b == 0.0:
             k = 2j * pi * a
-            if L == 1:
-                terms = [e1 / k, -e0 / k]
-            else:
+
+            def primitive(t):
+                if L == 1:
+                    return (e(t, t * t) / k,)
+                u = root_of(t)
+                eu = e(u, t)
                 # divided by k twice: k * k underflows to 0 for |a| below 1e-154
-                terms = [2 * e1 * u1 / k, -2 * e1 / k / k, -2 * e0 * u0 / k, 2 * e0 / k / k]
+                return 2 * eu * u / k, -2 * eu / k / k
+
+            terms = [*primitive(hi), *(-g for g in primitive(lo))]
         else:
             beta = 2 * pi * b
-            terms = [e1 / (1j * beta), -e0 / (1j * beta)] if L == 2 else []
             weight = 1.0 if L == 1 else -a / b
+            ustar = -a / (2 * b)
+            root = sqrt(beta)
+            tail0 = 0.5 * sqrt(pi) / root * _E8 * weight
+
+            def primitive(t):
+                """The end's boundary and Fresnel terms of G, its u, its w and
+                its side of u* (+1 or -1)."""
+                u = root_of(t) if L == 2 else t
+                eu = e(u, t if L == 2 else t * t)
+                if not weight:
+                    return eu / (1j * beta), 0.0, u, 0.0, 0.0
+                side = (u - ustar >= 0) * 2.0 - 1.0
+                w = _faddeeva(_E8 * root * abs(u - ustar))
+                return eu / (1j * beta), -side * tail0 * eu * w, u, w, side
+
+            (b1, f1, u1, w1, side1), (b0, f0, u0, w0, side0) = primitive(hi), primitive(lo)
+            terms = [b1, -b0] if L == 2 else []
             if weight:
-                ustar = -a / (2 * b)
-                root = sqrt(beta)
-                tail0 = 0.5 * sqrt(pi) / root * _E8 * weight
-                s0, s1 = u0 - ustar, u1 - ustar
-                w0, w1 = _faddeeva(_E8 * root * abs(s0)), _faddeeva(_E8 * root * abs(s1))
-                terms += [
-                    (1.0 if s0 >= 0 else -1.0) * tail0 * e0 * w0,
-                    (-1.0 if s1 > 0 else 1.0) * tail0 * e1 * w1,
-                ]
-                if s0 < 0 < s1:
-                    terms.append(2 * tail0 * e(ustar, ustar * ustar))
-                # s rounds by up to 4 eps (|u| + |u*|) at each endpoint, and a
+                terms += [-f0, f1]
+                if array or side0 != side1:
+                    # the tail from 0, twice where the window holds u*
+                    terms.append((side1 - side0) * tail0 * e(ustar, ustar * ustar))
+                # s rounds by up to 4 eps (|u| + |u*|) at each end, and a
                 # tail's derivative in s has modulus at most 1 on the ray
                 # (sqrt(pi)/2 |w'(z)| <= 1 there): 12 eps charges it 3 times
                 slack = abs(weight) * 12 * _EPS * (u0 + u1 + 2 * abs(ustar))
@@ -534,18 +606,25 @@ class Phase:
         # theta(u^L) stays a temporary, freed as soon as it is used
         curve = np.exp(2j * np.pi * self._u_theta(u))
         L = self.L
-        return curve if L == 1 else (L * u ** (L - 1)) * curve
+        # the amplitude does not depend on the shift: one row serves a batch
+        return curve if L == 1 else (L * _one_row(u) ** (L - 1)) * curve
 
     def _u_theta(self, u):
+        if isinstance(self.h, float):
+            return self._theta_at(u)
+        # only the shifted block depends on the shift: the rest is evaluated
+        # on one row, and broadcasting against the column of shifts makes
+        # the rows
+        theta = self._theta_at(_one_row(u))
+        return np.broadcast_to(theta, np.broadcast(theta, self.h).shape)
+
+    def _theta_at(self, u):
         theta = npoly.polyval(u, self._asc)
         if self._moved:
             x = u**self.L + self.h
             for e, s in self._moved:
                 theta = theta + s * x**e
-        if isinstance(self.h, float):
-            return theta
-        return np.broadcast_to(theta, np.broadcast(theta, self.h).shape)
-
+        return theta
 
 def osc_phase_average(
     coeffs: Mapping[Fraction | int, float],

@@ -270,3 +270,31 @@ def test_near_window_matches_closed_form_on_both_routes(route):
     a = 1e6
     value = route(Phase({F(1): 0.1234567}), F(1), (a, a + 1000.5), tol=1e-8)
     assert abs(value - timechange_oracle(F(1), 0.1234567, a, a + 1000.5)) <= 1e-11
+
+
+@pytest.mark.parametrize("v", [
+    Phase({F(1, 3): 1.0}),
+    Phase({F(1, 2): 1.0, F(3, 2): 0.1}),
+    Phase({F(1): 0.5}, shifted={F(1): 0.5}).at(1.0),
+], ids=["third", "three_halves", "shifted"])
+@pytest.mark.parametrize("alpha", [F(1), F(2)])
+def test_weight_route_rejects_phases_outside_the_closed_form(v, alpha):
+    """The weight route's nested averages are the closed form's arrays of
+    windows, for alpha = 1 (w0's window alone) as for any other."""
+    with pytest.raises(ValueError, match="closed form"):
+        time_changed_average_via_weights(v, alpha, (1.0, 4.0), tol=1e-7)
+
+
+def test_weight_route_raises_where_nested_bounds_miss_their_share():
+    """With b = 1e-13 against a = 3 the closed form's terms cancel on every
+    nested window, and a single Gauss piece takes over: on (2, 400) it bounds
+    the few cycles of each window, and the route meets tol; on (2, 8000) a
+    window holds some 10 cycles in u, no piece can bound them, and the route
+    raises rather than return a value with no bound."""
+    v = Phase({F(1, 2): 3.0, F(1): 1e-13})
+    tol = 1e-7
+    via = time_changed_average_via_weights(v, F(1, 3), (2.0, 400.0), tol=tol)
+    assert abs(via - time_changed_average(v, F(1, 3), (2.0, 400.0), tol=tol)) <= 2 * tol
+    with pytest.raises(QuadratureBudgetError) as exc:
+        time_changed_average_via_weights(v, F(1, 3), (2.0, 8000.0), tol=tol)
+    assert exc.value.est_error > tol

@@ -18,7 +18,6 @@ from fpet.quadrature import (
     _W_REL,
     _W_SCALE,
     DEFAULT_BUDGET,
-    PanelTable,
     Phase,
     QuadratureBudgetError,
     _faddeeva,
@@ -130,7 +129,7 @@ def test_phase_rejects_bad_tolerances(tol):
     with pytest.raises(ValueError, match="tolerance"):
         adaptive_integral(np.cos, 0.0, 1.0, tol)
     with pytest.raises(ValueError, match="tolerance"):
-        PanelTable(np.cos, 0.0, 1.0, tol)
+        Phase({1: 0.5}).average(np.array([1.0, 2.0]), 10.0, tol)
 
 
 @pytest.mark.parametrize("route", [
@@ -267,55 +266,6 @@ def test_far_window_guard_counts_shifted_terms_at_hi_plus_h():
     assert exc.value.est_error == pytest.approx(2 * np.pi * expected * 2.0**-52)
 
 
-def _table():
-    theta = lambda t: 0.37 * t - 1.1 * np.sqrt(t)
-    return PanelTable(lambda t: np.exp(2j * np.pi * theta(t)), 2.0, 300.0, 1e-10, phase=theta)
-
-
-def test_panel_table_array_queries_match_scalar_queries():
-    table = _table()
-    lo, hi = table.lo, table.hi
-    edges = table._edges
-    inside = 0.5 * (edges[:-1] + edges[1:])
-    points = np.concatenate((
-        [lo, hi, lo - 5.0, hi + 7.0, -np.inf, np.inf],  # endpoints and clamped
-        edges, inside, np.linspace(lo, hi, 1001),
-    ))
-    assert len(points) > 2 * 256  # spans several piece batches
-    batched = table.integral_to(points)
-    assert batched.dtype == complex and batched.shape == points.shape
-    scalar = np.array([table.integral_to(float(t)) for t in points])
-    assert np.max(np.abs(batched - scalar)) <= 1e-13 * (hi - lo)
-    assert batched[2] == 0 and batched[0] == 0
-    assert abs(batched[3] - batched[1]) == 0
-    grid = table.integral_to(points[6:].reshape(-1, 1))
-    assert grid.shape == (len(points) - 6, 1)
-    assert isinstance(table.integral_to(10.0), complex)
-
-
-def test_panel_table_average_broadcasts():
-    table = _table()
-    ts = np.linspace(2.5, 299.0, 300)
-    tails = table.average(ts, table.hi)
-    heads = table.average(table.lo, ts)
-    for t, tail, head in zip(ts, tails, heads):
-        assert abs(tail - table.average(float(t), table.hi)) <= 1e-13 * (table.hi - table.lo)
-        assert abs(head - table.average(table.lo, float(t))) <= 1e-13 * (table.hi - table.lo)
-    assert isinstance(table.average(3.0, 4.0), complex)
-
-
-def test_panel_table_average_rejects_empty_windows():
-    table = _table()
-    with pytest.raises(ValueError):
-        table.average(5.0, 5.0)
-    with pytest.raises(ValueError):
-        table.average(np.array([3.0, 8.0, 4.0]), np.array([4.0, 8.0, 9.0]))
-    with pytest.raises(ValueError):
-        table.average(np.array([3.0, 10.0]), 9.0)
-    with pytest.raises(ValueError):
-        table.average(np.array([3.0, np.nan]), 9.0)
-
-
 def test_phase_rejects_inexact_exponents():
     # 0.2 as a float is a fraction with denominator 2^54: taken as exact it
     # would ask for a polynomial of that degree in u
@@ -386,10 +336,11 @@ def _digits(x: float) -> int:
     return int(np.log10(1.0 + x)) + 1
 
 
-def fresnel_reference(coeffs, lo, hi):
+def fresnel_reference(coeffs, lo, hi, extra=0):
     """The average of exp(2 pi i theta(t)) over (lo, hi) for exponents within
     {1/2, 1} or within {1, 2}, from mpmath's erf at 30 digits beyond those
-    that the size of the phase and the cancellation of its terms take.  After
+    that the size of the phase and the cancellation of its terms take, and
+    ``extra`` more (a narrow window cancels in its ends).  After
     t = u^L, theta = a u + b u^2; with L = 2 the amplitude 2u is
     e(theta)' / (2 pi i b) - (a / b) e(theta), and the integral of e(theta)
     is the erf difference of the completed square."""
@@ -401,12 +352,12 @@ def fresnel_reference(coeffs, lo, hi):
     if not (a or b):
         return 1 + 0j
     u1 = hi ** (1 / L)
-    extra = _digits(abs(a) * u1 + abs(b) * u1 * u1)
+    digits = _digits(abs(a) * u1 + abs(b) * u1 * u1)
     if b:
-        extra += _digits(abs(a) / abs(b)) + _digits(1 / min(abs(b), 1.0))
+        digits += _digits(abs(a) / abs(b)) + _digits(1 / min(abs(b), 1.0))
     else:
-        extra += 2 * _digits(1 / min(abs(a), 1.0))
-    with mp.workdps(30 + extra):
+        digits += 2 * _digits(1 / min(abs(a), 1.0))
+    with mp.workdps(30 + extra + digits):
         a, b = mp.mpf(a), mp.mpf(b)
         lo, hi = mp.mpf(lo), mp.mpf(hi)
         u0, u1 = (mp.sqrt(lo), mp.sqrt(hi)) if L == 2 else (lo, hi)
@@ -533,6 +484,83 @@ def test_closed_form_route_spends_no_evaluations(coeffs, window):
     value, err, evals = osc_phase_average(coeffs, *window, 1e-8)
     assert evals == 0
     assert abs(value - fresnel_reference(coeffs, *window)) <= err <= 1e-8
+
+
+@st.composite
+def window_arrays(draw):
+    """A phase and span of :func:`fresnel_cases`, and up to six windows in
+    the span: tails (t, hi) or heads (lo, t), which share one float end, or
+    windows of width 10^-j, j = 1..12 (at least four ulps), at points of the
+    span.  The points lie beyond 1e-3 of the span, where the reference
+    needs no more digits than those of its relative width."""
+    coeffs, lo, hi = draw(fresnel_cases())
+    points = draw(st.lists(st.floats(1e-3, 1.0, exclude_max=True), min_size=1, max_size=6))
+    ts = lo + np.array(points) * (hi - lo)
+    mode = draw(st.sampled_from(["narrow", "tail", "head"]))
+    if mode == "tail":
+        assume(np.all(ts < hi))
+        return coeffs, ts, hi
+    if mode == "head":
+        assume(np.all(ts > lo))
+        return coeffs, lo, ts
+    powers = draw(st.lists(st.integers(1, 12), min_size=len(ts), max_size=len(ts)))
+    return coeffs, ts, ts + np.maximum(10.0 ** -np.array(powers), 4 * np.spacing(ts))
+
+
+@settings(max_examples=120, deadline=None)
+@given(window_arrays())
+def test_window_arrays_within_their_bounds(case):
+    """Each window of an array lies within its reported bound of the
+    30-digit reference, and near the scalar call on the same window; a
+    window of width at most 1e-6 of its end (where G(hi) - G(lo) cancels)
+    still meets tol, by the sinc or a Gauss piece, unless the phase's own
+    rounding takes a tenth of it."""
+    coeffs, lo, hi = case
+    tol = 1e-8
+    phase = Phase(coeffs)
+    try:
+        values, errs, _ = phase.average(lo, hi, tol)
+    except QuadratureBudgetError as exc:
+        assert exc.evals == 0 and exc.est_error > tol  # the window guard
+        return
+    los, his = np.broadcast_arrays(lo, hi)
+    assert values.shape == errs.shape == los.shape
+    # the rounding bound of the window guard, which every bound carries
+    noise = phase._noise(np.max(his), tol)
+    for a, b, value, err in zip(los, his, values, errs):
+        ref = fresnel_reference(coeffs, a, b, extra=_digits(b / (b - a)))
+        assert abs(value - ref) <= err
+        if b - a <= 1e-6 * max(b, 1.0) and 10 * noise <= tol:
+            assert err <= tol
+        if err <= tol:
+            try:
+                scalar, scalar_err, evals = phase.average(float(a), float(b), tol)
+            except QuadratureBudgetError as exc:
+                # panels refuse a window too narrow for its ends in u
+                assert exc.est_error > tol
+                continue
+            # the scalar call's error is a bound from the closed form, but
+            # only an estimate from panels, which promise tol
+            assert abs(value - scalar) <= err + (scalar_err if evals == 0 else tol)
+
+
+def test_window_arrays_take_the_closed_form_only():
+    """Arrays of windows are the closed form's: any other phase is a
+    ValueError, as are empty and NaN windows; a scalar end is shared."""
+    ts = np.array([1.0, 2.0, 3.0])
+    for phase in (Phase({F(1, 3): 1.0}), Phase({F(1, 2): 1.0, F(3, 2): 0.1}),
+                  Phase({F(1): 0.5}, shifted={F(1): 0.5}).at(1.0)):
+        with pytest.raises(ValueError, match="closed form"):
+            phase.average(ts, 4.0, 1e-8)
+    phase = Phase({F(1): 0.37})
+    for lo, hi in ((ts, 2.0), (ts, np.array([2.0, 3.0, np.nan])), (3.0, ts)):
+        with pytest.raises(ValueError, match="interval"):
+            phase.average(lo, hi, 1e-8)
+    values, errs, evals = phase.average(ts, 4.0, 1e-8)
+    assert values.shape == errs.shape == (3,) and evals == 0
+    assert np.all(np.abs(values - closed_linear_average(0.37, ts, 4.0)) <= errs)
+    ones, zeros, _ = Phase({}).average(1.0, ts + 1.0, 1e-8)
+    assert np.all(ones == 1.0) and np.all(zeros == 0.0)
 
 
 @pytest.mark.parametrize("coeffs, window", [
