@@ -610,21 +610,20 @@ class Phase:
         return curve if L == 1 else (L * _one_row(u) ** (L - 1)) * curve
 
     def _u_theta(self, u):
-        if isinstance(self.h, float):
-            return self._theta_at(u)
-        # only the shifted block depends on the shift: the rest is evaluated
-        # on one row, and broadcasting against the column of shifts makes
-        # the rows
-        theta = self._theta_at(_one_row(u))
-        return np.broadcast_to(theta, np.broadcast(theta, self.h).shape)
-
-    def _theta_at(self, u):
+        batched = not isinstance(self.h, float)
+        if batched:
+            # only the shifted block depends on the shift: the rest is
+            # evaluated on one row, and broadcasting against the column of
+            # shifts makes the rows
+            u = _one_row(u)
         theta = npoly.polyval(u, self._asc)
         if self._moved:
             x = u**self.L + self.h
             for e, s in self._moved:
                 theta = theta + s * x**e
-        return theta
+        if not batched:
+            return theta
+        return np.broadcast_to(theta, np.broadcast(theta, self.h).shape)
 
 def osc_phase_average(
     coeffs: Mapping[Fraction | int, float],
