@@ -72,6 +72,7 @@ _PROBES = 513  # layout probes per row
 _BATCH_ROWS = _CHUNK_POINTS // _PROBES  # rows whose layout probes fill one chunk
 _EVALS_PER_PANEL = 24 + 15
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 _X24, _W24 = np.polynomial.legendre.leggauss(24)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
@@ -451,12 +452,14 @@ class Phase:
     def _window_averages(self, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
         """The averages over the broadcast windows (lo, hi) of a phase in the
         closed-form class, each with its bound; any other phase is a
-        ValueError, and so is an empty, negative or NaN window.  The window
-        guard runs once, at the largest ``hi``, and its bound serves every
-        window.
+        ValueError, and so is a negative or NaN window or one narrower than
+        the smallest normal float, whose terms no longer carry 53 bits.  The
+        window guard runs once, at the largest ``hi``, and its bound serves
+        every window.
 
         Every window takes the closed form.  Where its bound exceeds ``tol``
-        (a narrow window, whose ends cancel in G(hi) - G(lo)), a linear
+        (a narrow window, whose ends cancel in G(hi) - G(lo), or one whose
+        terms overflow, with an infinite bound), a linear
         phase (L = 1, b = 0) takes e(a*mid)*sinc(a*(hi - lo)), which does not
         cancel, with bound noise + 16 eps; any other phase takes one 24-point
         Gauss piece in u, with the bound of :meth:`_gauss_bound`.  The bounds
@@ -470,14 +473,16 @@ class Phase:
         # a float end stays a float: it is shared by every window
         lo, hi = (np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
                   for x in (lo, hi))
-        if not np.all((0.0 <= lo) & (lo < hi)):
-            raise ValueError("fractional phases need nonempty, nonnegative intervals")
+        if not np.all((0.0 <= lo) & (hi - lo >= _TINY)):
+            raise ValueError("fractional phases need nonnegative intervals of normal width")
         noise = self._noise(np.max(hi), tol)
         shape = np.broadcast_shapes(np.shape(lo), np.shape(hi))
         if not self.coeffs:
             return np.ones(shape, dtype=complex), np.zeros(shape), 0
-        value, err = (np.array(np.broadcast_to(x, shape)) for x in self._fresnel(lo, hi, noise))
-        narrow = err > tol
+        with np.errstate(over="ignore", invalid="ignore"):
+            closed = self._fresnel(lo, hi, noise)
+        value, err = (np.array(np.broadcast_to(x, shape)) for x in closed)
+        narrow = ~(err <= tol)
         if not narrow.any():
             return value, err, 0
         a, b = self._ab()
