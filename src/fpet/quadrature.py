@@ -102,17 +102,20 @@ _W_COEF = (
 # closed form uses: 5.7e-14 against 30-digit mpmath, with margin
 _W_REL = 1e-13
 _E8 = cmath.exp(0.25j * pi)  # exp(i*pi/4)
+_TWO_PI_I = 2j * pi
+_INV_SQRT_PI = 1 / sqrt(pi)
 
 
 def _faddeeva(z):
     """w(z) = exp(-z^2)*erfc(-iz) for Im z >= 0, by Weideman's approximation;
     ``z`` a complex or an array of them."""
-    d = _W_SCALE - 1j * z
-    big_z = (_W_SCALE + 1j * z) / d
+    iz = 1j * z
+    d = _W_SCALE - iz
+    big_z = (_W_SCALE + iz) / d
     p = 0j
     for c in _W_COEF:
         p = p * big_z + c
-    return (2 * p / d + 1 / sqrt(pi)) / d
+    return (2 * p / d + _INV_SQRT_PI) / d
 
 
 # truncation constant of the 24-point Gauss rule under Cauchy's estimate,
@@ -332,14 +335,14 @@ class Phase:
 
     def __init__(self, coeffs: Mapping = {}, shifted: Mapping = {}):
         self.coeffs, self.shifted, self.h = _terms(coeffs), _terms(shifted), 0.0
-        self.L = lcm(*(e.denominator for e in (*self.coeffs, *self.shifted)))
-        # the unshifted terms as a polynomial in u = t^(1/L), ascending
-        self._asc = np.zeros(max((int(e * self.L) for e in self.coeffs), default=0) + 1)
-        for e, c in self.coeffs.items():
-            self._asc[int(e * self.L)] = c
-        # the terms with float exponents and, unshifted, absolute coefficients
+        L = self.L = lcm(*(e.denominator for e in (*self.coeffs, *self.shifted)))
+        # the unshifted terms as a polynomial in u = t^(1/L), ascending: t^e
+        # is u^(e L), an integer power taken in integers
+        powers = [e.numerator * L // e.denominator for e in self.coeffs]
+        self._asc = np.zeros(max(powers, default=0) + 1)
+        self._asc[powers] = list(self.coeffs.values())
+        # the shifted terms with float exponents
         self._moved = [(float(e), s) for e, s in self.shifted.items()]
-        self._sizes = [(float(e), abs(c)) for e, c in self.coeffs.items()]
 
     def at(self, h) -> "Phase":
         """The same phase at shift h; the term tables are shared.  A vector
@@ -384,7 +387,7 @@ class Phase:
             raise ValueError("the window must be finite")
         h = self.h if isinstance(self.h, float) else float(self.h.max())  # largest of a batch
         noise = 2 * np.pi * _EPS * (
-            sum(c * hi**e for e, c in self._sizes)
+            sum(abs(c) * hi ** float(e) for e, c in self.coeffs.items())
             + sum(abs(s) * (hi + h) ** e for e, s in self._moved)
         )
         if noise > tol:
@@ -556,7 +559,7 @@ class Phase:
         exp, root_of = (np.exp, np.sqrt) if array else (cmath.exp, sqrt)
 
         def e(u, square):
-            return exp(2j * pi * ((a * u) % 1.0 + (b * square) % 1.0))
+            return exp(_TWO_PI_I * ((a * u) % 1.0 + (b * square) % 1.0))
 
         slack = 0.0  # error of the terms beyond their rounding
         if b == 0.0:
@@ -573,9 +576,11 @@ class Phase:
             terms = [*primitive(hi), *(-g for g in primitive(lo))]
         else:
             beta = 2 * pi * b
+            ibeta = 1j * beta
             weight = 1.0 if L == 1 else -a / b
             ustar = -a / (2 * b)
             root = sqrt(beta)
+            ray = _E8 * root  # w is taken at ray * |s|
             tail0 = 0.5 * sqrt(pi) / root * _E8 * weight
 
             def primitive(t):
@@ -584,10 +589,11 @@ class Phase:
                 u = root_of(t) if L == 2 else t
                 eu = e(u, t if L == 2 else t * t)
                 if not weight:
-                    return eu / (1j * beta), 0.0, u, 0.0, 0.0
-                side = (u - ustar >= 0) * 2.0 - 1.0
-                w = _faddeeva(_E8 * root * abs(u - ustar))
-                return eu / (1j * beta), -side * tail0 * eu * w, u, w, side
+                    return eu / ibeta, 0.0, u, 0.0, 0.0
+                s = u - ustar
+                side = (s >= 0) * 2.0 - 1.0
+                w = _faddeeva(ray * abs(s))
+                return eu / ibeta, -side * tail0 * eu * w, u, w, side
 
             (b1, f1, u1, w1, side1), (b0, f0, u0, w0, side0) = primitive(hi), primitive(lo)
             terms = [b1, -b0] if L == 2 else []

@@ -551,7 +551,8 @@ def test_window_arrays_within_their_bounds(case):
 
 def test_window_arrays_take_the_closed_form_only():
     """Arrays of windows are the closed form's: any other phase is a
-    ValueError, as are empty and NaN windows; a scalar end is shared."""
+    ValueError, as are empty and NaN windows and one of subnormal width; a
+    float end is shared by every window."""
     ts = np.array([1.0, 2.0, 3.0])
     for phase in (Phase({F(1, 3): 1.0}), Phase({F(1, 2): 1.0, F(3, 2): 0.1}),
                   Phase({F(1): 0.5}, shifted={F(1): 0.5}).at(1.0)):
