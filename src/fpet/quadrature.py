@@ -58,6 +58,7 @@ import copy
 import numbers
 from fractions import Fraction
 from math import comb, isfinite, lcm, pi, prod, sqrt
+from operator import neg
 from typing import Callable, Mapping
 
 import numpy as np
@@ -573,7 +574,7 @@ class Phase:
                 # divided by k twice: k * k underflows to 0 for |a| below 1e-154
                 return 2 * eu * u / k, -2 * eu / k / k
 
-            terms = [*primitive(hi), *(-g for g in primitive(lo))]
+            terms = [*primitive(hi), *map(neg, primitive(lo))]
         else:
             beta = 2 * pi * b
             ibeta = 1j * beta
