@@ -434,18 +434,19 @@ class Phase:
             if err <= tol:
                 return value, err, 0
         width, L = hi - lo, self.L
+        # the panels span the ends as rounded in u, each within L eps of its
+        # t, and |curve| = 1: a narrow window far out can miss tol
+        ends = 2 * L * _EPS * (lo + hi) / width if L > 1 else 0.0
+        if ends > tol:
+            raise QuadratureBudgetError("the window is too narrow for its ends in u", 0j, ends, 0)
         value, err, evals = adaptive_integral(
             self._u_integrand, lo ** (1.0 / L), hi ** (1.0 / L), tol * width, budget, self._u_theta
         )
-        err /= width
-        if L > 1:
-            # the panels span the ends as rounded in u, each within L eps of
-            # its t, and |curve| = 1: a narrow window far out can miss tol
-            err += 2 * L * _EPS * (lo + hi) / width
-            if err > tol:
-                raise QuadratureBudgetError(
-                    "the window is too narrow for its ends in u", value / width, err, evals
-                )
+        err = err / width + ends
+        if ends and err > tol:
+            raise QuadratureBudgetError(
+                "the window is too narrow for its ends in u", value / width, err, evals
+            )
         return value / width, err, evals
 
     def _ab(self) -> tuple[float, float]:
@@ -458,15 +459,17 @@ class Phase:
         closed-form class, each with its bound; any other phase is a
         ValueError, and so is a negative or NaN window or one narrower than
         the smallest normal float, whose terms no longer carry 53 bits.  The
-        window guard runs once, at the largest ``hi``, and its bound serves
-        every window.
+        window guard runs once, at the largest ``hi``, and its rounding bound
+        serves the closed form of every window; the fallbacks below take that
+        bound at their own window's far end.
 
         Every window takes the closed form.  Where its bound exceeds ``tol``
         (a narrow window, whose ends cancel in G(hi) - G(lo), or one whose
         terms overflow, with an infinite bound), a linear
         phase (L = 1, b = 0) takes e(a*mid)*sinc(a*(hi - lo)), which does not
         cancel, with bound noise + 16 eps; any other phase takes one 24-point
-        Gauss piece in u, with the bound of :meth:`_gauss_bound`.  The bounds
+        Gauss piece in u, with the bound of :meth:`_gauss_bound`, or e(theta)
+        at lo where the window's ends round to one u.  The bounds
         are returned as they are, for the caller to hold against its share of
         the tolerance; the evaluations are those of the Gauss pieces."""
         if self.shifted or self.L > 2 or len(self._asc) > 3:
@@ -491,20 +494,31 @@ class Phase:
             return value, err, 0
         a, b = self._ab()
         nlo, nhi = (np.broadcast_to(x, shape)[narrow] for x in (lo, hi))
+        ulo, uhi = (np.sqrt(x) if self.L == 2 else x for x in (nlo, nhi))
+        # the guard's rounding bound at each window's own far end
+        noise = 2 * pi * _EPS * (abs(a) * uhi + abs(b) * uhi * uhi)
         if self.L == 1 and b == 0.0:
             mid = 0.5 * (nlo + nhi)
             value[narrow] = np.exp(2j * np.pi * ((a * mid) % 1.0)) * np.sinc(a * (nhi - nlo))
             err[narrow] = noise + 16 * _EPS
             return value, err, 0
-        ulo, uhi = (np.sqrt(x) if self.L == 2 else x for x in (nlo, nhi))
         # the width of (ulo^L, uhi^L), the window as rounded in u
         width = (uhi - ulo) * (uhi + ulo) if self.L == 2 else nhi - nlo
-        value[narrow] = _gauss(self._u_integrand, ulo, uhi, _X24, _W24) / width
-        err[narrow] = self._gauss_bound(ulo, uhi, width, noise)
-        return value, err, 24 * len(width)
+        pieces = width > 0.0
+        v, e = np.empty(len(width), dtype=complex), np.empty(len(width))
+        v[pieces] = _gauss(self._u_integrand, ulo[pieces], uhi[pieces], _X24, _W24) / width[pieces]
+        e[pieces] = self._gauss_bound(ulo[pieces], uhi[pieces], width[pieces], noise[pieces])
+        # ends that round to one u = sqrt(t) leave a window below the
+        # resolution of u: its average is e(theta) at lo within
+        # 2 pi max |theta'(t)| (hi - lo), theta'(t) = a / (2 sqrt(t)) + b
+        point = ~pieces
+        v[point] = np.exp(2j * np.pi * self._u_theta(ulo[point]))
+        e[point] = 2 * pi * (abs(a) / (2 * ulo[point]) + abs(b)) * (nhi - nlo)[point] + noise[point]
+        value[narrow], err[narrow] = v, e
+        return value, err, 24 * int(pieces.sum())
 
     def _gauss_bound(self, ulo: np.ndarray, uhi: np.ndarray, width: np.ndarray,
-                     noise: float) -> np.ndarray:
+                     noise: np.ndarray) -> np.ndarray:
         """A bound on the error of one 24-point Gauss piece over each (ulo,
         uhi) of the integrand f = A(u)*e(a*u + b*u^2), divided by ``width``,
         the t-width of (ulo^L, uhi^L), as the average over (lo, hi).
@@ -515,13 +529,13 @@ class Phase:
         (2n)! M / d^(2n): the truncation is at most d M / (49 C(48, 24)^2),
         M the modulus of f within distance d of the panel, at most
         max|A| * exp(2 pi d (|a| + 2|b| (uhi + d))).  Phase rounding at the
-        nodes (Horner's rule: within 3 times the guard's ``noise``, in
-        radians) and the 24-term sum (32 eps) add their share of the
+        nodes (Horner's rule: within 3 times ``noise``, the guard's rounding
+        bound at uhi) and the 24-term sum (32 eps) add their share of the
         integral of |f| over the panel, at most d * max|A|.  The square roots
         of the ends and the panel's rounded midpoint move each end of the
         window by at most eps * t, and a move of the ends by at most eps * t
         moves an average by at most 2 pi eps max_t |theta'(t) t|, which is
-        within the guard's ``noise``: 3 noise more."""
+        within ``noise``: 3 noise more."""
         a, b = map(abs, self._ab())
         d = uhi - ulo
         amplitude = 1.0 if self.L == 1 else 2 * (uhi + 2 * d)
