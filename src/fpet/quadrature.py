@@ -465,13 +465,13 @@ class Phase:
 
         Every window takes the closed form.  Where its bound exceeds ``tol``
         (a narrow window, whose ends cancel in G(hi) - G(lo), or one whose
-        terms overflow, with an infinite bound), a linear
-        phase (L = 1, b = 0) takes e(a*mid)*sinc(a*(hi - lo)), which does not
-        cancel, with bound noise + 16 eps; any other phase takes one 24-point
-        Gauss piece in u, with the bound of :meth:`_gauss_bound`, or e(theta)
-        at lo where the window's ends round to one u.  The bounds
-        are returned as they are, for the caller to hold against its share of
-        the tolerance; the evaluations are those of the Gauss pieces."""
+        terms overflow, with an infinite bound), a linear phase (L = 1,
+        b = 0) takes e(a*mid)*sinc(a*(hi - lo)), which does not cancel, with
+        bound noise + 16 eps; any other phase takes one 24-point Gauss piece
+        in u, with the bound of :meth:`_gauss_bound`, or e(theta) at lo where
+        the window's ends round to one u.  The bounds are returned as they
+        are, for the caller to hold against its share of the tolerance; the
+        evaluations are those of the Gauss pieces."""
         if self.shifted or self.L > 2 or len(self._asc) > 3:
             raise ValueError(
                 "arrays of windows need the closed form: no shifted block and "

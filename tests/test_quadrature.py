@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fpet
@@ -509,6 +509,12 @@ def window_arrays(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(window_arrays())
+# a window 1e-8 wide at t = 1.5: scalar panels there lose the ends in u
+@example(({F(1, 2): 1.0, F(1): -0.5}, np.array([1.5]), np.array([1.50000001])))
+# one ulp wide: both ends round to one u = sqrt(t)
+@example(({F(1, 2): 1.0, F(1): -0.5}, 1.0, np.array([np.nextafter(1.0, 2.0)])))
+# a window near 0 beside one far out, whose rounding it must not be charged
+@example(({F(1, 2): 1.0, F(1): -21.0}, 0.0, np.array([16384.0, 6.5e-185])))
 def test_window_arrays_within_their_bounds(case):
     """Each window of an array lies within its reported bound of the
     30-digit reference, and near the scalar call on the same window; a
