@@ -71,7 +71,7 @@ class AverageResult:
 
 
 _Entry = tuple[Freq, complex, tuple[int, ...]]  # (chi, coefficient, integer phase row)
-_Group = tuple[dict[Fraction, float], dict[Freq, list[complex]]]  # see _phase_groups
+_Group = tuple[dict[Fraction, float], dict[Freq, complex]]  # see _phase_groups
 
 
 def _phase_tables(
@@ -131,12 +131,14 @@ def _tuple_data(
 def _phase_groups(sys: TorusSystem, fam: FPolyFamily, fs: Sequence[TrigPoly]) -> list[_Group]:
     """The tuples grouped by phase vector n, in increasing n.  A group holds
     its Phase coefficients {j/d: n_j/denom} (empty for n = 0) and, per
-    output, its tuples' coefficient products in itertools.product order."""
+    output, P: the sum of its tuples' coefficient products, taken in
+    itertools.product order."""
     tables, denom = _phase_tables(sys, fam, fs)
     d = fam.height
-    groups: dict[tuple[int, ...], dict[Freq, list[complex]]] = {}
+    groups: dict[tuple[int, ...], dict[Freq, complex]] = {}
     for _, out, prod, n in _tuple_data(tables, d):
-        groups.setdefault(n, {}).setdefault(out, []).append(prod)
+        by_out = groups.setdefault(n, {})
+        by_out[out] = by_out.get(out, 0j) + prod
     return [
         ({Fraction(j + 1, d): nj / denom for j, nj in enumerate(n)} if any(n) else {}, groups[n])
         for n in sorted(groups)
@@ -213,8 +215,11 @@ def multiple_average(
     d <= 2 the average is the Fresnel closed form and its error a derived bound;
     otherwise, or when that bound exceeds ``tol``, it is adaptive panels and
     their error estimate.  ``tol`` applies to each distinct phase average, not
-    to each output coefficient, whose ``AverageResult.est_error`` is sum
-    |coefficient product| * average error: a bound or an estimate as above.
+    to each output coefficient, whose ``AverageResult.est_error`` is the sum
+    over phase vectors of |P| * average error, P the summed coefficient
+    products of the tuples with that phase vector and output: a bound or an
+    estimate as above, and never above the per-tuple sum of |product| *
+    average error.
     """
     return _window_average(sys.m, _phase_groups(sys, fam, fs), interval, tol, budget)
 
@@ -232,10 +237,9 @@ def _window_average(
     errors: dict[Freq, float] = {}
     for coeffs, by_out in groups:
         avg, err = osc_phase_average(coeffs, a, b, tol, budget)[:2] if coeffs else (1.0 + 0j, 0.0)
-        for out, prods in by_out.items():
-            for prod in prods:
-                value[out] = value.get(out, 0j) + prod * avg
-                errors[out] = errors.get(out, 0.0) + abs(prod) * err
+        for out, P in by_out.items():
+            value[out] = value.get(out, 0j) + P * avg
+            errors[out] = errors.get(out, 0.0) + abs(P) * err
     return AverageResult(TrigPoly(m, value), (a, b), errors)
 
 
@@ -366,8 +370,8 @@ def _correlation_pairs(groups: Sequence[_Group]) -> list[tuple[complex, Phase]]:
     weighted P * conj(P'), P the group's summed coefficient products there."""
     by_out: dict[Freq, list[tuple[complex, dict[Fraction, float]]]] = {}
     for coeffs, outs in groups:
-        for out, prods in outs.items():
-            by_out.setdefault(out, []).append((sum(prods), coeffs))
+        for out, P in outs.items():
+            by_out.setdefault(out, []).append((P, coeffs))
     return [
         (p1 * p2.conjugate(), Phase({e: -c for e, c in c2.items()}, shifted=c1))
         for out in sorted(by_out)

@@ -7,7 +7,11 @@ experiment, a JSONL verdict stream for the checks, a text DAG for precedent
 enumeration.  Exit codes: 0 pass, 1 check failure, 2 input error, 3 numeric
 budget error.  The ``tol`` key is the quadrature tolerance of each phase
 integral, with two floors: check-vdc runs at max(tol, 1e-6), and the route
-check of verify-timechange at max(tol, 1e-7).
+check of verify-timechange at max(tol, 1e-7).  Only run-convergence reads
+``n_max``, the last index n of its intervals I_n; verify-timechange takes, for
+each exponent alpha, the first of I_1..I_59 whose predicted average is below
+``pass_tol`` / 3 within 2e5 cycles (:func:`_timechange_interval`: at the
+defaults, alpha = 1/5 takes n = 49).
 
 Two tables define the front end.  :class:`ExperimentSpec` declares each
 config key once, as a field with its default and, in the field's metadata,
@@ -305,7 +309,11 @@ class ExperimentSpec:
         f"{' | '.join(_INTERVALS)}; verify-timechange runs sliding-k1 in place of pinned, "
         "because alpha < 1 needs intervals with a > 0",
     )
-    n_max: int = _key(12, parse_int, _positive, "interval index bound")
+    n_max: int = _key(
+        12, parse_int, _positive,
+        "last interval index of run-convergence, the only command that reads it; "
+        "verify-timechange searches n = 1..59 for its intervals itself",
+    )
     tol: float = _key(
         1e-8, _number, _finite_positive,
         "quadrature tolerance per phase integral; check-vdc runs at max(tol, 1e-6) and the "

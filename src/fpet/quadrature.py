@@ -24,7 +24,9 @@ phase to its average over a window, and it picks one of two methods.
   time-change kernel's tail or head windows, is evaluated once), returning
   a value and a bound per window.  A narrow window, whose end terms cancel,
   takes e(a*mid)*sinc when the phase is linear and otherwise one 24-point
-  Gauss piece in u with a bound from Cauchy's estimate.
+  Gauss piece in u with a bound from Cauchy's estimate.  Arrays of windows
+  keep the scalar call's contract: every bound meets the tolerance, or
+  :class:`QuadratureBudgetError` is raised with the largest one.
 * Adaptive panels, for every other phase and whenever the closed form's
   bound exceeds the tolerance (b tiny against a, or a tiny with b = 0, where
   its terms cancel).  The initial panels are laid out from the phase itself:
@@ -204,25 +206,31 @@ def _initial_edges(lo: float, hi: float, phase, budget: int) -> tuple[np.ndarray
     return np.union1d(edges, base), batch
 
 
-def _row_sums(I: np.ndarray):
-    """Panel integrals summed left to right along the last axis: a complex
-    for one row, else an array over the batch."""
-    total = I.cumsum(axis=-1)[..., -1]
-    return complex(total) if total.ndim == 0 else total
+def adaptive_integral(
+    f: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    abs_tol: float,
+    budget: int = DEFAULT_BUDGET,
+    phase: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> tuple[complex | np.ndarray, float, int]:
+    """Integral of a vectorized complex integrand with absolute tolerance.
 
+    ``phase``, when given, is the integrand's phase in cycles; its variation
+    lays out the initial panels.  Returns (value, error estimate,
+    evaluations); raises :class:`QuadratureBudgetError`, with the partial
+    value, when the tolerance is unreachable within the budget.
 
-def _adaptive_core(
-    f, lo: float, hi: float, abs_tol: float, budget: int, phase
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
-    """Shared refinement loop over one batch of integrands on one window.
-
-    Returns panels sorted left to right as (left edges, right edges, panel
-    integrals of shape batch + (panels,), largest row error estimate,
-    evaluations per row).  The rows share their panels: a round bisects
-    each panel where some row that has not converged has an estimate above
-    the cut, and a row has converged when its own summed estimate is at
-    most ``abs_tol``.  ``budget`` and the stall rule apply to each row, as
-    for a single integrand."""
+    A phase that maps the m probes to an (N, m) array makes a batch: N
+    integrands on one window, which ``f`` evaluates at once, mapping an
+    (N, m) array of nodes (a broadcast view of one node vector) to their N
+    rows of values.  The rows share their panels: a round bisects each panel
+    where some row that has not converged has an estimate above the cut, and
+    a row has converged when its own summed estimate is at most ``abs_tol``.
+    ``budget`` and the stall rule apply to each row, as for a single
+    integrand.  The value is then an array of the N integrals, the error the
+    largest row error, and the evaluations are counted per row.
+    """
     if not (isfinite(lo) and lo < hi and isfinite(hi)):
         raise ValueError("need a finite, nonempty integration interval")
     if not (isfinite(abs_tol) and abs_tol > 0):
@@ -261,50 +269,21 @@ def _adaptive_core(
             break
         sa, sb = a[mask], b[mask]
         sm = 0.5 * (sa + sb)
-        na = np.concatenate((a[~mask], sa, sm))
-        nb = np.concatenate((b[~mask], sm, sb))
         nI, nE = _eval_panels(f, np.concatenate((sa, sm)), np.concatenate((sm, sb)), batch)
         evals += cost
         I = np.concatenate((I[:, ~mask], nI.reshape(len(I), -1)), axis=1)
         E = np.concatenate((E[:, ~mask], nE.reshape(len(E), -1)), axis=1)
-        a, b = na, nb
+        a = np.concatenate((a[~mask], sa, sm))
+        b = np.concatenate((b[~mask], sm, sb))
     else:
         errs = E.sum(axis=1)
     err = float(errs.max())
-    order = np.argsort(a, kind="stable")
-    a, b, I = a[order], b[order], I[:, order].reshape(batch + (len(a),))
+    # the panel integrals summed left to right: the float sums depend on the order
+    total = I[:, np.argsort(a, kind="stable")].cumsum(axis=1)[:, -1].reshape(batch)
+    value = total if batch else complex(total)
     if err <= abs_tol:
-        return a, b, I, err, evals
-    # a failure carries the partial value, summed left to right
-    raise QuadratureBudgetError(failure, _row_sums(I), err, evals)
-
-
-def adaptive_integral(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    abs_tol: float,
-    budget: int = DEFAULT_BUDGET,
-    phase: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[complex | np.ndarray, float, int]:
-    """Integral of a vectorized complex integrand with absolute tolerance.
-
-    ``phase``, when given, is the integrand's phase in cycles; its variation
-    lays out the initial panels.  Returns (value, error estimate,
-    evaluations); raises :class:`QuadratureBudgetError` when the tolerance
-    is unreachable within the budget.
-
-    A phase that maps the m probes to an (N, m) array makes a batch: N
-    integrands on one window, which ``f`` evaluates at once, mapping an
-    (N, m) array of nodes (a broadcast view of one node vector) to their N
-    rows of values.  The rows share their panels and are refined in one
-    pass per round; each row meets ``abs_tol`` on its own, within its own
-    ``budget`` of evaluations.  The value is then an array of the N
-    integrals, the error the largest row error, and the evaluations are
-    counted per row.
-    """
-    _, _, I, err, evals = _adaptive_core(f, lo, hi, abs_tol, budget, phase)
-    return _row_sums(I), err, evals
+        return value, err, evals
+    raise QuadratureBudgetError(failure, value, err, evals)
 
 
 def _exponent(e, what: str = "phase exponents") -> Fraction:
@@ -342,6 +321,8 @@ class Phase:
         powers = [e.numerator * L // e.denominator for e in self.coeffs]
         self._asc = np.zeros(max(powers, default=0) + 1)
         self._asc[powers] = list(self.coeffs.values())
+        # the closed form's class: exponents within {1/2, 1} or within {1, 2}
+        self._closed = not self.shifted and L <= 2 and len(self._asc) <= 3
         # the shifted terms with float exponents
         self._moved = [(float(e), s) for e, s in self.shifted.items()]
 
@@ -420,16 +401,23 @@ class Phase:
 
         Arrays of windows: when ``lo`` or ``hi`` is a numpy array, the
         windows are their broadcast and the return is (array of values,
-        array of bounds, evaluations); see :meth:`_window_averages`."""
+        array of bounds, evaluations), every bound within ``tol``; see
+        :meth:`_window_averages`.  Where some window's bound exceeds ``tol``,
+        :class:`QuadratureBudgetError` carries the largest bound and the
+        evaluations of the Gauss pieces."""
         if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
-            return self._window_averages(lo, hi, tol)
+            values, bounds, evals = self._window_averages(lo, hi, tol)
+            worst = float(np.max(bounds, initial=0.0))
+            if worst <= tol:
+                return values, bounds, evals
+            raise QuadratureBudgetError("a window's bound exceeds the tolerance", values, worst, evals)
         lo, hi = float(lo), float(hi)
         if not 0.0 <= lo < hi:
             raise ValueError("fractional phases need a nonempty, nonnegative interval")
         noise = self._noise(hi, tol)
         if not (self.coeffs or self.shifted):
             return 1.0 + 0j, 0.0, 0
-        if not self.shifted and self.L <= 2 and len(self._asc) <= 3:
+        if self._closed:
             value, err = self._fresnel(lo, hi, noise)
             if err <= tol:
                 return value, err, 0
@@ -461,7 +449,8 @@ class Phase:
         the smallest normal float, whose terms no longer carry 53 bits.  The
         window guard runs once, at the largest ``hi``, and its rounding bound
         serves the closed form of every window; the fallbacks below take that
-        bound at their own window's far end.
+        bound at their own window's far end.  :meth:`average` holds the
+        bounds against ``tol``.
 
         Every window takes the closed form.  Where its bound exceeds ``tol``
         (a narrow window, whose ends cancel in G(hi) - G(lo), or one whose
@@ -470,9 +459,8 @@ class Phase:
         bound noise + 16 eps; any other phase takes one 24-point Gauss piece
         in u, with the bound of :meth:`_gauss_bound`, or e(theta) at lo where
         the window's ends round to one u.  The bounds are returned as they
-        are, for the caller to hold against its share of the tolerance; the
-        evaluations are those of the Gauss pieces."""
-        if self.shifted or self.L > 2 or len(self._asc) > 3:
+        are; the evaluations are those of the Gauss pieces."""
+        if not self._closed:
             raise ValueError(
                 "arrays of windows need the closed form: no shifted block and "
                 "exponents within {1/2, 1} or within {1, 2}"

@@ -19,7 +19,7 @@ from fpet.averages import (
 )
 from fpet.fpoly import FPolyFamily, random_good_family
 from fpet.interval import TemperedSequence, tempered_family
-from fpet.quadrature import _BATCH_ROWS, DEFAULT_BUDGET, Phase, adaptive_integral
+from fpet.quadrature import _BATCH_ROWS, DEFAULT_BUDGET, Phase, adaptive_integral, osc_phase_average
 from fpet.torus import CharacterLattice, TorusSystem, TrigPoly, act, project_factor, xi_factor
 
 F = Fraction
@@ -28,8 +28,6 @@ F = Fraction
 def test_weyl_limit_matches_numeric_average():
     """A nonzero phase sum_j c_j t^(j/d) averages to the tempered-uniform
     limit 0."""
-    from fpet.quadrature import osc_phase_average
-
     value, _, _ = osc_phase_average({F(1, 2): 1.0}, 0.0, 1e6, 1e-6)
     assert abs(value) < 1e-2
 
@@ -551,6 +549,42 @@ def test_correlation_pairs_merge_tuples_with_one_phase_and_output(plane_system):
         grouped = averages._correlation_average(pairs, T, h, tol, DEFAULT_BUDGET)
         single = averages._correlation_average(tuple_pairs, T, h, tol, DEFAULT_BUDGET)
         assert abs(grouped - single) <= slack
+
+
+def test_multiple_average_sums_each_phase_group_once(plane_system):
+    """Two identical members on the identity system, so several tuples share
+    each (phase vector, output).  The average matches the per-tuple sum of
+    product * osc_phase_average within its reported error, and that error is
+    the sum of |P| * err over the groups, P a group's summed products: never
+    above the per-tuple sum of |product| * err."""
+    fam = FPolyFamily.make([[[1, 0], [0, 1]], [[1, 0], [0, 1]]])
+    support = [(-1, -1), (-1, 0), (0, -1), (0, 0), (1, 0)]
+    fs = [
+        TrigPoly(2, {chi: complex(0.3 + 0.1 * i, 0.2 * j - 0.15) for i, chi in enumerate(support)})
+        for j in range(2)
+    ]
+    window, tol = (3.0, 50.0), 1e-9
+    res = multiple_average(plane_system, fam, fs, window, tol)
+
+    tables, denom = averages._phase_tables(plane_system, fam, fs)
+    value, per_tuple, groups = {}, {}, {}
+    for _, out, prod, n in averages._tuple_data(tables, fam.height):
+        coeffs = {F(j + 1, fam.height): x / denom for j, x in enumerate(n)}
+        avg, err, _ = osc_phase_average(coeffs, *window, tol)
+        value[out] = value.get(out, 0j) + prod * avg
+        per_tuple[out] = per_tuple.get(out, 0.0) + abs(prod) * err
+        P, _, count = groups.get((out, n), (0j, err, 0))
+        groups[(out, n)] = (P + prod, err, count + 1)
+    assert max(count for _, _, count in groups.values()) > 1
+    grouped = {}
+    for (out, _), (P, err, _) in groups.items():
+        grouped[out] = grouped.get(out, 0.0) + abs(P) * err
+    assert value.keys() == res.est_error.keys()
+    for out, ref in value.items():
+        # TrigPoly drops an exactly zero coefficient
+        assert abs(res.value.terms.get(out, 0j) - ref) <= res.est_error[out]
+        assert res.est_error[out] == pytest.approx(grouped[out], rel=1e-12, abs=0.0)
+        assert res.est_error[out] <= per_tuple[out] * (1 + 1e-12)
 
 
 def test_tuples_are_enumerated_once_per_command(circle_system, monkeypatch):

@@ -277,6 +277,26 @@ def test_non_finite_observable_coefficient_exits_2(tmp_path, capsys, bad):
     assert not (tmp_path / "bad.csv").exists()
 
 
+@pytest.mark.parametrize("intervals, n", [("pinned", 1024), ("sliding-k5", 1022)])
+def test_interval_past_float_range_exits_2(tmp_path, capsys, intervals, n):
+    """With only the frequency-0 term every phase is zero and no window guard
+    fires, so the interval sequence itself must refuse the first interval
+    with an end past the float range: 2^1024 overflows, and at sliding-k5
+    6 * 2^1022 rounds to inf."""
+    (tmp_path / "one.obs").write_text("m = 1\nterm = 0 : 1.0 0.0\n")
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(
+        f"command = run-convergence\nsystem = {cfg_path('circle.system')}\n"
+        f"family = {cfg_path('third.family')}\nobservables = one.obs\n"
+        f"intervals = {intervals}\nn_max = 1100\n"
+    )
+    rc = main(["--config", str(cfg), "--serial", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: interval {n} of {intervals} is past the float range\n"
+    assert not (tmp_path / "far.csv").exists()
+
+
 def test_precedent_budget_exits_3_with_partial_dag(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(
@@ -341,6 +361,7 @@ def test_help_lists_every_key_and_command(capsys):
                     "check-vdc", "enumerate-precedents", "verify-timechange"):
         assert f"\n  {command} " in text
     assert "verify-timechange runs sliding-k1 in place of pinned" in " ".join(text.split())
+    assert "verify-timechange searches n = 1..59" in " ".join(text.split())
 
 
 @pytest.mark.parametrize(

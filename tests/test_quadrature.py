@@ -520,7 +520,10 @@ def test_window_arrays_within_their_bounds(case):
     30-digit reference, and near the scalar call on the same window; a
     window of width at most 1e-6 of its end (where G(hi) - G(lo) cancels)
     still meets tol, by the sinc or a Gauss piece, unless the phase's own
-    rounding takes a tenth of it."""
+    rounding takes a tenth of it.  The bounds are those of
+    ``_window_averages``; ``average`` returns the same arrays when the
+    largest bound meets tol, and otherwise raises with that bound and the
+    evaluations."""
     coeffs, lo, hi = case
     tol = 1e-8
     phase = Phase(coeffs)
@@ -529,10 +532,20 @@ def test_window_arrays_within_their_bounds(case):
             phase.average(lo, hi, tol)
         return
     try:
-        values, errs, _ = phase.average(lo, hi, tol)
+        values, errs, evals = phase._window_averages(lo, hi, tol)
     except QuadratureBudgetError as exc:
         assert exc.evals == 0 and exc.est_error > tol  # the window guard
+        with pytest.raises(QuadratureBudgetError):
+            phase.average(lo, hi, tol)
         return
+    if np.max(errs) > tol:
+        with pytest.raises(QuadratureBudgetError) as exc:
+            phase.average(lo, hi, tol)
+        assert exc.value.est_error == np.max(errs) and exc.value.evals == evals
+    else:
+        same = phase.average(lo, hi, tol)
+        assert np.array_equal(same[0], values) and np.array_equal(same[1], errs)
+        assert same[2] == evals
     los, his = np.broadcast_arrays(lo, hi)
     assert values.shape == errs.shape == los.shape
     # the rounding bound of the window guard, which every bound carries

@@ -1,10 +1,11 @@
 """The benchmark's tracer (perfbench/spans.py) binds functions of fpet by
 name and counts work at them.  A rename or a changed call path would leave
 its counters at zero without failing anything else, and its report runs
-mpmath on the arguments of every call it counts, so one run-convergence, one
-check-vdc and one verify-timechange command run here under the tracer, on
-the benchmark self-test's small inputs, and the report is taken as the
-benchmark's worker takes it.  The test only reads perfbench/."""
+mpmath on the arguments of every call it counts, so one run of each of the
+six commands runs here under the tracer, on the benchmark self-test's small
+inputs (the exact commands on the seed-1 exact_descent inputs, which the
+self-test does not shrink), and the report is taken as the benchmark's
+worker takes it.  The test only reads perfbench/."""
 
 import json
 import os
@@ -27,7 +28,10 @@ from spans import Tracer
 ops = [
     next(op for op in inputs.generate(w, 1, work / w, scale_down=True) if op.command == c)
     for w, c in (("convergence", "run-convergence"), ("timechange_vdc", "check-vdc"),
-                 ("timechange_vdc", "verify-timechange"))
+                 ("timechange_vdc", "verify-timechange"),
+                 ("exact_descent", "enumerate-precedents"),
+                 ("exact_descent", "check-characteristic"),
+                 ("exact_descent", "check-invariance"))
 ]
 
 def run_all(out):
@@ -55,8 +59,8 @@ def test_traced_commands_count_work_and_keep_outputs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["plain"] == [0, 0, 0] and result["traced"] == [0, 0, 0]
-    assert result["same"] == [True, True, True]
+    assert result["plain"] == [0] * 6 and result["traced"] == [0] * 6
+    assert result["same"] == [True] * 6
     counts = result["counts"]
     assert counts.get("averages.phase_vectors", 0) > 0
     # one outer integral over the shift, then one per batch of shifts for each
@@ -64,3 +68,4 @@ def test_traced_commands_count_work_and_keep_outputs(tmp_path):
     assert counts.get("averages.correlation_integrals", 0) > 1
     assert counts.get("quadrature.evals", 0) > 0
     assert counts.get("interval.kernel_points", 0) > 0
+    assert counts.get("order.dag_nodes", 0) > 0
