@@ -244,10 +244,6 @@ def _path(value, path, lineno, key) -> str:
     return str((base / value).resolve())
 
 
-def _rational(value, path, lineno, key) -> Fraction:
-    return parse_rational(value, path, lineno)
-
-
 def _listed(item):
     """Parser of a comma-separated list of ``item`` values."""
 
@@ -324,10 +320,10 @@ class ExperimentSpec:
     T: float = _key(1e4, _number, _finite_positive, "van der Corput horizon")
     H: float = _key(1e2, _number, _finite_positive, "van der Corput shift horizon")
     shift_times: tuple[Fraction, ...] = _key(
-        _DEFAULT_SHIFTS, _listed(_rational), _nonempty, "comma-separated rational off-diagonal times"
+        _DEFAULT_SHIFTS, _listed(parse_rational), _nonempty, "comma-separated rational off-diagonal times"
     )
     alphas: tuple[Fraction, ...] = _key(
-        _DEFAULT_ALPHAS, _listed(_rational), _positive_list,
+        _DEFAULT_ALPHAS, _listed(parse_rational), _positive_list,
         "comma-separated positive rational time-change exponents",
     )
     max_nodes: int = _key(10_000, parse_int, _positive, "node budget for precedent enumeration")
@@ -407,26 +403,28 @@ def _load_inputs(spec: ExperimentSpec):
 
 def run(spec: ExperimentSpec, out_dir: str = ".", stem: str = "experiment") -> int:
     """Run one experiment, write its output file; returns the process exit
-    code.  A spec that :func:`parse_config` would reject exits 2 at once."""
+    code.  A spec that :func:`parse_config` would reject exits 2 at once, and
+    so does an input file, output directory or output file that cannot be
+    read or written."""
     problem = _problem({
         f.name: getattr(spec, f.name) for f in fields(spec) if getattr(spec, f.name) != f.default
     })
     if problem:
         print(f"input error: {problem[1]}", file=sys.stderr)
         return 2
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     command = _COMMANDS[spec.command]
+    out_path = Path(out_dir) / f"{stem}.{command.suffix}"
     try:
+        # an --out that is, or lies under, a file fails here before any work
+        out_path.parent.mkdir(parents=True, exist_ok=True)
         text, code, summary = command.runner(spec, *_load_inputs(spec))
+        out_path.write_text(text)
     except QuadratureBudgetError as exc:
         print(f"numeric budget error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    out_path = out / f"{stem}.{command.suffix}"
-    out_path.write_text(text)
     print(f"{spec.command}: {summary}; wrote {out_path}")
     return code
 

@@ -28,7 +28,7 @@ from .ratlinalg import (
     is_independent,
     matvec,
 )
-from .textkv import parse_rational, read_indexed
+from .textkv import parse_rational, rational_text, read_indexed
 
 _ZERO = Fraction(0)
 
@@ -193,11 +193,14 @@ def lift_to_independent(
     """Rewrite integer/rational polynomial maps with formally independent coefficients.
 
     ``polys[i]`` lists the coefficient vectors u_{i,1}, ..., u_{i,d_i} of
-    t -> sum_j t^j u_{i,j} (no constant term).  With d a common degree bound,
-    the result is the family of height-d maps whose coefficients are the
-    standard basis of Q^(k*d), paired with the D x (k*d) matrix sending basis
-    vector (i, j) back to u_{i,j}.  Applying the matrix to the lifted family
-    (see :func:`map_coefficients`) reproduces the inputs coefficient-wise.
+    t -> sum_j t^j u_{i,j} (no constant term).  With d a common degree bound
+    and k the number of maps, member i of the lifted family is the height-d
+    map whose coefficients are rows i*d, ..., i*d + d - 1 of the (k*d) x (k*d)
+    identity, and the matrix is the transpose of the inputs' coefficient
+    vectors, each input zero-padded to d vectors, in member order: a
+    D x (k*d) matrix sending basis vector i*d + j - 1 back to u_{i,j}.
+    Applying the matrix to the lifted family (see :func:`map_coefficients`)
+    reproduces the inputs coefficient-wise.
     """
     if not polys:
         raise ValueError("at least one polynomial is required")
@@ -212,26 +215,11 @@ def lift_to_independent(
     d = height if height is not None else max(len(p) for p in coeff_lists)
     if d < max(len(p) for p in coeff_lists):
         raise ValueError("degree bound smaller than an input degree")
-    k = len(coeff_lists)
-    big = k * d
-    zero_pad = (_ZERO,) * dim
-    members = []
-    for i in range(k):
-        rows = []
-        for j in range(d):
-            e = [_ZERO] * big
-            e[i * d + j] = Fraction(1)
-            rows.append(tuple(e))
-        members.append(FPoly(d, big, tuple(rows)))
-    # matrix rows: D entries indexed by (i, j) column order
-    matrix = []
-    for r in range(dim):
-        row = []
-        for i in range(k):
-            padded = coeff_lists[i] + [zero_pad] * (d - len(coeff_lists[i]))
-            row.extend(padded[j][r] for j in range(d))
-        matrix.append(tuple(row))
-    return FPolyFamily.of(members), tuple(matrix)
+    big = len(coeff_lists) * d
+    identity = [[int(r == c) for c in range(big)] for r in range(big)]
+    family = FPolyFamily.make([identity[i : i + d] for i in range(0, big, d)])
+    padded = [u for p in coeff_lists for u in p + [(_ZERO,) * dim] * (d - len(p))]
+    return family, tuple(zip(*padded))
 
 
 def random_good_family(
@@ -278,8 +266,7 @@ def family_to_text(f: FPolyFamily) -> str:
     ]
     for i, p in enumerate(f.members, start=1):
         for j, v in enumerate(p.coeffs, start=1):
-            entries = " ".join(f"{x.numerator}/{x.denominator}" for x in v)
-            lines.append(f"v[{i}][{j}] = {entries}")
+            lines.append(f"v[{i}][{j}] = {rational_text(v)}")
     return "\n".join(lines) + "\n"
 
 
@@ -289,6 +276,7 @@ def family_from_text(text: str, path: str = "<family>") -> FPolyFamily:
         lambda h: ((h["members"], h["height"]), h["ambient_dim"]),
     )
     d, dim = head["height"], head["ambient_dim"]
-    rows = [tuple(parse_rational(t, path, line) for t in toks) for line, toks in table.values()]
+    rows = [tuple(parse_rational(t, path, line, f"v[{i}][{j}]") for t in toks)
+            for (i, j), (line, toks) in table.items()]
     members = tuple(FPoly(d, dim, tuple(rows[i : i + d])) for i in range(0, len(rows), d))
     return FPolyFamily(d, dim, members)

@@ -54,22 +54,21 @@ class TemperedSequence:
         return a, b
 
 
-def is_tempered_prefix(seq: TemperedSequence, n_max: int, K: float | None = None) -> bool:
+def is_tempered_prefix(seq: TemperedSequence, n_max: int) -> bool:
     """Finite-prefix temperedness check.
 
-    Verifies a_n <= K (b_n - a_n) for every n <= n_max and that the running
+    Verifies a_n <= seq.K (b_n - a_n) for every n <= n_max and that the running
     maximum of the lengths is still being beaten in the second half of the
     prefix (the finite stand-in for |I_n| -> infinity).
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    bound = seq.K if K is None else K
     lengths = []
     for n in range(1, n_max + 1):
         a, b = seq.interval(n)
         if not 0 <= a < b:
             raise ValueError(f"malformed interval ({a}, {b}) at n = {n}")
-        if a > bound * (b - a):
+        if a > seq.K * (b - a):
             return False
         lengths.append(b - a)
     if n_max == 1:
@@ -114,11 +113,13 @@ class TimeChangeWeights:
 
         w0 * A_(A,B)(v)  +  integral over (A, B) of kernel(t) * A_J(t)(v) dt
 
-    with (A, B) = (a^alpha, b^alpha) and J(t) = (t, B) when alpha < 1 (the
-    kernel weights tail averages) or J(t) = (A, t) when alpha > 1 (head
-    averages).  For alpha = 1 the kernel is empty and w0 = 1.  The kernel mass
-    plus w0 is exactly 1: the decomposition applied to a constant curve
-    returns that constant.
+    with (A, B) = (a^alpha, b^alpha) and J(t) the window from t to the fixed
+    end F: J(t) = (t, B) when alpha < 1 (the kernel weights tail averages)
+    or J(t) = (A, t) when alpha > 1 (head averages), and kernel(t) =
+    (1 - alpha) / (alpha^2 (b - a)) * (F - t) * t^(1/alpha - 2) on both
+    sides (see :func:`time_change_weights`).  For alpha = 1 the kernel is
+    empty and w0 = 1.  The kernel mass plus w0 is exactly 1: the
+    decomposition applied to a constant curve returns that constant.
     """
 
     alpha: float
@@ -142,16 +143,15 @@ class TimeChangeWeights:
             return 0.0
         A, B = self.support
         p = 1.0 / alpha - 2.0
+        coef = (1.0 - alpha) / (alpha**2 * (b - a))
         if self.inner == "tail":
-            coef = (1.0 - alpha) / (alpha**2 * (b - a))
             integral = B * (B ** (p + 1) - A ** (p + 1)) / (p + 1) - (
                 B ** (p + 2) - A ** (p + 2)
             ) / (p + 2)
         else:
-            coef = (alpha - 1.0) / (alpha**2 * (b - a))
             # expanded so a = 0 never evaluates 0 to a negative power:
             # A^(p+2) = a exactly, and A multiplies B^(p+1) directly
-            integral = (B ** (p + 2) - a) / (p + 2) - (A * B ** (p + 1) - a) / (p + 1)
+            integral = (A * B ** (p + 1) - a) / (p + 1) - (B ** (p + 2) - a) / (p + 2)
         return coef * integral
 
     def weighted_average(
@@ -190,7 +190,14 @@ class TimeChangeWeights:
 
 def time_change_weights(alpha: float, interval: tuple[float, float]) -> TimeChangeWeights:
     """Weights and kernel for rewriting the average of v(s^alpha) over (a, b)
-    as a combination of plain interval averages of v."""
+    as a combination of plain interval averages of v.
+
+    With F the fixed end of the inner windows (B below alpha = 1, A above)
+    and ``end`` the end of (a, b) it comes from (a below, b above), one
+    formula serves both sides: w0 = end^(1 - alpha) (B - A) / (alpha (b - a))
+    and kernel(t) = (1 - alpha) / (alpha^2 (b - a)) * (F - t) * t^p with
+    p = 1/alpha - 2.  Both factors of the kernel change sign with the side,
+    so it is nonnegative throughout."""
     a, b = float(interval[0]), float(interval[1])
     alpha = float(alpha)
     if not 0 < alpha < math.inf:
@@ -203,17 +210,10 @@ def time_change_weights(alpha: float, interval: tuple[float, float]) -> TimeChan
         return TimeChangeWeights(alpha, (a, b), 1.0, None, (a, b), "none")
     A, B = a**alpha, b**alpha
     p = 1.0 / alpha - 2.0
-    if alpha < 1:
-        w0 = a ** (1 - alpha) * (B - A) / (alpha * (b - a))
-        coef = (1 - alpha) / (alpha**2 * (b - a))
-        return TimeChangeWeights(
-            alpha, (a, b), w0, lambda t: coef * (B - t) * t**p, (A, B), "tail"
-        )
-    w0 = b ** (1 - alpha) * (B - A) / (alpha * (b - a))
-    coef = (alpha - 1) / (alpha**2 * (b - a))
-    return TimeChangeWeights(
-        alpha, (a, b), w0, lambda t: coef * (t - A) * t**p, (A, B), "head"
-    )
+    end, F, inner = (a, B, "tail") if alpha < 1 else (b, A, "head")
+    w0 = end ** (1 - alpha) * (B - A) / (alpha * (b - a))
+    coef = (1 - alpha) / (alpha**2 * (b - a))
+    return TimeChangeWeights(alpha, (a, b), w0, lambda t: coef * (F - t) * t**p, (A, B), inner)
 
 
 def time_changed_average(

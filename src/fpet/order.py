@@ -32,6 +32,7 @@ from .fpoly import (
     lower_part,
     subtract,
 )
+from .textkv import rational_text
 
 
 class StepKind(str, Enum):
@@ -198,10 +199,7 @@ def induction_dag(f: FPolyFamily, max_nodes: int = 10_000) -> InductionDag:
 
 def _family_line(f: FPolyFamily) -> str:
     members = " ; ".join(
-        "|".join(
-            ",".join(f"{x.numerator}/{x.denominator}" for x in v) for v in p.coeffs
-        )
-        for p in f.members
+        "|".join(rational_text(v, ",") for v in p.coeffs) for p in f.members
     )
     return f"h={f.height} D={f.ambient_dim} k={f.k} {members}".rstrip()
 

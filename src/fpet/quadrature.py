@@ -361,22 +361,29 @@ class Phase:
         return self.L, self._u_integrand, self._u_theta
 
     def _noise(self, hi: float, tol: float) -> float:
-        """The rounding bound of :meth:`substitute`, after its checks."""
+        """The rounding bound of :meth:`substitute` at ``hi``
+        (:meth:`_rounding`), after its checks."""
         if not (isfinite(tol) and tol > 0):
             raise ValueError("tolerance must be finite and positive")
         hi = float(hi)
         if not isfinite(hi):
             raise ValueError("the window must be finite")
-        h = self.h if isinstance(self.h, float) else float(self.h.max())  # largest of a batch
-        noise = 2 * np.pi * _EPS * (
-            sum(abs(c) * hi ** float(e) for e, c in self.coeffs.items())
-            + sum(abs(s) * (hi + h) ** e for e, s in self._moved)
-        )
+        noise = self._rounding(hi)
         if noise > tol:
             raise QuadratureBudgetError(
                 "float phase rounding exceeds the tolerance on this window", 0j, noise, 0
             )
         return noise
+
+    def _rounding(self, hi):
+        """2 pi eps (sum_e |c_e| hi^e + sum_e |s_e| (hi + h)^e), h the shift
+        (the largest of a batch): the bound by which the phase's rounding on
+        t <= hi moves an average, for a float ``hi`` or an array of them."""
+        h = self.h if isinstance(self.h, float) else float(self.h.max())
+        return 2 * np.pi * _EPS * (
+            sum(abs(c) * hi ** float(e) for e, c in self.coeffs.items())
+            + sum(abs(s) * (hi + h) ** e for e, s in self._moved)
+        )
 
     def average(self, lo, hi, tol: float, budget: int = DEFAULT_BUDGET):
         """Average of the curve over (lo, hi) with absolute tolerance ``tol``:
@@ -448,9 +455,9 @@ class Phase:
         ValueError, and so is a negative or NaN window or one narrower than
         the smallest normal float, whose terms no longer carry 53 bits.  The
         window guard runs once, at the largest ``hi``, and its rounding bound
-        serves the closed form of every window; the fallbacks below take that
-        bound at their own window's far end.  :meth:`average` holds the
-        bounds against ``tol``.
+        serves the closed form of every window; the fallbacks below take the
+        same bound, :meth:`_rounding`, at their own window's far end.
+        :meth:`average` holds the bounds against ``tol``.
 
         Every window takes the closed form.  Where its bound exceeds ``tol``
         (a narrow window, whose ends cancel in G(hi) - G(lo), or one whose
@@ -484,7 +491,7 @@ class Phase:
         nlo, nhi = (np.broadcast_to(x, shape)[narrow] for x in (lo, hi))
         ulo, uhi = (np.sqrt(x) if self.L == 2 else x for x in (nlo, nhi))
         # the guard's rounding bound at each window's own far end
-        noise = 2 * pi * _EPS * (abs(a) * uhi + abs(b) * uhi * uhi)
+        noise = self._rounding(nhi)
         if self.L == 1 and b == 0.0:
             mid = 0.5 * (nlo + nhi)
             value[narrow] = np.exp(2j * np.pi * ((a * mid) % 1.0)) * np.sinc(a * (nhi - nlo))

@@ -10,6 +10,7 @@ over Q (rows cleared of their denominators).
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -21,14 +22,17 @@ IntVec = tuple[int, ...]
 def as_fraction_vector(entries: Iterable) -> RatVec:
     """Coerce a sequence of ints / Fractions / 'p/q' strings to exact rationals.
 
-    Floats are rejected: every caller of this module is an exact computation
-    and a silently converted float would defeat the point.
+    Floats are rejected, numpy's float32, float16 and longdouble too (every
+    real number type that is not rational): every caller of this module is an
+    exact computation and a silently converted float would defeat the point.
     """
     out = []
     for x in entries:
-        if isinstance(x, float):
-            raise ValueError(f"refusing to coerce float {x!r} to an exact rational")
-        out.append(x if type(x) is Fraction else Fraction(x))
+        if type(x) is not Fraction:
+            if not isinstance(x, numbers.Rational) and isinstance(x, numbers.Real):
+                raise ValueError(f"refusing to coerce float {x!r} to an exact rational")
+            x = Fraction(x)
+        out.append(x)
     return tuple(out)
 
 

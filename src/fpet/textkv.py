@@ -2,14 +2,16 @@
 
 Every parse problem is reported as a :class:`ParseError` carrying the file
 path and 1-based line number.  :func:`read_indexed` reads the table formats
-(torus systems, families, observables) on top of :func:`scan_kv`.
+(torus systems, families, observables) on top of :func:`scan_kv`.  Exact
+rationals are written as ``p/q`` tokens both ways: :func:`parse_rational`
+reads one and :func:`rational_text` writes a row of them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class ParseError(ValueError):
@@ -37,11 +39,16 @@ def scan_kv(text: str, path: str) -> Iterator[tuple[int, str, str]]:
         yield lineno, key, value
 
 
-def parse_rational(token: str, path: str, lineno: int) -> Fraction:
+def parse_rational(token: str, path: str, lineno: int, key: str) -> Fraction:
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(path, lineno, f"malformed rational {token!r}") from None
+        raise ParseError(path, lineno, f"malformed rational {token!r} in {key}") from None
+
+
+def rational_text(row: Iterable[Fraction], sep: str = " ") -> str:
+    """The ``p/q`` tokens of a row of exact rationals, joined by ``sep``."""
+    return sep.join(f"{x.numerator}/{x.denominator}" for x in row)
 
 
 def parse_int(token: str, path: str, lineno: int, key: str) -> int:

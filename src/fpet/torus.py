@@ -28,7 +28,7 @@ from .ratlinalg import (
     int_kernel,
     matvec,
 )
-from .textkv import parse_float, parse_rational, read_indexed
+from .textkv import parse_float, parse_rational, rational_text, read_indexed
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,7 @@ class TorusSystem:
         w = as_fraction_vector(w)
         if len(chi) != self.m or len(w) != self.D:
             raise ValueError("dimension mismatch in phase computation")
-        total = Fraction(0)
-        for r, row in enumerate(self.A):
-            if chi[r]:
-                total += chi[r] * sum(a * x for a, x in zip(row, w))
-        return total
+        return sum(c * x for c, x in zip(chi, matvec(self.A, w)))
 
 
 _QUARTER_PHASES = {
@@ -299,14 +295,14 @@ def xi_factor(sys: TorusSystem, fam: FPolyFamily) -> CharacterLattice:
 def system_to_text(sys: TorusSystem) -> str:
     lines = [f"m = {sys.m}", f"D = {sys.D}"]
     for r, row in enumerate(sys.A, start=1):
-        entries = " ".join(f"{x.numerator}/{x.denominator}" for x in row)
-        lines.append(f"A[{r}] = {entries}")
+        lines.append(f"A[{r}] = {rational_text(row)}")
     return "\n".join(lines) + "\n"
 
 
 def system_from_text(text: str, path: str = "<system>") -> TorusSystem:
     head, rows = read_indexed(text, path, ("m", "D"), "A", lambda h: ((h["m"],), h["D"]))
-    matrix = tuple(tuple(parse_rational(t, path, line) for t in toks) for line, toks in rows.values())
+    matrix = tuple(tuple(parse_rational(t, path, line, f"A[{r}]") for t in toks)
+                   for (r,), (line, toks) in rows.items())
     return TorusSystem(head["m"], head["D"], matrix)
 
 

@@ -127,6 +127,20 @@ def test_malformed_rational_exits_2(tmp_path, capsys):
     assert "3/0" in err
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_on_a_file_exits_2(tmp_path, capsys, under):
+    """An --out that names a file, or a path under one, is an input error,
+    not a traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "sub" if under else taken
+    rc = main(["--config", cfg_path("prec_pair.cfg"), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ") and str(taken) in captured.err
+    assert captured.out == ""
+
+
 def test_check_invariance_cli(tmp_path):
     rc = main(["--config", cfg_path("invariance.cfg"), "--out", str(tmp_path)])
     assert rc == 0

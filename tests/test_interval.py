@@ -76,7 +76,9 @@ def test_standard_families():
     assert set(families) == {"pinned", "sliding-k1", "sliding-k5", "irregular"}
     assert is_tempered_prefix(families["pinned"], 16)
     assert is_tempered_prefix(families["sliding-k5"], 16)
-    assert not is_tempered_prefix(families["sliding-k5"], 16, K=4)
+    # the sliding-k5 rule has a_n = 5 |I_n|: a constant of 4 is too small
+    too_small = TemperedSequence("sliding-k5", 4, families["sliding-k5"].rule)
+    assert not is_tempered_prefix(too_small, 16)
     assert is_tempered_prefix(families["irregular"], 200)
     with pytest.raises(ValueError):
         tempered_family("nope")
@@ -104,6 +106,27 @@ def test_mass_one_sweep(rng):
             b = a * rng.uniform(1.1, 1e4)
             w = time_change_weights(alpha, (a, b))
             assert abs(w.w0 + w.kernel_mass() - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("interval", [(1.0, 2.0), (3.0, 17.5), (0.25, 1000.0)])
+def test_kernel_is_the_two_branch_formula_bit_for_bit(alpha, interval):
+    """The one kernel formula, coef (F - t) t^p with F the inner windows'
+    fixed end, is the tail kernel below alpha = 1 and the head kernel above
+    it to the last bit, and so is w0."""
+    a, b = interval
+    A, B = a**alpha, b**alpha
+    p = 1.0 / alpha - 2.0
+    ts = np.linspace(A, B, 33)
+    if alpha < 1:
+        w0 = a ** (1 - alpha) * (B - A) / (alpha * (b - a))
+        kernel = (1 - alpha) / (alpha**2 * (b - a)) * (B - ts) * ts**p
+    else:
+        w0 = b ** (1 - alpha) * (B - A) / (alpha * (b - a))
+        kernel = (alpha - 1) / (alpha**2 * (b - a)) * (ts - A) * ts**p
+    weights = time_change_weights(alpha, interval)
+    assert weights.w0 == w0
+    assert np.array_equal(weights.kernel(ts), kernel)
 
 
 def test_weights_domain_errors():

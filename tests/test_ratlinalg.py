@@ -1,7 +1,10 @@
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from fpet.fpoly import FPoly
 from fpet.ratlinalg import (
     as_fraction_vector,
     clear_denominators,
@@ -36,6 +39,16 @@ def test_as_fraction_vector_rejects_floats():
     with pytest.raises(ValueError):
         as_fraction_vector([0.5])
     assert as_fraction_vector(["1/2", 3]) == (Fraction(1, 2), Fraction(3))
+
+
+@pytest.mark.parametrize("x", [np.float32(0.1), np.float16(0.1), np.longdouble(0.1)],
+                         ids=["float32", "float16", "longdouble"])
+def test_numpy_floats_are_refused(x):
+    with pytest.raises(ValueError, match="refusing to coerce float"):
+        as_fraction_vector([x])
+    with pytest.raises(ValueError, match="refusing to coerce float"):
+        FPoly.make([[x]])
+    assert as_fraction_vector([Decimal("0.1"), "1/3"]) == (Fraction(1, 10), Fraction(1, 3))
 
 
 def test_clear_denominators():
