@@ -11,15 +11,18 @@ interval averages touch floating point.  Each scalar average, and each van
 der Corput correlation theta_1(t + h) - theta_2(t), is one
 :class:`~fpet.quadrature.Phase`.  At height d <= 2 a scalar average is a
 Fresnel closed form with a derived error bound (see
-:meth:`~fpet.quadrature.Phase.average`); higher heights, the correlations and
-closed forms whose bound misses the tolerance run on adaptive Gauss panels.
+:meth:`~fpet.quadrature.Phase.average`); where that bound misses the
+tolerance, the narrow-window rules (a sinc or one Gauss piece, also with a
+bound) come next, and only where they miss it too do adaptive Gauss panels
+run.  Higher heights and the correlations run on the panels.
 
 c_j is linear in the tuple, so each member's contribution chi^T A v_{i,j} is
 computed once per support frequency, as integers over one common denominator
 (the phase tables).  A finite-interval command enumerates the tuples once,
 grouped by phase vector and output (:func:`_phase_groups`): a window averages
-each distinct phase vector once, and the van der Corput step pairs phase
-groups.  A van der Corput correlation runs at many shifts h at once: each
+each distinct phase vector once, the convergence diagnostic takes its limit
+from the group whose phase vector vanishes, and the van der Corput step pairs
+phase groups.  A van der Corput correlation runs at many shifts h at once: each
 pair's phase is moved to a batch of shifts and integrated in one adaptive
 pass (see :func:`_correlation_average`).  The exact limits, self-joining
 moments and the partially-characteristic-factor witnesses need only the
@@ -212,14 +215,16 @@ def multiple_average(
     Each distinct exact phase vector is averaged once, by
     :func:`~fpet.quadrature.osc_phase_average` on its float coefficients; an
     identically zero phase contributes exactly 1 with zero error.  At height
-    d <= 2 the average is the Fresnel closed form and its error a derived bound;
-    otherwise, or when that bound exceeds ``tol``, it is adaptive panels and
-    their error estimate.  ``tol`` applies to each distinct phase average, not
-    to each output coefficient, whose ``AverageResult.est_error`` is the sum
-    over phase vectors of |P| * average error, P the summed coefficient
-    products of the tuples with that phase vector and output: a bound or an
-    estimate as above, and never above the per-tuple sum of |product| *
-    average error.
+    d <= 2 the average is the Fresnel closed form and its error a derived
+    bound; where that bound exceeds ``tol``, the narrow-window rules of
+    :meth:`~fpet.quadrature.Phase.average` (a sinc or one Gauss piece, with a
+    bound) are tried next, and where they miss ``tol`` too, or at height
+    d > 2, it is adaptive panels and their error estimate.  ``tol`` applies
+    to each distinct phase average, not to each output coefficient, whose
+    ``AverageResult.est_error`` is the sum over phase vectors of |P| *
+    average error, P the summed coefficient products of the tuples with that
+    phase vector and output: a bound or an estimate as above, and never
+    above the per-tuple sum of |product| * average error.
     """
     return _window_average(sys.m, _phase_groups(sys, fam, fs), interval, tol, budget)
 
@@ -336,11 +341,16 @@ def convergence_diagnostic(
 ) -> ConvergenceReport:
     """Track || A_{I_n} - limit ||_2 (exact Parseval distance) and successive
     Cauchy differences along a tempered sequence; passes when the final
-    distance is below ``tol``."""
+    distance is below ``tol``.
+
+    One enumeration of the tuples serves the command: the limit is the
+    phase group with phase vector 0 of :func:`_phase_groups`, whose P per
+    output sums the same products in the same itertools.product order as
+    :func:`symbolic_limit`'s join, so it is the same to the bit."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    limit = symbolic_limit(sys, fam, fs)
     groups = _phase_groups(sys, fam, fs)
+    limit = TrigPoly(sys.m, next((by_out for coeffs, by_out in groups if not coeffs), {}))
     rows = []
     prev: TrigPoly | None = None
     for n in range(1, n_max + 1):

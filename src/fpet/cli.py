@@ -175,8 +175,8 @@ def _timechange(spec, sys_obj, fam, fs):
         a, b = _timechange_interval(alpha, seq, spec.pass_tol)
         af = float(alpha)
         weights = time_change_weights(af, (a, b))
-        mass = weights.w0 + weights.kernel_mass()
-        mass_err = abs(mass - 1.0)
+        kernel_mass = weights.kernel_mass()
+        mass_err = abs(weights.w0 + kernel_mass - 1.0)
         avg = time_changed_average(curve, alpha, (a, b), tol=spec.tol, budget=spec.budget)
         limit_pass = abs(avg) < spec.pass_tol
         # dual-route consistency at a small interval (nested quadrature, so the
@@ -193,7 +193,7 @@ def _timechange(spec, sys_obj, fam, fs):
                 "alpha": str(alpha),
                 "interval": [a, b],
                 "w0": weights.w0,
-                "kernel_mass": weights.kernel_mass(),
+                "kernel_mass": kernel_mass,
                 "mass_error": mass_err,
                 "tc_avg": _c2(avg),
                 "tc_abs": abs(avg),

@@ -10,10 +10,11 @@ the time change, and the averaged quantities themselves.  Both time-change
 routes take a :class:`~fpet.quadrature.Phase` and pass the window guard of
 :meth:`~fpet.quadrature.Phase.substitute`, so both refuse windows too far out
 for the float phase.  The direct one averages ``v.power(alpha)`` with
-:meth:`~fpet.quadrature.Phase.average`, which is a Fresnel closed form when
-the powered phase has exponents within {1/2, 1} or within {1, 2} (v = t at
-alpha = 1/2 or 2) and adaptive panels otherwise; the weight route takes the
-nested averages of v itself in that closed form, on arrays of windows, each
+:meth:`~fpet.quadrature.Phase.average`, which is a Fresnel closed form, or
+its narrow-window rules, when the powered phase has exponents within
+{1/2, 1} or within {1, 2} (v = t at alpha = 1/2 or 2) and adaptive panels
+otherwise; the weight route takes the nested averages of v itself by the
+same closed form and rules, on arrays of windows, so never by panels, each
 within its share of the tolerance, and weights them by the kernel, so its v
 must have exponents within {1/2, 1} or within {1, 2}.  Where the direct
 route also takes the closed form, the two use different branches of it: for
@@ -120,6 +121,11 @@ class TimeChangeWeights:
     sides (see :func:`time_change_weights`).  For alpha = 1 the kernel is
     empty and w0 = 1.  The kernel mass plus w0 is exactly 1: the
     decomposition applied to a constant curve returns that constant.
+
+    Fields: ``alpha`` and ``interval`` (a, b) as given, as floats; ``w0``;
+    ``kernel``, t -> kernel(t) on floats or arrays, or None for alpha = 1;
+    ``support``, (A, B); and ``mass``, the kernel's total mass in closed
+    form (0.0 without a kernel), which :meth:`kernel_mass` returns.
     """
 
     alpha: float
@@ -127,32 +133,12 @@ class TimeChangeWeights:
     w0: float
     kernel: Callable[[np.ndarray], np.ndarray] | None
     support: tuple[float, float]
-    inner: str  # "tail" | "head" | "none"
+    mass: float
 
     def kernel_mass(self) -> float:
-        """Closed-form total mass of the kernel.
-
-        The power-rule exponents p + 1 = (1 - alpha)/alpha and p + 2 = 1/alpha
-        (for p = 1/alpha - 2) never vanish for valid alpha, so the same
-        antiderivative covers the whole range, including alpha = 1/2 where the
-        kernel degenerates to an affine function of t.
-        """
-        a, b = self.interval
-        alpha = self.alpha
-        if self.inner == "none":
-            return 0.0
-        A, B = self.support
-        p = 1.0 / alpha - 2.0
-        coef = (1.0 - alpha) / (alpha**2 * (b - a))
-        if self.inner == "tail":
-            integral = B * (B ** (p + 1) - A ** (p + 1)) / (p + 1) - (
-                B ** (p + 2) - A ** (p + 2)
-            ) / (p + 2)
-        else:
-            # expanded so a = 0 never evaluates 0 to a negative power:
-            # A^(p+2) = a exactly, and A multiplies B^(p+1) directly
-            integral = (A * B ** (p + 1) - a) / (p + 1) - (B ** (p + 2) - a) / (p + 2)
-        return coef * integral
+        """Closed-form total mass of the kernel, as :func:`time_change_weights`
+        computed it."""
+        return self.mass
 
     def weighted_average(
         self,
@@ -163,9 +149,9 @@ class TimeChangeWeights:
         """Apply the decomposition to a rule (lo, hi) -> average of v over (lo, hi).
 
         ``inner_average`` must accept arrays: it is called as
-        ``inner_average(ts, B)`` (tail) or ``inner_average(A, ts)`` (head) once
-        per batch of outer quadrature nodes ``ts``, and must return the array
-        of averages over the windows, as
+        ``inner_average(ts, B)`` (tail, alpha < 1) or ``inner_average(A, ts)``
+        (head, alpha > 1) once per batch of outer quadrature nodes ``ts``, and
+        must return the array of averages over the windows, as
         :meth:`~fpet.quadrature.Phase.average` does on arrays of windows.  The
         outer integral meets ``tol`` on its error estimate, or
         :class:`~fpet.quadrature.QuadratureBudgetError` is raised.  The kernel
@@ -177,13 +163,11 @@ class TimeChangeWeights:
         total = self.w0 * inner_average(A, B)
         if self.kernel is None:
             return total
-        kernel = self.kernel
-        if self.inner == "tail":
-            def integrand(ts):
-                return kernel(ts) * inner_average(ts, B)
-        else:
-            def integrand(ts):
-                return kernel(ts) * inner_average(A, ts)
+        kernel, tail = self.kernel, self.alpha < 1
+
+        def integrand(ts):
+            return kernel(ts) * (inner_average(ts, B) if tail else inner_average(A, ts))
+
         value, _, _ = adaptive_integral(integrand, A, B, tol, budget)
         return total + value
 
@@ -195,9 +179,13 @@ def time_change_weights(alpha: float, interval: tuple[float, float]) -> TimeChan
     With F the fixed end of the inner windows (B below alpha = 1, A above)
     and ``end`` the end of (a, b) it comes from (a below, b above), one
     formula serves both sides: w0 = end^(1 - alpha) (B - A) / (alpha (b - a))
-    and kernel(t) = (1 - alpha) / (alpha^2 (b - a)) * (F - t) * t^p with
-    p = 1/alpha - 2.  Both factors of the kernel change sign with the side,
-    so it is nonnegative throughout."""
+    and kernel(t) = coef * (F - t) * t^p with coef = (1 - alpha) /
+    (alpha^2 (b - a)) and p = 1/alpha - 2.  Both factors of the kernel change
+    sign with the side, so it is nonnegative throughout.  Its mass is coef
+    times the integral of (F - t) t^p over (A, B), from the power rule: the
+    exponents p + 1 = (1 - alpha)/alpha and p + 2 = 1/alpha never vanish for
+    valid alpha, so one antiderivative covers the whole range, including
+    alpha = 1/2 where the kernel is affine in t."""
     a, b = float(interval[0]), float(interval[1])
     alpha = float(alpha)
     if not 0 < alpha < math.inf:
@@ -207,13 +195,23 @@ def time_change_weights(alpha: float, interval: tuple[float, float]) -> TimeChan
     if alpha < 1 and a == 0:
         raise ValueError("alpha < 1 requires a > 0")
     if alpha == 1:
-        return TimeChangeWeights(alpha, (a, b), 1.0, None, (a, b), "none")
+        return TimeChangeWeights(alpha, (a, b), 1.0, None, (a, b), 0.0)
     A, B = a**alpha, b**alpha
     p = 1.0 / alpha - 2.0
-    end, F, inner = (a, B, "tail") if alpha < 1 else (b, A, "head")
-    w0 = end ** (1 - alpha) * (B - A) / (alpha * (b - a))
     coef = (1 - alpha) / (alpha**2 * (b - a))
-    return TimeChangeWeights(alpha, (a, b), w0, lambda t: coef * (F - t) * t**p, (A, B), inner)
+    if alpha < 1:
+        end, F = a, B
+        integral = B * (B ** (p + 1) - A ** (p + 1)) / (p + 1) - (
+            B ** (p + 2) - A ** (p + 2)
+        ) / (p + 2)
+    else:
+        end, F = b, A
+        # expanded so a = 0 never evaluates 0 to a negative power:
+        # A^(p+2) = a exactly, and A multiplies B^(p+1) directly
+        integral = (A * B ** (p + 1) - a) / (p + 1) - (B ** (p + 2) - a) / (p + 2)
+    w0 = end ** (1 - alpha) * (B - A) / (alpha * (b - a))
+    return TimeChangeWeights(alpha, (a, b), w0, lambda t: coef * (F - t) * t**p, (A, B),
+                             coef * integral)
 
 
 def time_changed_average(
@@ -239,9 +237,9 @@ def time_changed_average_via_weights(
     cross-check route for :func:`time_changed_average` (agreement within
     2 * tol is the consistency contract).
 
-    The nested averages of ``v`` are the closed form of
-    :meth:`~fpet.quadrature.Phase.average` on arrays of windows, so ``v``
-    must have exponents within {1/2, 1} or within {1, 2} (ValueError
+    The nested averages of ``v`` are the closed form and narrow-window rules
+    of :meth:`~fpet.quadrature.Phase.average` on arrays of windows, never
+    panels, so ``v`` must have exponents within {1/2, 1} or within {1, 2} (ValueError
     otherwise).  They meet tol / 2 each, and the outer integral tol / 2 on
     its estimate, or :class:`~fpet.quadrature.QuadratureBudgetError` is
     raised.  The kernel is nonnegative and w0 plus its mass is 1, so the

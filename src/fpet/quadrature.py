@@ -7,7 +7,10 @@ the exponents, turns the unshifted terms into a polynomial in u, at the price
 of the smooth amplitude L*u^(L-1).  :meth:`Phase.substitute` guards every
 window: it refuses windows so far out that float rounding of the phase alone
 exceeds the tolerance.  :meth:`Phase.average` is the route from an unshifted
-phase to its average over a window, and it picks one of two methods.
+phase to its average over a window, or over each of an array of windows.
+Every call runs one prologue (the window check, one pass of the guard at the
+largest end, and the exact 1 of the zero phase) and then one chain of
+methods, the same for a float window and an array of them.
 
 * Closed form.  With no shifted block, L <= 2 and degree at most 2 in u
   (exponents within {1/2, 1} or within {1, 2}), the integral of
@@ -19,22 +22,28 @@ phase to its average over a window, and it picks one of two methods.
   arg z = pi/4 and no two erf values of similar size are subtracted.  The
   result carries a derived error bound and no evaluations.  The formula is
   written once for floats and numpy arrays: each end of the window
-  contributes its own terms of a primitive, so :meth:`Phase.average` also
-  takes arrays of windows (a float end, such as the shared end of the
-  time-change kernel's tail or head windows, is evaluated once), returning
-  a value and a bound per window.  A narrow window, whose end terms cancel,
-  takes e(a*mid)*sinc when the phase is linear and otherwise one 24-point
-  Gauss piece in u with a bound from Cauchy's estimate.  Arrays of windows
-  keep the scalar call's contract: every bound meets the tolerance, or
-  :class:`QuadratureBudgetError` is raised with the largest one.
-* Adaptive panels, for every other phase and whenever the closed form's
-  bound exceeds the tolerance (b tiny against a, or a tiny with b = 0, where
-  its terms cancel).  The initial panels are laid out from the phase itself:
-  the cycles in each of 512 probe cells are the variation
+  contributes its own terms of a primitive, so it also takes arrays of
+  windows (a float end, such as the shared end of the time-change kernel's
+  tail or head windows, is evaluated once), with a value and a bound per
+  window.
+* Narrow-window rules, on each window whose closed-form bound exceeds the
+  tolerance (a narrow window, whose end terms cancel, or one whose terms
+  overflow); a float window enters them as an array of one window.  A
+  linear phase takes e(a*mid)*sinc, and any other closed-form phase one
+  24-point Gauss piece in u with a bound from Cauchy's estimate.  Arrays of
+  windows stop here and keep the float call's contract: every bound meets
+  the tolerance, or :class:`QuadratureBudgetError` is raised with the
+  largest one.
+* Adaptive panels, for a float window of every other phase and of a closed
+  form whose narrow-window rules miss the tolerance too (b tiny against a
+  on a wide window, where the closed form's terms cancel and the Gauss
+  piece's bound is far above it).  The initial panels are laid out from
+  the phase itself: the cycles in each of 512 probe cells are the variation
   |theta(p_(i+1)) - theta(p_i)| of the phase across it, and the edges split
   the cumulative count so each panel carries roughly a fixed number of
-  cycles (17 uniform edges when no phase is given or its variation is not
-  finite and positive).  A fixed-order Gauss-Legendre rule is applied per
+  cycles (17 uniform edges when no phase is given, its variation is not
+  finite and positive, or cells of subnormal variation leave an edge that
+  is not finite).  A fixed-order Gauss-Legendre rule is applied per
   panel, and the difference between the 24-point and 15-point rules serves
   as the per-panel error estimate.  It is an estimate, not a proven bound:
   it mostly measures the 15-point rule's own error (a 15-point rule is
@@ -194,16 +203,18 @@ def _initial_edges(lo: float, hi: float, phase, budget: int) -> tuple[np.ndarray
     if batch:
         cycles = cycles.max(axis=0)
     total = float(cycles.sum())
-    if not (isfinite(total) and total > 0.0):
-        return base, batch
-    # leave at least half the budget for error-driven refinement
-    cap = max(16, budget // (2 * _EVALS_PER_PANEL))
-    n_panels = int(min(total / _CYCLES_PER_PANEL + 16, cap))
-    cum = np.concatenate(([0.0], np.cumsum(cycles)))
-    targets = np.linspace(0.0, total, n_panels + 1)
-    edges = np.interp(targets, cum, probes)
-    edges[0], edges[-1] = lo, hi
-    return np.union1d(edges, base), batch
+    if isfinite(total) and total > 0.0:
+        # leave at least half the budget for error-driven refinement
+        cap = max(16, budget // (2 * _EVALS_PER_PANEL))
+        n_panels = int(min(total / _CYCLES_PER_PANEL + 16, cap))
+        cum = np.concatenate(([0.0], np.cumsum(cycles)))
+        targets = np.linspace(0.0, total, n_panels + 1)
+        edges = np.interp(targets, cum, probes)
+        # a cell of subnormal cycles overflows its slope to an infinite edge
+        if np.isfinite(edges).all():
+            edges[0], edges[-1] = lo, hi
+            return np.union1d(edges, base), batch
+    return base, batch
 
 
 def adaptive_integral(
@@ -365,7 +376,6 @@ class Phase:
         (:meth:`_rounding`), after its checks."""
         if not (isfinite(tol) and tol > 0):
             raise ValueError("tolerance must be finite and positive")
-        hi = float(hi)
         if not isfinite(hi):
             raise ValueError("the window must be finite")
         noise = self._rounding(hi)
@@ -387,61 +397,80 @@ class Phase:
 
     def average(self, lo, hi, tol: float, budget: int = DEFAULT_BUDGET):
         """Average of the curve over (lo, hi) with absolute tolerance ``tol``:
-        (value, error, evaluations).  Both methods run after one pass of the
-        window guard of :meth:`substitute`.
+        (value, error, evaluations).  When ``lo`` or ``hi`` is a numpy array
+        the windows are their broadcast, a float end shared by every window,
+        and the return is (array of values, array of bounds, evaluations).
 
-        With no shifted block, L <= 2 and degree at most 2 in u, the value is
-        the Fresnel closed form, the error a derived bound and the
-        evaluations 0.  The bound adds three terms: the guard's rounding
-        bound; the rounding of the terms the closed form combines, which is
-        (2 * that bound + 32 eps) times their summed magnitude over the
-        window's width, plus the rounding of the distances to the stationary
-        point; and w's relative accuracy times the magnitude of its terms.
-        Every other phase, and a closed form whose bound exceeds ``tol``, is
-        integrated in u by adaptive panels, and the error is their
-        estimate plus, for L > 1, the rounding of the window's ends in u
-        (2 L eps (lo + hi) / (hi - lo)), with
-        :class:`QuadratureBudgetError` where that sum exceeds ``tol``.  An
-        identically zero phase short-circuits to 1
-        exactly, once ``tol`` and the window have passed the same checks as
-        any other.
+        Every call, on a float window or an array of them, runs one prologue:
+        the window check (a negative or NaN window, or one narrower than the
+        smallest normal float, whose terms no longer carry 53 bits, is a
+        ValueError), one pass of the window guard of :meth:`substitute` at the
+        largest ``hi``, and the zero phase, whose average is 1 exactly.
 
-        Arrays of windows: when ``lo`` or ``hi`` is a numpy array, the
-        windows are their broadcast and the return is (array of values,
-        array of bounds, evaluations), every bound within ``tol``; see
-        :meth:`_window_averages`.  Where some window's bound exceeds ``tol``,
-        :class:`QuadratureBudgetError` carries the largest bound and the
-        evaluations of the Gauss pieces."""
-        if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
-            values, bounds, evals = self._window_averages(lo, hi, tol)
-            worst = float(np.max(bounds, initial=0.0))
-            if worst <= tol:
-                return values, bounds, evals
-            raise QuadratureBudgetError("a window's bound exceeds the tolerance", values, worst, evals)
-        lo, hi = float(lo), float(hi)
-        if not 0.0 <= lo < hi:
-            raise ValueError("fractional phases need a nonempty, nonnegative interval")
-        noise = self._noise(hi, tol)
+        With no shifted block, L <= 2 and degree at most 2 in u, every window
+        then takes one chain, the closed form first and then the narrow-window
+        rules of :meth:`_closed_windows` on each window whose closed-form
+        bound exceeds ``tol``; a float window enters those rules as an array
+        of one window, so it gets the value and bound that a one-element
+        array gets from them.  The closed form's error is a derived bound
+        with no evaluations: it adds the guard's rounding bound; the rounding
+        of the terms the closed form combines, which is (2 * that bound +
+        32 eps) times their summed magnitude over the window's width, plus
+        the rounding of the distances to the stationary point; and w's
+        relative accuracy times the magnitude of its terms.  Arrays of
+        windows must be in this class (ValueError otherwise), and every bound
+        meets ``tol`` or :class:`QuadratureBudgetError` carries the values,
+        the largest bound and the evaluations of the Gauss pieces.
+
+        A float window of every other phase, and one whose closed form and
+        narrow-window rules both miss ``tol``, is integrated in u by adaptive
+        panels, and the error is their estimate plus, for L > 1, the rounding
+        of the window's ends in u (2 L eps (lo + hi) / (hi - lo)), with
+        :class:`QuadratureBudgetError` where that sum exceeds ``tol``; the
+        evaluations then count a Gauss piece tried before the panels too."""
+        array = isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray)
+        if array:
+            if not self._closed:
+                raise ValueError("arrays of windows need the closed form: no shifted block "
+                                 "and exponents within {1/2, 1} or within {1, 2}")
+            # a float end stays a float: it is shared by every window
+            lo, hi = (np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
+                      for x in (lo, hi))
+        else:
+            lo, hi = float(lo), float(hi)
+        normal = (0.0 <= lo) & (hi - lo >= _TINY)
+        if not (normal.all() if array else normal):
+            raise ValueError("fractional phases need nonnegative intervals of normal width")
+        noise = self._noise(np.max(hi, initial=0.0) if array else hi, tol)
         if not (self.coeffs or self.shifted):
-            return 1.0 + 0j, 0.0, 0
+            zero = 0.0 * (hi - lo)  # 0.0, or zeros in the windows' shape
+            return zero + (1.0 + 0j), zero, 0
+        spent = 0
         if self._closed:
-            value, err = self._fresnel(lo, hi, noise)
-            if err <= tol:
-                return value, err, 0
+            if not array:
+                value, err = self._fresnel(lo, hi, noise)
+                if err <= tol:
+                    return value, err, 0
+            values, errs, spent = self._closed_windows(lo, hi, noise, tol)
+            worst = float(np.max(errs, initial=0.0))
+            if worst <= tol:
+                return (values, errs, spent) if array else (complex(values), worst, spent)
+            if array:
+                raise QuadratureBudgetError("a window's bound exceeds the tolerance",
+                                            values, worst, spent)
         width, L = hi - lo, self.L
         # the panels span the ends as rounded in u, each within L eps of its
         # t, and |curve| = 1: a narrow window far out can miss tol
         ends = 2 * L * _EPS * (lo + hi) / width if L > 1 else 0.0
         if ends > tol:
-            raise QuadratureBudgetError("the window is too narrow for its ends in u", 0j, ends, 0)
+            raise QuadratureBudgetError("the window is too narrow for its ends in u", 0j, ends, spent)
         value, err, evals = adaptive_integral(
             self._u_integrand, lo ** (1.0 / L), hi ** (1.0 / L), tol * width, budget, self._u_theta
         )
-        err = err / width + ends
+        err, evals = err / width + ends, evals + spent
         if ends and err > tol:
-            raise QuadratureBudgetError(
-                "the window is too narrow for its ends in u", value / width, err, evals
-            )
+            raise QuadratureBudgetError("the window is too narrow for its ends in u",
+                                        value / width, err, evals)
         return value / width, err, evals
 
     def _ab(self) -> tuple[float, float]:
@@ -449,40 +478,25 @@ class Phase:
         asc = self._asc
         return float(asc[1]), (float(asc[2]) if len(asc) == 3 else 0.0)
 
-    def _window_averages(self, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
-        """The averages over the broadcast windows (lo, hi) of a phase in the
-        closed-form class, each with its bound; any other phase is a
-        ValueError, and so is a negative or NaN window or one narrower than
-        the smallest normal float, whose terms no longer carry 53 bits.  The
-        window guard runs once, at the largest ``hi``, and its rounding bound
-        serves the closed form of every window; the fallbacks below take the
-        same bound, :meth:`_rounding`, at their own window's far end.
-        :meth:`average` holds the bounds against ``tol``.
+    def _closed_windows(self, lo, hi, noise: float, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+        """The averages over the broadcast windows (lo, hi), which have
+        passed the prologue of :meth:`average` (``noise`` its guard's rounding
+        bound), of a phase in the closed-form class, each with its bound.
+        The bounds are returned as they are, for :meth:`average` to hold
+        against ``tol``; the evaluations are those of the Gauss pieces.
 
         Every window takes the closed form.  Where its bound exceeds ``tol``
         (a narrow window, whose ends cancel in G(hi) - G(lo), or one whose
-        terms overflow, with an infinite bound), a linear phase (L = 1,
-        b = 0) takes e(a*mid)*sinc(a*(hi - lo)), which does not cancel, with
-        bound noise + 16 eps; any other phase takes one 24-point Gauss piece
-        in u, with the bound of :meth:`_gauss_bound`, or e(theta) at lo where
-        the window's ends round to one u.  The bounds are returned as they
-        are; the evaluations are those of the Gauss pieces."""
-        if not self._closed:
-            raise ValueError(
-                "arrays of windows need the closed form: no shifted block and "
-                "exponents within {1/2, 1} or within {1, 2}"
-            )
-        # a float end stays a float: it is shared by every window
-        lo, hi = (np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
-                  for x in (lo, hi))
-        if not np.all((0.0 <= lo) & (hi - lo >= _TINY)):
-            raise ValueError("fractional phases need nonnegative intervals of normal width")
-        noise = self._noise(np.max(hi), tol)
-        shape = np.broadcast_shapes(np.shape(lo), np.shape(hi))
-        if not self.coeffs:
-            return np.ones(shape, dtype=complex), np.zeros(shape), 0
+        terms overflow, with an infinite bound), the narrow-window rules take
+        it, with the guard's rounding bound, :meth:`_rounding`, at the
+        window's own far end: a linear phase (L = 1, b = 0) takes
+        e(a*mid)*sinc(a*(hi - lo)), which does not cancel, with bound noise +
+        16 eps; any other phase takes one 24-point Gauss piece in u, with the
+        bound of :meth:`_gauss_bound`, or e(theta) at lo where the window's
+        ends round to one u."""
         with np.errstate(over="ignore", invalid="ignore"):
             closed = self._fresnel(lo, hi, noise)
+        shape = np.broadcast_shapes(np.shape(lo), np.shape(hi))
         value, err = (np.array(np.broadcast_to(x, shape)) for x in closed)
         narrow = ~(err <= tol)
         if not narrow.any():
@@ -657,6 +671,7 @@ def osc_phase_average(
     :meth:`Phase.average` of the term table ``coeffs``, so (value, error,
     evaluations) from the Fresnel closed form (a derived error bound, no
     evaluations) when the exponents lie within {1/2, 1} or within {1, 2} and
-    its bound meets ``tol``, and from adaptive panels (their error estimate)
-    otherwise."""
+    its bound meets ``tol``, else from the narrow-window rules (a bound, and
+    the evaluations of a Gauss piece) when theirs does, and from adaptive
+    panels (their error estimate) otherwise."""
     return Phase(coeffs).average(lo, hi, tol, budget)

@@ -588,18 +588,27 @@ def test_multiple_average_sums_each_phase_group_once(plane_system):
 
 
 def test_tuples_are_enumerated_once_per_command(circle_system, monkeypatch):
-    calls = []
-    enumerate_tuples = averages._tuple_data
+    """One enumeration of the tuples per command; a convergence command
+    also builds the phase tables once, taking its limit from the phase
+    group with phase vector 0 rather than from a second, joined pass."""
+    calls, tables = [], []
+    enumerate_tuples, phase_tables = averages._tuple_data, averages._phase_tables
 
     def counted(*args):
         calls.append(args)
         return enumerate_tuples(*args)
 
+    def counted_tables(*args):
+        tables.append(args)
+        return phase_tables(*args)
+
     monkeypatch.setattr(averages, "_tuple_data", counted)
+    monkeypatch.setattr(averages, "_phase_tables", counted_tables)
     fam = FPolyFamily.make([[[F(1, 3)], [1]]])
     f = TrigPoly(1, {(1,): 0.5, (-2,): 0.3j, (0,): 0.2})
     report = convergence_diagnostic(circle_system, fam, [f], tempered_family("pinned"), 4)
-    assert len(report.rows) == 4 and len(calls) == 1
+    assert len(report.rows) == 4 and len(calls) == 1 and len(tables) == 1
+    assert report.limit.terms == symbolic_limit(circle_system, fam, [f]).terms
     calls.clear()
     vdc_bound_check(circle_system, fam, [f], 20.0, 2.0)
     assert len(calls) == 1

@@ -517,13 +517,13 @@ def window_arrays(draw):
 @example(({F(1, 2): 1.0, F(1): -21.0}, 0.0, np.array([16384.0, 6.5e-185])))
 def test_window_arrays_within_their_bounds(case):
     """Each window of an array lies within its reported bound of the
-    30-digit reference, and near the scalar call on the same window; a
-    window of width at most 1e-6 of its end (where G(hi) - G(lo) cancels)
-    still meets tol, by the sinc or a Gauss piece, unless the phase's own
-    rounding takes a tenth of it.  The bounds are those of
-    ``_window_averages``; ``average`` returns the same arrays when the
-    largest bound meets tol, and otherwise raises with that bound and the
-    evaluations."""
+    30-digit reference; a window of width at most 1e-6 of its end (where
+    G(hi) - G(lo) cancels) still meets tol, by the sinc or a Gauss piece,
+    unless the phase's own rounding takes a tenth of it.  The bounds are
+    those of ``_closed_windows`` after the window guard; ``average`` returns
+    the same arrays when the largest bound meets tol, and otherwise raises
+    with that bound and the evaluations.  Wherever a window meets tol in
+    the array, the float call on it succeeds too, within the two bounds."""
     coeffs, lo, hi = case
     tol = 1e-8
     phase = Phase(coeffs)
@@ -531,13 +531,20 @@ def test_window_arrays_within_their_bounds(case):
         with pytest.raises(ValueError, match="normal width"):
             phase.average(lo, hi, tol)
         return
+    los, his = np.broadcast_arrays(lo, hi)
     try:
-        values, errs, evals = phase._window_averages(lo, hi, tol)
+        # the rounding bound of the window guard, which every bound carries
+        noise = phase._noise(np.max(his), tol)
     except QuadratureBudgetError as exc:
-        assert exc.evals == 0 and exc.est_error > tol  # the window guard
+        assert exc.evals == 0 and exc.est_error > tol
         with pytest.raises(QuadratureBudgetError):
             phase.average(lo, hi, tol)
         return
+    if not phase.coeffs:  # the prologue's exact 1, before any closed form
+        values, errs, evals = phase.average(lo, hi, tol)
+        assert np.all(values == 1.0) and np.all(errs == 0.0) and evals == 0
+        return
+    values, errs, evals = phase._closed_windows(lo, hi, noise, tol)
     if np.max(errs) > tol:
         with pytest.raises(QuadratureBudgetError) as exc:
             phase.average(lo, hi, tol)
@@ -546,10 +553,7 @@ def test_window_arrays_within_their_bounds(case):
         same = phase.average(lo, hi, tol)
         assert np.array_equal(same[0], values) and np.array_equal(same[1], errs)
         assert same[2] == evals
-    los, his = np.broadcast_arrays(lo, hi)
     assert values.shape == errs.shape == los.shape
-    # the rounding bound of the window guard, which every bound carries
-    noise = phase._noise(np.max(his), tol)
     for a, b, value, err in zip(los, his, values, errs):
         # the ends' terms cancel to the window's width, relative and absolute
         ref = fresnel_reference(coeffs, a, b, extra=_digits(b / (b - a)) + _digits(1 / (b - a)))
@@ -557,21 +561,66 @@ def test_window_arrays_within_their_bounds(case):
         if b - a <= 1e-6 * max(b, 1.0) and 10 * noise <= tol:
             assert err <= tol
         if err <= tol:
-            try:
-                scalar, scalar_err, evals = phase.average(float(a), float(b), tol)
-            except QuadratureBudgetError as exc:
-                # panels refuse a window too narrow for its ends in u
-                assert exc.est_error > tol
-                continue
-            # the scalar call's error is a bound from the closed form, but
-            # only an estimate from panels, which promise tol
-            assert abs(value - scalar) <= err + (scalar_err if evals == 0 else tol)
+            # the closed form or the narrow-window rules: a bound either way
+            scalar, scalar_err, _ = phase.average(float(a), float(b), tol)
+            assert scalar_err <= tol and abs(value - scalar) <= err + scalar_err
+
+
+def _counting_guards(monkeypatch) -> list:
+    """The ``hi`` of each pass of the window guard, as they happen."""
+    guards, noise = [], Phase._noise
+    monkeypatch.setattr(Phase, "_noise", lambda self, hi, tol: guards.append(hi) or noise(self, hi, tol))
+    return guards
+
+
+@pytest.mark.parametrize("window, tol", [
+    ((1.5, 1.50000001), 1e-8),
+    ((1e6, 1e6 + 1e-4), 1e-6),
+], ids=["near_one", "far_out"])
+def test_float_window_takes_the_array_route(window, tol, monkeypatch):
+    """A float window whose closed-form bound misses tol enters the
+    narrow-window rules as a one-element array, and returns that array's
+    value and bound bit for bit, after one pass of the window guard.  Both
+    windows once fell through to panels, which refused them as too narrow
+    for their ends in u (2.7e-7 and 1.8e-5)."""
+    phase = Phase({F(1, 2): 1.0, F(1): -0.5})
+    guards = _counting_guards(monkeypatch)
+    value, err, evals = phase.average(*window, tol)
+    values, errs, array_evals = phase.average(np.array([window[0]]), np.array([window[1]]), tol)
+    assert len(guards) == 2
+    assert type(value) is complex and type(err) is float
+    assert value == values[0] and err == errs[0] and evals == array_evals == 24
+    a, b = window
+    assert abs(value - fresnel_reference(phase.coeffs, a, b, extra=_digits(b / (b - a)))) <= err <= tol
+
+
+@pytest.mark.parametrize("coeffs", [
+    {F(1): 0.37},
+    {F(1): 2.5, F(2): -0.01},
+    {F(1, 2): 1.0},
+    {F(1, 2): 0.3, F(1): 0.7},
+], ids=["linear", "quadratic", "root", "root_and_linear"])
+def test_float_closed_form_calls_no_numpy(coeffs, monkeypatch):
+    """A float window whose closed form meets tol returns before any numpy
+    call, after exactly one pass of the window guard."""
+    phase = Phase(coeffs)
+    guards = _counting_guards(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy called on the float closed form")
+
+    for name in ("max", "errstate", "broadcast_to", "asarray"):
+        monkeypatch.setattr(np, name, refuse)
+    value, err, evals = phase.average(100.0, 900.0, 1e-8)
+    assert evals == 0 and err <= 1e-8 and guards == [900.0]
+    assert type(value) is complex
 
 
 def test_window_arrays_take_the_closed_form_only():
     """Arrays of windows are the closed form's: any other phase is a
     ValueError, as are empty and NaN windows and one of subnormal width; a
-    float end is shared by every window."""
+    float end is shared by every window, and an empty array of windows
+    averages to empty arrays."""
     ts = np.array([1.0, 2.0, 3.0])
     for phase in (Phase({F(1, 3): 1.0}), Phase({F(1, 2): 1.0, F(3, 2): 0.1}),
                   Phase({F(1): 0.5}, shifted={F(1): 0.5}).at(1.0)):
@@ -587,6 +636,10 @@ def test_window_arrays_take_the_closed_form_only():
     assert np.all(np.abs(values - closed_linear_average(0.37, ts, 4.0)) <= errs)
     ones, zeros, _ = Phase({}).average(1.0, ts + 1.0, 1e-8)
     assert np.all(ones == 1.0) and np.all(zeros == 0.0)
+    # no windows at all, whichever end is the empty array
+    for lo, hi in ((ts[:0], 4.0), (1.0, ts[:0])):
+        values, errs, evals = phase.average(lo, hi, 1e-8)
+        assert values.shape == errs.shape == (0,) and evals == 0
 
 
 @pytest.mark.parametrize("coeffs, window", [
@@ -596,10 +649,12 @@ def test_window_arrays_take_the_closed_form_only():
 def test_cancelling_closed_form_falls_back_to_panels(coeffs, window):
     """With b = 1e-13 against a = 3 the closed form's boundary and Fresnel
     terms, near 1e12 each, cancel; with b = 0 and a = 1e-170 its terms
-    overflow.  Either way its bound exceeds tol, and the panels answer
-    instead."""
+    overflow.  Either way its bound exceeds tol, and the narrow-window rules
+    try the window first: for a = 1e-170 the phase hardly moves and their
+    24-point Gauss piece meets tol, while for b = 1e-13 the piece's Cauchy
+    bound over the whole window is far above it and the panels answer."""
     value, err, evals = osc_phase_average(coeffs, *window, 1e-8)
-    assert evals > 0
+    assert evals == 24 if coeffs[F(1, 2)] < 1 else evals > 24
     assert abs(value - fresnel_reference(coeffs, *window)) <= 1e-8
 
 
@@ -631,6 +686,9 @@ def _u_integral(phase, T, tol, wrap=lambda f: f):
     hs=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=_BATCH_ROWS),
     tol=st.sampled_from([1e-6, 1e-10]),
 )
+# a subnormal coefficient: the probe cells' cycles are subnormal, and laying
+# panels out from them overflowed an edge to infinity
+@example(coeffs=[0.0, 0.0, 0.0, 2.225073858507e-311], T=4.0, hs=[0.0], tol=1e-6)
 def test_batched_rows_match_scalar_calls(coeffs, T, hs, tol):
     """Each batched row and the scalar call at its shift both estimate
     their error at most tol * T, on different panels, so they agree to
