@@ -9,6 +9,13 @@ doubled height (zero vectors at the odd indices) is a different object, and
 the goodness predicate genuinely depends on the choice.  All coefficients are
 exact rationals; every predicate here is decided symbolically.
 
+The coefficients are stored as integer rows over one positive denominator,
+v_j = rows[j-1] / den, in lowest terms: den and the entries have no common
+factor, so the zero map has den = 1.  That form is unique, so two maps are
+equal exactly when their integer rows and denominators are, and the descent
+moves (differences, lower parts, height drops) run in integer arithmetic.
+``FPoly.coeffs`` is a ``Fraction`` view of the rows, built on each access.
+
 The lead of phi is the integer j of its last nonzero vector v_j (0 for the
 zero map); its degree is the paper's j/d.  Within one height degrees compare
 as leads do, so the precedence order and the descent moves work on leads.
@@ -20,60 +27,96 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .ratlinalg import (
-    RatVec,
-    as_fraction_vector,
-    is_independent,
-    matvec,
-)
+from .ratlinalg import IntVec, RatVec, as_fraction_vector, column_hermite
 from .textkv import parse_rational, rational_text, read_indexed
 
-_ZERO = Fraction(0)
+
+def _lowest(den: int, rows: tuple[IntVec, ...]) -> tuple[int, tuple[IntVec, ...]]:
+    """``(den, rows)`` divided by the gcd of den and every entry."""
+    g = den
+    for r in rows:
+        if g == 1:
+            break
+        g = gcd(g, *r)
+    if g == 1:
+        return den, rows
+    return den // g, tuple(tuple(a // g for a in r) for r in rows)
 
 
-def _cache_hash(obj, fields: tuple) -> None:
-    """Store the hash of a frozen value once, at construction.
+def _derive(p):
+    """Set the lead and the hash of a new frozen ``FPoly`` from its fields."""
+    rows, lead = p.rows, p.height
+    while lead and not any(rows[lead - 1]):
+        lead -= 1
+    object.__setattr__(p, "lead", lead)
+    # the hash the dataclass would compute on every call; stored once, since
+    # every cache and dict lookup of the descent DAG hashes families
+    object.__setattr__(p, "_hash", hash((p.height, p.ambient_dim, p.den, rows)))
+    return p
 
-    It is the hash the dataclass would compute on every call, hash(fields);
-    rehashing nested ``Fraction`` tuples on each cache or dict lookup would
-    dominate the descent DAG.
-    """
-    object.__setattr__(obj, "_hash", hash(fields))
+
+def _fpoly(height: int, dim: int, den: int, rows: tuple[IntVec, ...]) -> "FPoly":
+    """An ``FPoly`` from rows already in lowest terms over ``den``, unchecked:
+    the constructor of the descent moves, whose inputs are valid by
+    construction."""
+    p = object.__new__(FPoly)
+    object.__setattr__(p, "height", height)
+    object.__setattr__(p, "ambient_dim", dim)
+    object.__setattr__(p, "den", den)
+    object.__setattr__(p, "rows", rows)
+    return _derive(p)
 
 
 @dataclass(frozen=True)
 class FPoly:
-    """One fractional polynomial: height, ambient dimension, coefficient rows.
+    """One fractional polynomial: height, ambient dimension, and the
+    coefficient vectors as integer rows over one denominator.
 
-    ``coeffs[j-1]`` is the vector attached to the power t^(j/d).  ``lead``,
-    computed once at construction and outside equality and hashing, is the
-    largest j with v_j != 0, or 0 for the zero map.
+    ``rows[j-1] / den`` is the vector attached to the power t^(j/d).  The rows
+    are tuples of ints, den is positive, and den and the entries have no
+    common factor (den = 1 for the zero map), so each map has one form and
+    equality and hashing compare plain int tuples.
+    ``lead``, computed once at construction and outside equality and hashing,
+    is the largest j with v_j != 0, or 0 for the zero map.  Build from
+    rationals with :meth:`make`.
     """
 
     height: int
     ambient_dim: int
-    coeffs: tuple[RatVec, ...]
+    den: int
+    rows: tuple[IntVec, ...]
 
     def __post_init__(self):
         if self.height < 1:
             raise ValueError("height must be a positive integer")
         if self.ambient_dim < 1:
             raise ValueError("ambient dimension must be a positive integer")
-        if len(self.coeffs) != self.height:
-            raise ValueError(
-                f"need exactly {self.height} coefficient vectors, got {len(self.coeffs)}"
-            )
-        for v in self.coeffs:
-            if len(v) != self.ambient_dim:
-                raise ValueError("coefficient vector of wrong dimension")
-        _cache_hash(self, (self.height, self.ambient_dim, self.coeffs))
-        lead = next((j for j in range(self.height, 0, -1) if any(self.coeffs[j - 1])), 0)
-        object.__setattr__(self, "lead", lead)
+        rows = self.rows
+        if type(rows) is not tuple or any(
+            type(v) is not tuple or any(type(a) is not int for a in v) for v in rows
+        ):
+            raise ValueError("coefficient rows are tuples of ints; build rationals with FPoly.make")
+        if len(rows) != self.height:
+            raise ValueError(f"need exactly {self.height} coefficient vectors, got {len(rows)}")
+        if any(len(v) != self.ambient_dim for v in rows):
+            raise ValueError("coefficient vector of wrong dimension")
+        if type(self.den) is not int or self.den < 1:
+            raise ValueError("the denominator must be a positive integer")
+        if _lowest(self.den, rows)[0] != self.den:
+            raise ValueError("coefficient rows and denominator share a factor")
+        _derive(self)
 
     def __hash__(self):
         return self._hash
+
+    @property
+    def coeffs(self) -> tuple[RatVec, ...]:
+        """The coefficient vectors v_1, ..., v_d as ``Fraction`` rows, built
+        on each access and not stored: the descent DAG never needs them."""
+        return tuple(tuple(Fraction(a, self.den) for a in r) for r in self.rows)
 
     @classmethod
     def make(cls, rows: Sequence[Iterable], height: int | None = None) -> "FPoly":
@@ -81,6 +124,8 @@ class FPoly:
 
         ``height`` may exceed ``len(rows)``; missing top rows are zero.
         """
+        if height is not None and height < 1:
+            raise ValueError("height must be a positive integer")
         vecs = [as_fraction_vector(r) for r in rows]
         if not vecs:
             raise ValueError("at least one coefficient row is required")
@@ -88,8 +133,11 @@ class FPoly:
         d = height if height is not None else len(vecs)
         if d < len(vecs):
             raise ValueError("declared height smaller than the coefficient list")
-        vecs.extend([(_ZERO,) * dim] * (d - len(vecs)))
-        return cls(height=d, ambient_dim=dim, coeffs=tuple(vecs))
+        # over the lcm of the reduced denominators the rows are in lowest terms
+        den = lcm(*(x.denominator for v in vecs for x in v))
+        ints = [tuple(x.numerator * (den // x.denominator) for x in v) for v in vecs]
+        ints.extend([(0,) * dim] * (d - len(vecs)))
+        return cls(d, dim, den, tuple(ints))
 
 
 def degree(p: FPoly) -> Fraction:
@@ -113,26 +161,36 @@ def is_good(p: FPoly) -> bool:
 
 def lower_part(p: FPoly) -> FPoly:
     """Drop the top coefficient v_d; equals p when p is not top-degree."""
-    zero = (_ZERO,) * p.ambient_dim
-    return FPoly(p.height, p.ambient_dim, p.coeffs[:-1] + (zero,))
+    if p.lead < p.height:
+        return p
+    zero = (0,) * p.ambient_dim
+    return _fpoly(p.height, p.ambient_dim, *_lowest(p.den, p.rows[:-1] + (zero,)))
 
 
 def subtract(p: FPoly, q: FPoly) -> FPoly:
     if p.height != q.height or p.ambient_dim != q.ambient_dim:
         raise ValueError("height/dimension mismatch in fractional-polynomial difference")
-    rows = tuple(
-        tuple(a - b for a, b in zip(u, w)) for u, w in zip(p.coeffs, q.coeffs)
-    )
-    return FPoly(p.height, p.ambient_dim, rows)
+    if p.den == q.den:
+        den = p.den
+        rows = tuple(tuple(a - b for a, b in zip(u, w)) for u, w in zip(p.rows, q.rows))
+    else:
+        den = lcm(p.den, q.den)
+        sp, sq = den // p.den, den // q.den
+        rows = tuple(
+            tuple(a * sp - b * sq for a, b in zip(u, w)) for u, w in zip(p.rows, q.rows)
+        )
+    return _fpoly(p.height, p.ambient_dim, *_lowest(den, rows))
 
 
 def map_coefficients(matrix: Sequence[Sequence], p: FPoly) -> FPoly:
     """Apply a rational linear map (rows of a D' x D matrix) to every v_j."""
-    rows = [as_fraction_vector(r) for r in matrix]
-    if any(len(r) != p.ambient_dim for r in rows):
+    frows = [as_fraction_vector(r) for r in matrix]
+    if any(len(r) != p.ambient_dim for r in frows):
         raise ValueError("matrix has the wrong number of columns")
-    new = tuple(matvec(rows, v) for v in p.coeffs)
-    return FPoly(p.height, len(rows), new)
+    mden = lcm(*(x.denominator for r in frows for x in r))
+    mat = [[x.numerator * (mden // x.denominator) for x in r] for r in frows]
+    rows = tuple(tuple(sum(a * x for a, x in zip(m, v)) for m in mat) for v in p.rows)
+    return FPoly(p.height, len(mat), *_lowest(p.den * mden, rows))
 
 
 @dataclass(frozen=True)
@@ -151,7 +209,7 @@ class FPolyFamily:
         for p in self.members:
             if p.height != self.height or p.ambient_dim != self.ambient_dim:
                 raise ValueError("family members must share height and ambient dimension")
-        _cache_hash(self, (self.height, self.ambient_dim, self.members))
+        object.__setattr__(self, "_hash", hash((self.height, self.ambient_dim, self.members)))
 
     def __hash__(self):
         return self._hash
@@ -165,7 +223,7 @@ class FPolyFamily:
     @classmethod
     def make(cls, member_rows: Sequence[Sequence[Iterable]], height: int | None = None) -> "FPolyFamily":
         """Build from a list of coefficient-row lists, padded to a shared height."""
-        d = height if height is not None else max(len(rows) for rows in member_rows)
+        d = height if height is not None else max(map(len, member_rows), default=1)
         return cls.of([FPoly.make(rows, height=d) for rows in member_rows])
 
     @property
@@ -176,15 +234,20 @@ class FPolyFamily:
 @lru_cache(maxsize=65536)
 def family_is_good(f: FPolyFamily) -> bool:
     """Every member nonzero, and v_{i,1}, ..., v_{i,lead_i} of all members
-    jointly independent over Q, decided by one :func:`is_independent` call.
+    jointly independent over Q, decided by one :func:`column_hermite` call.
 
     This is the same as every member good and all nonzero v_{i,j} across the
     family jointly independent: above its lead a member's vectors are zero,
-    and below it a zero or repeated vector is a dependence.  Cached: this is
-    the hot predicate of the precedence order."""
+    and below it a zero or repeated vector is a dependence.  A member's rows
+    are its vectors scaled by its positive denominator, which keeps the rank,
+    so they go to the Hermite form as they are.  Cached: this is the hot
+    predicate of the precedence order."""
     if any(p.lead == 0 for p in f.members):
         return False
-    return is_independent([v for p in f.members for v in p.coeffs[: p.lead]])
+    rows = [r for p in f.members for r in p.rows[: p.lead]]
+    if len(rows) > f.ambient_dim:
+        return False
+    return len(column_hermite(rows, f.ambient_dim)) == len(rows)
 
 
 def lift_to_independent(
@@ -216,9 +279,9 @@ def lift_to_independent(
     if d < max(len(p) for p in coeff_lists):
         raise ValueError("degree bound smaller than an input degree")
     big = len(coeff_lists) * d
-    identity = [[int(r == c) for c in range(big)] for r in range(big)]
-    family = FPolyFamily.make([identity[i : i + d] for i in range(0, big, d)])
-    padded = [u for p in coeff_lists for u in p + [(_ZERO,) * dim] * (d - len(p))]
+    identity = tuple(tuple(int(r == c) for c in range(big)) for r in range(big))
+    family = FPolyFamily.of([FPoly(d, big, 1, identity[i : i + d]) for i in range(0, big, d)])
+    padded = [u for p in coeff_lists for u in p + [(Fraction(0),) * dim] * (d - len(p))]
     return family, tuple(zip(*padded))
 
 
@@ -236,20 +299,25 @@ def random_good_family(
         if sum(leads) <= dim:
             break
     # random unimodular matrix via integer shears, then rational row scaling
-    mat = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    mat = [[int(i == j) for j in range(dim)] for i in range(dim)]
     for _ in range(2 * dim):
         i, j = rng.randrange(dim), rng.randrange(dim)
         if i == j:
             continue
         c = rng.choice([-2, -1, 1, 2])
         mat[i] = [a + c * b for a, b in zip(mat[i], mat[j])]
-    scales = [Fraction(rng.choice([1, 1, 2, 3]), rng.choice([1, 1, 2, 3])) for _ in range(dim)]
-    rows = [tuple(s * x for x in row) for s, row in zip(scales, mat)]
+    scales = [(rng.choice([1, 1, 2, 3]), rng.choice([1, 1, 2, 3])) for _ in range(dim)]
+    # row i is (num_i * mat[i]) / den_i
+    rows = [(tuple(num * x for x in row), den) for (num, den), row in zip(scales, mat)]
     rng.shuffle(rows)
     members = []
     pos = 0
     for lead in leads:
-        members.append(FPoly.make(rows[pos : pos + lead], height=height))
+        part = rows[pos : pos + lead]
+        den = lcm(*(q for _, q in part))
+        ints = tuple(tuple(x * (den // q) for x in r) for r, q in part)
+        ints += ((0,) * dim,) * (height - lead)
+        members.append(_fpoly(height, dim, *_lowest(den, ints)))
         pos += lead
     return FPolyFamily.of(members)
 
@@ -265,8 +333,8 @@ def family_to_text(f: FPolyFamily) -> str:
         f"members = {f.k}",
     ]
     for i, p in enumerate(f.members, start=1):
-        for j, v in enumerate(p.coeffs, start=1):
-            lines.append(f"v[{i}][{j}] = {rational_text(v)}")
+        for j, v in enumerate(p.rows, start=1):
+            lines.append(f"v[{i}][{j}] = {rational_text(v, den=p.den)}")
     return "\n".join(lines) + "\n"
 
 
@@ -278,5 +346,5 @@ def family_from_text(text: str, path: str = "<family>") -> FPolyFamily:
     d, dim = head["height"], head["ambient_dim"]
     rows = [tuple(parse_rational(t, path, line, f"v[{i}][{j}]") for t in toks)
             for (i, j), (line, toks) in table.items()]
-    members = tuple(FPoly(d, dim, tuple(rows[i : i + d])) for i in range(0, len(rows), d))
+    members = tuple(FPoly.make(rows[i : i + d], height=d) for i in range(0, len(rows), d))
     return FPolyFamily(d, dim, members)

@@ -23,6 +23,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from math import lcm
 
 from .fpoly import (
     FPoly,
@@ -115,7 +117,8 @@ def type2_precedent(f: FPolyFamily, i: int) -> PrecedentStep:
 
 def height_drop(f: FPolyFamily) -> PrecedentStep:
     """Re-declare a family with no top-degree member at its maximal leading
-    index; the coefficient vectors are reused verbatim."""
+    index; the coefficient rows are reused verbatim (the dropped rows are
+    zero, so each denominator stays as it is)."""
     if f.k == 0:
         raise ValueError("cannot drop the height of an empty family")
     if not family_is_good(f):
@@ -124,16 +127,28 @@ def height_drop(f: FPolyFamily) -> PrecedentStep:
     if new_d == f.height:
         raise ValueError("height drop applies only when no member is top-degree")
     members = tuple(
-        FPoly(new_d, f.ambient_dim, p.coeffs[:new_d]) for p in f.members
+        FPoly(new_d, f.ambient_dim, p.den, p.rows[:new_d]) for p in f.members
     )
     result = FPolyFamily(new_d, f.ambient_dim, members)
     return _checked(PrecedentStep(StepKind.HEIGHT_DROP, f, result, (new_d,)))
 
 
 def canonical_family(f: FPolyFamily) -> FPolyFamily:
-    """Members sorted by (lead descending, lexicographic coefficients)."""
-    members = sorted(f.members, key=lambda p: (-p.lead, p.coeffs))
-    return FPolyFamily(f.height, f.ambient_dim, tuple(members))
+    """Members sorted by (lead descending, lexicographic coefficients).
+
+    Coefficients compare as rationals: each member's rows are scaled to the
+    family's common denominator, and over one positive denominator integer
+    rows order as the rationals they stand for."""
+    common = lcm(*(p.den for p in f.members))
+
+    def key(p):
+        scale = common // p.den
+        if scale == 1:
+            return -p.lead, p.rows
+        return -p.lead, tuple(tuple(a * scale for a in r) for r in p.rows)
+
+    members = tuple(sorted(f.members, key=key))
+    return f if members == f.members else FPolyFamily(f.height, f.ambient_dim, members)
 
 
 @dataclass(frozen=True)
@@ -173,13 +188,9 @@ def induction_dag(f: FPolyFamily, max_nodes: int = 10_000) -> InductionDag:
         fam = queue.popleft()
         if fam.k <= 1:
             continue
-        steps = [type1_precedent(fam)]
-        steps += [
-            type2_precedent(fam, i)
-            for i, p in enumerate(fam.members, start=1)
-            if is_top_degree(p)
-        ]
-        if not any(is_top_degree(p) for p in fam.members):
+        top = [i for i, p in enumerate(fam.members, start=1) if is_top_degree(p)]
+        steps = [type1_precedent(fam)] + [type2_precedent(fam, i) for i in top]
+        if not top:
             steps.append(height_drop(fam))
         for step in steps:
             res = canonical_family(step.result)
@@ -197,10 +208,12 @@ def induction_dag(f: FPolyFamily, max_nodes: int = 10_000) -> InductionDag:
     return InductionDag(tuple(nodes), tuple(edges))
 
 
-def _family_line(f: FPolyFamily) -> str:
-    members = " ; ".join(
-        "|".join(rational_text(v, ",") for v in p.coeffs) for p in f.members
-    )
+def _member_text(p: FPoly) -> str:
+    return "|".join(rational_text(v, ",", p.den) for v in p.rows)
+
+
+def _family_line(f: FPolyFamily, member_text=_member_text) -> str:
+    members = " ; ".join(map(member_text, f.members))
     return f"h={f.height} D={f.ambient_dim} k={f.k} {members}".rstrip()
 
 
@@ -215,7 +228,10 @@ def dag_to_text(dag: InductionDag) -> str:
     """Line-oriented export: one node line per canonical family, one edge line
     per step with its kind and detail.  Ordering is the deterministic
     construction order, suitable for golden files."""
-    lines = [f"node {i} {_family_line(fam)}" for i, fam in enumerate(dag.nodes)]
+    # equal members recur across nodes (146 distinct in the 1,652 members of
+    # the benchmark template's DAG), so each is written once
+    member_text = cache(_member_text)
+    lines = [f"node {i} {_family_line(fam, member_text)}" for i, fam in enumerate(dag.nodes)]
     for src, dst, step in dag.edges:
         detail = " ".join(
             f"{name}={value}"

@@ -5,7 +5,10 @@ Integer routines use arbitrary-precision ints; subgroups of Z^m are
 canonicalized through a column-style Hermite normal form with positive
 pivots, so equal subgroups compare equal literally.  That one integer
 elimination is the module's only exact route: it also decides independence
-over Q (rows cleared of their denominators).
+over Q, since scaling rows by positive integers keeps their rank.
+:func:`is_independent` clears the denominators of ``Fraction`` rows first;
+goodness of fractional polynomials (:mod:`fpet.fpoly`) hands it integer rows
+as they are stored, each member's vectors over its one denominator.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ def column_hermite(generators: Iterable[Sequence[int]], m: int) -> tuple[IntVec,
     Column-style Hermite normal form: basis vectors have strictly increasing
     pivot rows, positive pivots, and in each pivot row the entries of the
     earlier basis vectors are reduced into [0, pivot).  The form is unique,
-    so subgroup equality is literal tuple equality of bases.
+    so subgroup equality is literal tuple equality of bases, and any sequence
+    of unimodular column operations that reaches it gives the same result.
     """
     cols = [list(g) for g in generators if any(g)]
     for c in cols:
@@ -111,11 +115,16 @@ def column_hermite(generators: Iterable[Sequence[int]], m: int) -> tuple[IntVec,
                 j += 1
                 continue
             a, b = cols[npiv][i], cols[j][i]
-            g, x, y = _xgcd(a, b)
-            ag, bg = a // g, b // g
-            new_p = [x * p + y * q for p, q in zip(cols[npiv], cols[j])]
-            new_j = [-bg * p + ag * q for p, q in zip(cols[npiv], cols[j])]
-            cols[npiv], cols[j] = new_p, new_j
+            if b % a == 0:
+                # one column operation clears b and leaves the pivot column
+                c = b // a
+                cols[j] = [q - c * p for p, q in zip(cols[npiv], cols[j])]
+            else:
+                g, x, y = _xgcd(a, b)
+                ag, bg = a // g, b // g
+                new_p = [x * p + y * q for p, q in zip(cols[npiv], cols[j])]
+                new_j = [-bg * p + ag * q for p, q in zip(cols[npiv], cols[j])]
+                cols[npiv], cols[j] = new_p, new_j
             if not any(cols[j]):
                 cols.pop(j)
             else:

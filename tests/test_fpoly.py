@@ -19,6 +19,8 @@ from fpet.fpoly import (
     random_good_family,
     subtract,
 )
+from fpet.order import _family_line, canonical_family, dag_to_text, height_drop, induction_dag
+import fpoly_reference as ref
 from rref_reference import rank
 
 F = Fraction
@@ -107,7 +109,7 @@ def test_family_is_good_matches_the_two_stage_definition(rng):
             # draw from a small pool so repeated vectors across members occur
             rows = [rng.choice(pool) if rng.random() < 0.3 else
                     tuple(rng.choice(entries) for _ in range(dim)) for _ in range(d)]
-            members.append(FPoly(d, dim, tuple(rows)))
+            members.append(FPoly.make(rows, height=d))
         fam = FPolyFamily(d, dim, tuple(members))
         expected = _old_family_is_good(fam)
         assert family_is_good(fam) == expected
@@ -253,16 +255,113 @@ def test_family_text_rejects_bad_rational():
 
 def test_hash_is_cached_and_structural():
     a = fp([[1, "1/2"], [0, 3]])
-    b = FPoly(2, 2, ((F(2, 2), F(1, 2)), (F(0), F(3))))
+    b = FPoly(2, 2, 2, ((2, 1), (0, 6)))
     c = subtract(fp([[2, 1], [0, 4]]), fp([[1, "1/2"], [0, 1]]))
     d = map_coefficients([[1, 0], [0, 1]], a)
     for p in (b, c, d):
         assert p == a and hash(p) == hash(a)
-    assert hash(a) == hash((a.height, a.ambient_dim, a.coeffs))
+    assert hash(a) == hash((a.height, a.ambient_dim, a.den, a.rows))
     other = fp([[0, 1], [1, 0]])
     f1 = FPolyFamily.of([a, other])
     f2 = FPolyFamily.make([[[1, "1/2"], [0, 3]], [[0, 1], [1, 0]]])
-    f3 = FPolyFamily(2, 2, (c, FPoly(2, 2, ((F(0), F(1)), (F(1), F(0))))))
+    f3 = FPolyFamily(2, 2, (c, FPoly(2, 2, 1, ((0, 1), (1, 0)))))
     assert f1 == f2 == f3 and hash(f1) == hash(f2) == hash(f3)
     assert hash(f1) == hash((f1.height, f1.ambient_dim, f1.members))
     assert len({f1, f2, f3}) == 1 and f2 in {f1: 0}
+
+
+_SCALES = (F(1), F(-1), F(2), F(1, 2), F(-1, 3), F(3, 4), F(2, 3), F(-5, 6))
+
+
+@st.composite
+def mixed_good_families(draw):
+    """A good family (k in 1..4, height 1..3) whose vectors are scaled basis
+    vectors sheared by earlier ones, with entries over 1, 2, 3, 4, 6 and 12
+    mixed within and across members; and its rows as Fractions."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    leads = [draw(st.integers(1, d)) for _ in range(k)]
+    n = sum(leads)
+    dim = n + draw(st.integers(0, 1))
+    vectors = []
+    for r in range(n):
+        row = [F(0)] * dim
+        row[r] = draw(st.sampled_from(_SCALES))
+        if dim > n:
+            row[n] = draw(st.sampled_from([F(0), F(1, 2), F(-4, 3)]))
+        if r:
+            # a shear by an earlier vector keeps the vectors jointly independent
+            c = draw(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-2, 3)]))
+            src = draw(st.integers(0, r - 1))
+            row = [x + c * y for x, y in zip(row, vectors[src])]
+        vectors.append(tuple(row))
+    members, pos = [], 0
+    for lead in leads:
+        members.append(ref.rows_of(vectors[pos : pos + lead] + [(F(0),) * dim] * (d - lead)))
+        pos += lead
+    return d, dim, members
+
+
+@settings(max_examples=50, deadline=None)
+@given(mixed_good_families())
+def test_integer_rows_match_the_fraction_reference(case):
+    d, dim, members = case
+    fam = FPolyFamily.make(members, height=d)
+    assert [p.coeffs for p in fam.members] == members
+    assert [p.lead for p in fam.members] == [ref.lead(p) for p in members]
+    assert family_is_good(fam) and ref.family_is_good(members)
+    for p, rp in zip(fam.members, members):
+        low = lower_part(p)
+        assert low.coeffs == ref.lower_part(rp) and low == fp(ref.lower_part(rp))
+        assert family_is_good(FPolyFamily.of([p, low])) == ref.family_is_good([rp, ref.lower_part(rp)])
+        for q, rq in zip(fam.members, members):
+            diff, rdiff = subtract(p, q), ref.subtract(rp, rq)
+            assert diff.coeffs == rdiff and diff.lead == ref.lead(rdiff)
+            assert diff == fp(rdiff) and hash(diff) == hash(fp(rdiff))
+            trio = FPolyFamily.of([p, q, diff])
+            assert family_is_good(trio) == ref.family_is_good([rp, rq, rdiff])
+    canon = canonical_family(fam)
+    assert [p.coeffs for p in canon.members] == list(ref.canonical(members))
+    assert _family_line(canon) == ref.family_line(d, dim, ref.canonical(members))
+    # one height up nobody is top-degree, so the height drop applies
+    up = FPolyFamily.make(members, height=d + 1)
+    step = height_drop(up)
+    assert (step.result.height, tuple(p.coeffs for p in step.result.members)) == ref.height_drop(
+        [p.coeffs for p in up.members]
+    )
+    assert dag_to_text(induction_dag(fam)) == ref.dag_text(d, dim, members)
+
+
+def test_values_built_on_different_routes_are_canonical():
+    a, b = fp([["2/4", 1]]), fp([["1/2", 1]])
+    assert a == b and hash(a) == hash(b) and (a.den, a.rows) == (2, ((1, 2),))
+    p = fp([["1/2", "1/3"], [1, 0]])
+    q = fp([["1/6", 0], ["1/4", 1]])
+    r = fp([["-2/3", "1/3"], ["-1/4", -1]])
+    diff = subtract(subtract(p, q), r)
+    assert diff == fp([[1, 0], [1, 0]]) and hash(diff) == hash(fp([[1, 0], [1, 0]]))
+    assert diff.den == 1
+    zero = subtract(subtract(p, q), subtract(p, q))
+    assert (zero.den, zero.lead) == (1, 0) and zero == fp([[0, 0], [0, 0]])
+    family_is_good.cache_clear()
+    built = FPolyFamily.of([diff, lower_part(fp([[0, "3/3"], ["1/7", 0]]))])
+    direct = FPolyFamily.make([[[1, 0], [1, 0]], [[0, 1]]], height=2)
+    assert built == direct and hash(built) == hash(direct)
+    assert not family_is_good(built)
+    before = family_is_good.cache_info()
+    assert not family_is_good(direct)
+    after = family_is_good.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_constructor_messages():
+    with pytest.raises(ValueError, match="use the explicit constructor for an empty family"):
+        FPolyFamily.make([])
+    with pytest.raises(ValueError, match="height must be a positive integer"):
+        FPoly.make([[1]], height=0)
+    with pytest.raises(ValueError, match="share a factor"):
+        FPoly(1, 2, 2, ((2, 4),))
+    with pytest.raises(ValueError, match="tuples of ints"):
+        FPoly(1, 1, 1, ((F(1, 2),),))
+    with pytest.raises(ValueError, match="denominator must be a positive integer"):
+        FPoly(1, 1, -1, ((1,),))

@@ -1,6 +1,8 @@
 import hashlib
 import random
+from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -261,3 +263,74 @@ def test_goodness_cache_counts_on_golden_dag():
     assert (fig.hits, fig.misses) == (742, 171)
     # family_is_good decides goodness in one independence test, not through is_good
     assert (good.hits, good.misses) == (0, 0)
+
+
+def template_family(monkeypatch):
+    """The benchmark's descent template (perfbench/inputs.py, read only):
+    leads (3, 3, 2, 2, 1, 1) at height 3 in Q^12."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import inputs
+
+    p = inputs.descent_template()
+    return FPolyFamily.make(p.members, height=p.height)
+
+
+def test_goodness_cache_counts_on_template_dag(monkeypatch):
+    fam0 = template_family(monkeypatch)
+    family_is_good.cache_clear()
+    is_good.cache_clear()
+    dag = induction_dag(fam0)
+    assert (dag.node_count, len(dag.edges)) == (574, 1478)
+    fig, good = family_is_good.cache_info(), is_good.cache_info()
+    assert (fig.hits, fig.misses) == (5013, 900)
+    assert (good.hits, good.misses) == (0, 0)
+
+
+def shape(f):
+    return f.height, tuple(sorted((p.lead for p in f.members), reverse=True))
+
+
+def shape_dag(root):
+    """The descent DAG on (height, leads sorted descending), with no
+    arithmetic: type I drops one least lead, type II lowers one lead equal to
+    the height by one (dropping it at 1), and the height drop re-declares at
+    the largest lead when none equals the height."""
+    nodes, edges, queue = {root}, set(), deque([root])
+    while queue:
+        src = queue.popleft()
+        h, leads = src
+        if len(leads) <= 1:
+            continue
+        succ = [(h, leads[:-1])]
+        for i, lead in enumerate(leads):
+            if lead == h:
+                lowered = leads[:i] + (lead - 1,) * (lead > 1) + leads[i + 1 :]
+                succ.append((h, tuple(sorted(lowered, reverse=True))))
+        if leads[0] < h:
+            succ.append((leads[0], leads))
+        for dst in succ:
+            edges.add((src, dst))
+            if dst not in nodes:
+                nodes.add(dst)
+                queue.append(dst)
+    return nodes, edges
+
+
+def assert_dag_maps_onto_shapes(f):
+    dag = induction_dag(f)
+    nodes, edges = shape_dag(shape(f))
+    images = {(shape(dag.nodes[a]), shape(dag.nodes[b])) for a, b, _ in dag.edges}
+    assert images <= edges, images - edges
+    assert images == edges and {shape(n) for n in dag.nodes} == nodes
+    return len(nodes)
+
+
+def test_descent_dag_maps_onto_its_shape_dag(monkeypatch):
+    assert assert_dag_maps_onto_shapes(template_family(monkeypatch)) == 47
+    # k up to 8 and h up to 4, with k * h <= 12 so that each DAG stays within
+    # a few hundred nodes (k = 7, h = 2 can pass 3,000)
+    pairs = [(k, h) for k in range(2, 9) for h in range(1, 5) if k * h <= 12]
+    rng = random.Random(9)
+    for _ in range(25):
+        k, h = rng.choice(pairs)
+        assert_dag_maps_onto_shapes(random_good_family(rng, k=k, height=h, dim=k * h))
