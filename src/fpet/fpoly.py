@@ -46,15 +46,15 @@ def _lowest(den: int, rows: tuple[IntVec, ...]) -> tuple[int, tuple[IntVec, ...]
     return den // g, tuple(tuple(a // g for a in r) for r in rows)
 
 
-def _derive(p):
-    """Set the lead and the hash of a new frozen ``FPoly`` from its fields."""
-    rows, lead = p.rows, p.height
+def _setup(p, height: int, dim: int, den: int, rows: tuple[IntVec, ...]) -> "FPoly":
+    """Set the fields of a new frozen ``FPoly``, its lead and its hash."""
+    lead = height
     while lead and not any(rows[lead - 1]):
         lead -= 1
-    object.__setattr__(p, "lead", lead)
-    # the hash the dataclass would compute on every call; stored once, since
-    # every cache and dict lookup of the descent DAG hashes families
-    object.__setattr__(p, "_hash", hash((p.height, p.ambient_dim, p.den, rows)))
+    # the hash the dataclass would compute on every call, stored once: every
+    # cache and dict lookup of the descent DAG hashes families
+    key = (height, dim, den, rows)
+    vars(p).update(height=height, ambient_dim=dim, den=den, rows=rows, lead=lead, _hash=hash(key))
     return p
 
 
@@ -62,12 +62,7 @@ def _fpoly(height: int, dim: int, den: int, rows: tuple[IntVec, ...]) -> "FPoly"
     """An ``FPoly`` from rows already in lowest terms over ``den``, unchecked:
     the constructor of the descent moves, whose inputs are valid by
     construction."""
-    p = object.__new__(FPoly)
-    object.__setattr__(p, "height", height)
-    object.__setattr__(p, "ambient_dim", dim)
-    object.__setattr__(p, "den", den)
-    object.__setattr__(p, "rows", rows)
-    return _derive(p)
+    return _setup(object.__new__(FPoly), height, dim, den, rows)
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,7 @@ class FPoly:
             raise ValueError("the denominator must be a positive integer")
         if _lowest(self.den, rows)[0] != self.den:
             raise ValueError("coefficient rows and denominator share a factor")
-        _derive(self)
+        _setup(self, self.height, self.ambient_dim, self.den, rows)
 
     def __hash__(self):
         return self._hash
