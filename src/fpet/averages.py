@@ -48,11 +48,12 @@ import numpy as np
 from .fpoly import FPolyFamily, family_is_good
 from .interval import TemperedSequence
 from .quadrature import _BATCH_ROWS, DEFAULT_BUDGET, Phase, adaptive_integral, osc_phase_average
-from .ratlinalg import matvec
+from .ratlinalg import IntVec
 from .torus import (
     CharacterLattice,
     TorusSystem,
     TrigPoly,
+    _images,
     _unit_phase,
     xi_factor,
 )
@@ -77,6 +78,16 @@ _Entry = tuple[Freq, complex, tuple[int, ...]]  # (chi, coefficient, integer pha
 _Group = tuple[dict[Fraction, float], dict[Freq, complex]]  # see _phase_groups
 
 
+def _columns(sys: TorusSystem, fam: FPolyFamily) -> tuple[list[list[IntVec]], int]:
+    """A v_{i,j} for every member i and j = 1..d as integer vectors over one
+    denominator, the lcm of the members' denominators times A's; a positive
+    multiple of the lcm of the entries' reduced denominators."""
+    scale = math.lcm(*(p.den for p in fam.members))
+    cols = [[tuple(scale // p.den * y for y in col) for col in _images(sys, p.rows)]
+            for p in fam.members]
+    return cols, scale * sys.den
+
+
 def _phase_tables(
     sys: TorusSystem, fam: FPolyFamily, fs: Sequence[TrigPoly]
 ) -> tuple[list[list[_Entry]], int]:
@@ -94,17 +105,12 @@ def _phase_tables(
             raise ValueError("observable does not live on this torus")
     if fam.ambient_dim != sys.D:
         raise ValueError("family and system acting dimensions differ")
-    cols = [[matvec(sys.A, v) for v in member.coeffs] for member in fam.members]
-    denom = math.lcm(*(x.denominator for member in cols for col in member for x in col))
-    tables = []
-    for f, member in zip(fs, cols):
-        icols = [[x.numerator * (denom // x.denominator) for x in col] for col in member]
-        tables.append(
-            [
-                (chi, f.terms[chi], tuple(sum(c * a for c, a in zip(chi, col)) for col in icols))
-                for chi in f.support()
-            ]
-        )
+    cols, denom = _columns(sys, fam)
+    tables = [
+        [(chi, f.terms[chi], tuple(sum(c * a for c, a in zip(chi, col)) for col in member))
+         for chi in f.support()]
+        for f, member in zip(fs, cols)
+    ]
     return tables, denom
 
 
@@ -277,12 +283,14 @@ def furstenberg_moment(
     (chi_1, ..., chi_k) vanishes, which one hash join decides (see
     :func:`symbolic_limit`), and chi_0 cancels their output frequency (Haar
     orthogonality: one lookup in f_0).  A shift multiplies each contributing
-    tuple by exp(2*pi*i*t*c_j), with c_j = sum_i chi_i^T A v_{i,j} in exact
-    rationals from A and the v (A v_{i,j} once per member and j), not from the
-    join's integer tables.  On a correct join c_j = 0, the factor is exactly
-    1 and the moment is invariant; a join that let through a tuple with
-    c_j != 0 would change the shifted moment.  Tuples are summed in
-    itertools.product order over (chi_1, ..., chi_k).
+    tuple by exp(2*pi*i*t*c_j), with c_j = sum_i chi_i^T A v_{i,j} an exact
+    rational computed from A and the v, not from the join's tables: the
+    products A v_{i,j} are integer vectors over one denominator (see
+    :func:`_columns`), and c_j is their sum against the tuple over it.  On a
+    correct join c_j = 0, the factor is exactly 1 and the moment is
+    invariant; a join that let through a tuple with c_j != 0 would change the
+    shifted moment.  Tuples are summed in itertools.product order over
+    (chi_1, ..., chi_k).
     """
     if len(observables) != fam.k + 1:
         raise ValueError("need exactly k + 1 observables (f_0 through f_k)")
@@ -297,7 +305,7 @@ def furstenberg_moment(
     if f0.m != sys.m:
         raise ValueError("observable does not live on this torus")
     resonant = _resonant_tuples(sys, fam, observables[1:])
-    cols = {j: [matvec(sys.A, p.coeffs[j - 1]) for p in fam.members] for j, _ in shifts}
+    cols, denom = _columns(sys, fam)
     moment, shifted = 0j, [0j] * len(shifts)
     for combo, out, prod in resonant:
         c0 = f0.terms.get(tuple(-x for x in out))
@@ -306,7 +314,8 @@ def furstenberg_moment(
         weight = c0 * prod
         moment += weight
         for s, (j, t) in enumerate(shifts):
-            c_j = sum(c * x for chi, col in zip(combo, cols[j]) for c, x in zip(chi, col) if c)
+            c_j = Fraction(sum(c * x for chi, member in zip(combo, cols)
+                               for c, x in zip(chi, member[j - 1]) if c), denom)
             shifted[s] += weight * _unit_phase(t * c_j)
     return moment, shifted
 

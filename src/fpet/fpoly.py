@@ -14,7 +14,9 @@ v_j = rows[j-1] / den, in lowest terms: den and the entries have no common
 factor, so the zero map has den = 1.  That form is unique, so two maps are
 equal exactly when their integer rows and denominators are, and the descent
 moves (differences, lower parts, height drops) run in integer arithmetic.
-``FPoly.coeffs`` is a ``Fraction`` view of the rows, built on each access.
+Rationals enter through :meth:`FPoly.make` (see
+:func:`~fpet.ratlinalg.integer_rows`); the coefficients are written back as
+text from the integers.
 
 The lead of phi is the integer j of its last nonzero vector v_j (0 for the
 zero map); its degree is the paper's j/d.  Within one height degrees compare
@@ -27,23 +29,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
-from .ratlinalg import IntVec, RatVec, as_fraction_vector, column_hermite
+from .ratlinalg import (IntVec, RatVec, _check_rows, _lowest, as_fraction_vector, column_hermite,
+                        integer_rows)
 from .textkv import parse_rational, rational_text, read_indexed
-
-
-def _lowest(den: int, rows: tuple[IntVec, ...]) -> tuple[int, tuple[IntVec, ...]]:
-    """``(den, rows)`` divided by the gcd of den and every entry."""
-    g = den
-    for r in rows:
-        if g == 1:
-            break
-        g = gcd(g, *r)
-    if g == 1:
-        return den, rows
-    return den // g, tuple(tuple(a // g for a in r) for r in rows)
 
 
 def _setup(p, height: int, dim: int, den: int, rows: tuple[IntVec, ...]) -> "FPoly":
@@ -90,28 +81,15 @@ class FPoly:
         if self.ambient_dim < 1:
             raise ValueError("ambient dimension must be a positive integer")
         rows = self.rows
-        if type(rows) is not tuple or any(
-            type(v) is not tuple or any(type(a) is not int for a in v) for v in rows
-        ):
-            raise ValueError("coefficient rows are tuples of ints; build rationals with FPoly.make")
+        _check_rows(self.den, rows, "FPoly.make")
         if len(rows) != self.height:
             raise ValueError(f"need exactly {self.height} coefficient vectors, got {len(rows)}")
         if any(len(v) != self.ambient_dim for v in rows):
             raise ValueError("coefficient vector of wrong dimension")
-        if type(self.den) is not int or self.den < 1:
-            raise ValueError("the denominator must be a positive integer")
-        if _lowest(self.den, rows)[0] != self.den:
-            raise ValueError("coefficient rows and denominator share a factor")
         _setup(self, self.height, self.ambient_dim, self.den, rows)
 
     def __hash__(self):
         return self._hash
-
-    @property
-    def coeffs(self) -> tuple[RatVec, ...]:
-        """The coefficient vectors v_1, ..., v_d as ``Fraction`` rows, built
-        on each access and not stored: the descent DAG never needs them."""
-        return tuple(tuple(Fraction(a, self.den) for a in r) for r in self.rows)
 
     @classmethod
     def make(cls, rows: Sequence[Iterable], height: int | None = None) -> "FPoly":
@@ -121,18 +99,14 @@ class FPoly:
         """
         if height is not None and height < 1:
             raise ValueError("height must be a positive integer")
-        vecs = [as_fraction_vector(r) for r in rows]
-        if not vecs:
+        den, ints = integer_rows(rows)
+        if not ints:
             raise ValueError("at least one coefficient row is required")
-        dim = len(vecs[0])
-        d = height if height is not None else len(vecs)
-        if d < len(vecs):
+        dim = len(ints[0])
+        d = height if height is not None else len(ints)
+        if d < len(ints):
             raise ValueError("declared height smaller than the coefficient list")
-        # over the lcm of the reduced denominators the rows are in lowest terms
-        den = lcm(*(x.denominator for v in vecs for x in v))
-        ints = [tuple(x.numerator * (den // x.denominator) for x in v) for v in vecs]
-        ints.extend([(0,) * dim] * (d - len(vecs)))
-        return cls(d, dim, den, tuple(ints))
+        return cls(d, dim, den, ints + ((0,) * dim,) * (d - len(ints)))
 
 
 def degree(p: FPoly) -> Fraction:
@@ -179,11 +153,9 @@ def subtract(p: FPoly, q: FPoly) -> FPoly:
 
 def map_coefficients(matrix: Sequence[Sequence], p: FPoly) -> FPoly:
     """Apply a rational linear map (rows of a D' x D matrix) to every v_j."""
-    frows = [as_fraction_vector(r) for r in matrix]
-    if any(len(r) != p.ambient_dim for r in frows):
+    mden, mat = integer_rows(matrix)
+    if any(len(r) != p.ambient_dim for r in mat):
         raise ValueError("matrix has the wrong number of columns")
-    mden = lcm(*(x.denominator for r in frows for x in r))
-    mat = [[x.numerator * (mden // x.denominator) for x in r] for r in frows]
     rows = tuple(tuple(sum(a * x for a, x in zip(m, v)) for m in mat) for v in p.rows)
     return FPoly(p.height, len(mat), *_lowest(p.den * mden, rows))
 

@@ -447,11 +447,11 @@ class Phase:
             return zero + (1.0 + 0j), zero, 0
         spent = 0
         if self._closed:
-            if not array:
-                value, err = self._fresnel(lo, hi, noise)
-                if err <= tol:
-                    return value, err, 0
-            values, errs, spent = self._closed_windows(lo, hi, noise, tol)
+            # a float window's closed form, handed on when its bound misses tol
+            closed = None if array else self._fresnel(lo, hi, noise)
+            if closed and closed[1] <= tol:
+                return *closed, 0
+            values, errs, spent = self._closed_windows(lo, hi, noise, tol, closed)
             worst = float(np.max(errs, initial=0.0))
             if worst <= tol:
                 return (values, errs, spent) if array else (complex(values), worst, spent)
@@ -478,24 +478,27 @@ class Phase:
         asc = self._asc
         return float(asc[1]), (float(asc[2]) if len(asc) == 3 else 0.0)
 
-    def _closed_windows(self, lo, hi, noise: float, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    def _closed_windows(self, lo, hi, noise: float, tol: float,
+                        closed=None) -> tuple[np.ndarray, np.ndarray, int]:
         """The averages over the broadcast windows (lo, hi), which have
         passed the prologue of :meth:`average` (``noise`` its guard's rounding
         bound), of a phase in the closed-form class, each with its bound.
         The bounds are returned as they are, for :meth:`average` to hold
         against ``tol``; the evaluations are those of the Gauss pieces.
 
-        Every window takes the closed form.  Where its bound exceeds ``tol``
-        (a narrow window, whose ends cancel in G(hi) - G(lo), or one whose
-        terms overflow, with an infinite bound), the narrow-window rules take
-        it, with the guard's rounding bound, :meth:`_rounding`, at the
-        window's own far end: a linear phase (L = 1, b = 0) takes
-        e(a*mid)*sinc(a*(hi - lo)), which does not cancel, with bound noise +
-        16 eps; any other phase takes one 24-point Gauss piece in u, with the
-        bound of :meth:`_gauss_bound`, or e(theta) at lo where the window's
-        ends round to one u."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            closed = self._fresnel(lo, hi, noise)
+        Every window takes the closed form, :meth:`_fresnel`, unless the
+        caller hands its (value, bound) in as ``closed``.  Where its bound
+        exceeds ``tol`` (a narrow window, whose ends cancel in G(hi) - G(lo),
+        or one whose terms overflow, with an infinite bound), the
+        narrow-window rules take it, with the guard's rounding bound,
+        :meth:`_rounding`, at the window's own far end: a linear phase
+        (L = 1, b = 0) takes e(a*mid)*sinc(a*(hi - lo)), which does not
+        cancel, with bound noise + 16 eps; any other phase takes one 24-point
+        Gauss piece in u, with the bound of :meth:`_gauss_bound`, or e(theta)
+        at lo where the window's ends round to one u."""
+        if closed is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                closed = self._fresnel(lo, hi, noise)
         shape = np.broadcast_shapes(np.shape(lo), np.shape(hi))
         value, err = (np.array(np.broadcast_to(x, shape)) for x in closed)
         narrow = ~(err <= tol)

@@ -1,21 +1,24 @@
 """Exact linear algebra over Q and Z.
 
-Rational routines work on tuples of `fractions.Fraction` and refuse floats.
-Integer routines use arbitrary-precision ints; subgroups of Z^m are
-canonicalized through a column-style Hermite normal form with positive
-pivots, so equal subgroups compare equal literally.  That one integer
-elimination is the module's only exact route: it also decides independence
-over Q, since scaling rows by positive integers keeps their rank.
-:func:`is_independent` clears the denominators of ``Fraction`` rows first;
-goodness of fractional polynomials (:mod:`fpet.fpoly`) hands it integer rows
-as they are stored, each member's vectors over its one denominator.
+Exact rationals enter the library here.  :func:`as_fraction_vector` coerces a
+row of ints, ``Fraction`` values or ``p/q`` strings and refuses floats, and
+:func:`integer_rows` turns rational rows into integer rows over one positive
+denominator in lowest terms, the one number form of the exact layer (the
+coefficients of :class:`~fpet.fpoly.FPoly`, the matrix of
+:class:`~fpet.torus.TorusSystem`).  Integer routines use arbitrary-precision
+ints; subgroups of Z^m are canonicalized through a column-style Hermite
+normal form with positive pivots, so equal subgroups compare equal
+literally.  That one integer elimination is the module's only exact route:
+it also decides independence over Q (goodness of fractional polynomials),
+since scaling rows by positive integers keeps their rank, and integer rows
+go to it as they are stored.
 """
 
 from __future__ import annotations
 
 import numbers
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 RatVec = tuple[Fraction, ...]
@@ -39,37 +42,41 @@ def as_fraction_vector(entries: Iterable) -> RatVec:
     return tuple(out)
 
 
-def is_independent(rows: Sequence[Sequence[Fraction]]) -> bool:
-    """True iff the rows are linearly independent over Q (so all nonzero).
-
-    Scaling a row by a positive integer keeps the rank over Q, and integer
-    rows are independent over Q exactly when the subgroup of Z^n they
-    generate has rank equal to their number.  That rank is the length of
-    the subgroup's :func:`column_hermite` basis, an exact integer answer
-    with no threshold.  Floats raise ``ValueError``.
-    """
-    rows = [as_fraction_vector(r) for r in rows]
-    if not rows:
-        return True
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged matrix")
-    if len(rows) > ncols:
-        return False
-    return len(column_hermite(map(clear_denominators, rows), ncols)) == len(rows)
+def integer_rows(rows: Iterable[Iterable]) -> tuple[int, tuple[IntVec, ...]]:
+    """Rational rows (ints / Fractions / 'p/q' strings; floats raise, see
+    :func:`as_fraction_vector`) as ``(den, int_rows)`` with
+    rows[i][j] == int_rows[i][j] / den in lowest terms: den is the lcm of the
+    entries' reduced denominators (1 for no rows), so den and the entries
+    share no factor."""
+    vecs = [as_fraction_vector(r) for r in rows]
+    den = lcm(*(x.denominator for v in vecs for x in v))
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in v) for v in vecs)
 
 
-def matvec(matrix: Sequence[RatVec], vec: Sequence[Fraction]) -> RatVec:
-    return tuple(sum(a * x for a, x in zip(row, vec)) for row in matrix)
+def _lowest(den: int, rows: tuple[IntVec, ...]) -> tuple[int, tuple[IntVec, ...]]:
+    """``(den, rows)`` divided by the gcd of den and every entry."""
+    g = den
+    for r in rows:
+        if g == 1:
+            break
+        g = gcd(g, *r)
+    if g == 1:
+        return den, rows
+    return den // g, tuple(tuple(a // g for a in r) for r in rows)
 
 
-def clear_denominators(row: Sequence[Fraction]) -> IntVec:
-    """Scale a rational row by a positive integer to make it integral.
-
-    Row scaling preserves kernels, which is the only use made of this here.
-    """
-    denom = lcm(*(f.denominator for f in row)) if row else 1
-    return tuple(f.numerator * (denom // f.denominator) for f in row)
+def _check_rows(den: int, rows: tuple[IntVec, ...], make: str) -> None:
+    """Raise ``ValueError`` unless ``rows`` is a tuple of tuples of ints over
+    the positive int ``den`` in lowest terms; ``make`` names the builder from
+    rationals."""
+    if type(rows) is not tuple or any(
+        type(r) is not tuple or any(type(a) is not int for a in r) for r in rows
+    ):
+        raise ValueError(f"rows are tuples of ints; build rationals with {make}")
+    if type(den) is not int or den < 1:
+        raise ValueError("the denominator must be a positive integer")
+    if _lowest(den, rows)[0] != den:
+        raise ValueError("rows and denominator share a factor")
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -4,8 +4,8 @@ Every parse problem is reported as a :class:`ParseError` carrying the file
 path and 1-based line number.  :func:`read_indexed` reads the table formats
 (torus systems, families, observables) on top of :func:`scan_kv`.  Exact
 rationals are written as ``p/q`` tokens both ways: :func:`parse_rational`
-reads one and :func:`rational_text` writes a row of them, from ``Fraction``
-values or from integers over one denominator.
+reads one as a ``Fraction`` and :func:`rational_text` writes a row of them
+from integers over one denominator, the form the exact layer stores.
 """
 
 from __future__ import annotations
@@ -47,12 +47,9 @@ def parse_rational(token: str, path: str, lineno: int, key: str) -> Fraction:
         raise ParseError(path, lineno, f"malformed rational {token!r} in {key}") from None
 
 
-def rational_text(row: Iterable, sep: str = " ", den: int = 1) -> str:
-    """The ``p/q`` tokens of the rationals x/den for x in ``row``, each in
-    lowest terms, joined by ``sep``.  Entries are ``Fraction`` values or ints;
-    with den > 1 they must be ints (a row of integers over one denominator)."""
-    if den == 1:
-        return sep.join(f"{x.numerator}/{x.denominator}" for x in row)
+def rational_text(row: Iterable[int], sep: str = " ", den: int = 1) -> str:
+    """The ``p/q`` tokens of the rationals a/den for the ints a of ``row``,
+    each in lowest terms (q = 1 for an integer), joined by ``sep``."""
     gcd = math.gcd
     return sep.join(f"{a // g}/{den // g}" for a, g in ((a, gcd(a, den)) for a in row))
 

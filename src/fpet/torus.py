@@ -1,11 +1,14 @@
 """Translation flows on the m-torus driven by a rational embedding matrix.
 
 A system is the R^D-action tau^w x = x + A w (mod 1) on T^m for a rational
-matrix A; it preserves Haar measure.  Observables are trigonometric
-polynomials, stored as finitely supported maps from integer frequency vectors
-to complex coefficients.  Factors fixed by the subaction of a rational
-subspace V are character sublattices {chi : chi^T A v = 0 for v in V},
-computed by exact integer kernels; joins of factors are subgroup sums in
+matrix A; it preserves Haar measure.  A is stored as fractional polynomials
+store their coefficients (:mod:`fpet.fpoly`): integer rows over one positive
+denominator in lowest terms, so products A v with a member's vectors are
+integer dot products over the product of the two denominators.  Observables
+are trigonometric polynomials, stored as finitely supported maps from integer
+frequency vectors to complex coefficients.  Factors fixed by the subaction of
+a rational subspace V are character sublattices {chi : chi^T A v = 0 for v in
+V}, computed by exact integer kernels; joins of factors are subgroup sums in
 Hermite form, and conditional expectations are Fourier truncations.
 """
 
@@ -20,42 +23,52 @@ from typing import Iterable, Mapping, Sequence
 from .fpoly import FPolyFamily, is_top_degree, subtract
 from .ratlinalg import (
     IntVec,
-    RatVec,
+    _check_rows,
     as_fraction_vector,
-    clear_denominators,
     column_hermite,
     hermite_contains,
     int_kernel,
-    matvec,
+    integer_rows,
 )
 from .textkv import parse_float, parse_rational, rational_text, read_indexed
 
 
 @dataclass(frozen=True)
 class TorusSystem:
-    """Action of R^D on T^m through the rational matrix A (m rows, D columns)."""
+    """Action of R^D on T^m through the rational matrix A = rows / den
+    (m rows, D columns).
+
+    The rows are tuples of ints, den is a positive int, and den and the
+    entries have no common factor, so each matrix has one form and equality
+    and hashing compare ints.  Build from rationals with :meth:`make`.
+    """
 
     m: int
     D: int
-    A: tuple[RatVec, ...]
+    den: int
+    rows: tuple[IntVec, ...]
 
     def __post_init__(self):
         if self.m < 1 or self.D < 1:
             raise ValueError("torus and acting dimensions must be positive")
-        if len(self.A) != self.m or any(len(r) != self.D for r in self.A):
+        _check_rows(self.den, self.rows, "TorusSystem.make")
+        if len(self.rows) != self.m or any(len(r) != self.D for r in self.rows):
             raise ValueError("A must be an m x D matrix")
 
     @classmethod
-    def make(cls, rows: Sequence[Iterable]) -> "TorusSystem":
-        A = tuple(as_fraction_vector(r) for r in rows)
-        return cls(len(A), len(A[0]), A)
+    def make(cls, rows: Iterable[Iterable]) -> "TorusSystem":
+        """Build from the rows of A (ints / Fractions / 'p/q' strings)."""
+        den, ints = integer_rows(rows)
+        return cls(len(ints), len(ints[0]) if ints else 0, den, ints)
 
     def phase(self, chi: Sequence[int], w: Sequence) -> Fraction:
-        """chi . (A w), exact; a float entry of w raises ``ValueError``."""
-        w = as_fraction_vector(w)
+        """chi . (A w), exact; a float entry of w, or an entry of chi that is
+        not an integer, raises ``ValueError``."""
+        chi, w = _frequency(chi), as_fraction_vector(w)
         if len(chi) != self.m or len(w) != self.D:
             raise ValueError("dimension mismatch in phase computation")
-        return sum(c * x for c, x in zip(chi, matvec(self.A, w)))
+        Aw = (sum(a * x for a, x in zip(row, w)) for row in self.rows)
+        return Fraction(sum(c * y for c, y in zip(chi, Aw)), self.den)
 
 
 _QUARTER_PHASES = {
@@ -240,13 +253,21 @@ class CharacterLattice:
 def isotropy_lattice(sys: TorusSystem, subspace_basis: Sequence[Iterable]) -> CharacterLattice:
     """Characters fixed by the subaction of the rational subspace spanned by
     ``subspace_basis``: the exact integer kernel of the rows (A v)^T."""
-    rows = []
-    for v in subspace_basis:
-        vec = as_fraction_vector(v)
-        if len(vec) != sys.D:
-            raise ValueError("subspace basis vector of wrong dimension")
-        rows.append(clear_denominators(matvec(sys.A, vec)))
-    rows = [r for r in rows if any(r)]
+    return _isotropy(sys, integer_rows(subspace_basis)[1])
+
+
+def _images(sys: TorusSystem, vecs: Iterable[IntVec]) -> list[IntVec]:
+    """A v for integer vectors v, as integers: the image of v / q is the
+    returned vector over sys.den * q."""
+    return [tuple(sum(a * x for a, x in zip(row, v)) for row in sys.rows) for v in vecs]
+
+
+def _isotropy(sys: TorusSystem, vecs: Sequence[IntVec]) -> CharacterLattice:
+    """:func:`isotropy_lattice` of integer vectors: (A v)^T scaled by a
+    positive integer has the same kernel, so the rows are :func:`_images`."""
+    if any(len(v) != sys.D for v in vecs):
+        raise ValueError("subspace basis vector of wrong dimension")
+    rows = [r for r in _images(sys, vecs) if any(r)]
     if not rows:
         return CharacterLattice.full(sys.m)
     return CharacterLattice(sys.m, int_kernel(rows, sys.m))
@@ -282,9 +303,9 @@ def xi_factor(sys: TorusSystem, fam: FPolyFamily) -> CharacterLattice:
     last = fam.members[-1]
     if not is_top_degree(last):
         raise ValueError("the last family member must be top-degree")
-    pieces = [isotropy_lattice(sys, [last.coeffs[-1]])]
+    pieces = [_isotropy(sys, last.rows[-1:])]
     for member in fam.members[:-1]:
-        pieces.append(isotropy_lattice(sys, subtract(member, last).coeffs))
+        pieces.append(_isotropy(sys, subtract(member, last).rows))
     return lattice_join(*pieces)
 
 
@@ -294,16 +315,16 @@ def xi_factor(sys: TorusSystem, fam: FPolyFamily) -> CharacterLattice:
 
 def system_to_text(sys: TorusSystem) -> str:
     lines = [f"m = {sys.m}", f"D = {sys.D}"]
-    for r, row in enumerate(sys.A, start=1):
-        lines.append(f"A[{r}] = {rational_text(row)}")
+    for r, row in enumerate(sys.rows, start=1):
+        lines.append(f"A[{r}] = {rational_text(row, den=sys.den)}")
     return "\n".join(lines) + "\n"
 
 
 def system_from_text(text: str, path: str = "<system>") -> TorusSystem:
     head, rows = read_indexed(text, path, ("m", "D"), "A", lambda h: ((h["m"],), h["D"]))
-    matrix = tuple(tuple(parse_rational(t, path, line, f"A[{r}]") for t in toks)
-                   for (r,), (line, toks) in rows.items())
-    return TorusSystem(head["m"], head["D"], matrix)
+    matrix = [[parse_rational(t, path, line, f"A[{r}]") for t in toks]
+              for (r,), (line, toks) in rows.items()]
+    return TorusSystem(head["m"], head["D"], *integer_rows(matrix))
 
 
 def trigpoly_to_text(f: TrigPoly) -> str:

@@ -1,16 +1,24 @@
-"""Fractional polynomials on ``Fraction`` rows, kept as the tests' reference
-for the library's integer rows over one denominator: the descent moves, the
-canonical member order, goodness and the descent DAG's text, written out from
-their definitions with no code shared with ``fpet.fpoly`` or ``fpet.order``.
+"""Fractional polynomials and torus matrices on ``Fraction`` rows, kept as
+the tests' reference for the library's integer rows over one denominator: the
+descent moves, the canonical member order, goodness and the descent DAG's
+text, written out from their definitions with no code shared with
+``fpet.fpoly`` or ``fpet.order``; and the exact layer of the averages and the
+factor as it ran on ``Fraction`` rows (``A v`` in rationals, then the lcm of
+the reduced denominators), sharing only the integer kernel and Hermite form
+of ``fpet.ratlinalg``.
 
 A member is a tuple of ``Fraction`` rows v_1, ..., v_d; a family is a pair
 (height, members).
 """
 
+import cmath
+import itertools
 from collections import deque
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
+from fpet.ratlinalg import column_hermite, int_kernel
 from rref_reference import rank
 
 Rows = tuple[tuple[Fraction, ...], ...]
@@ -18,6 +26,12 @@ Rows = tuple[tuple[Fraction, ...], ...]
 
 def rows_of(rows: Sequence[Sequence]) -> Rows:
     return tuple(tuple(Fraction(x) for x in r) for r in rows)
+
+
+def fractions_of(value) -> Rows:
+    """The ``Fraction`` rows of a library ``FPoly`` (its coefficient vectors)
+    or ``TorusSystem`` (its matrix A): the integer rows over the denominator."""
+    return tuple(tuple(Fraction(a, value.den) for a in r) for r in value.rows)
 
 
 def lead(p: Rows) -> int:
@@ -98,3 +112,95 @@ def dag_text(height: int, dim: int, members: Sequence[Rows]) -> str:
             edges.append(f"edge {ids[fam]} {ids[res]} {label}")
     lines = [f"node {i} {family_line(d, dim, mem)}" for i, (d, mem) in enumerate(nodes)]
     return "\n".join(lines + edges) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the exact layer of the averages and the factor on Fraction rows
+
+
+def matvec(A: Rows, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
+
+
+def phase_tables(sys, fam, fs):
+    """Per member, per support frequency in sorted order, (chi, coefficient,
+    (chi^T A v_j for j = 1..d) as Fractions), and the lcm of the reduced
+    denominators of the entries of every A v_{i,j}."""
+    A = fractions_of(sys)
+    cols = [[matvec(A, v) for v in fractions_of(p)] for p in fam.members]
+    denom = lcm(*(x.denominator for member in cols for col in member for x in col))
+    tables = [
+        [(chi, f.terms[chi], tuple(sum(c * x for c, x in zip(chi, col)) for col in member))
+         for chi in f.support()]
+        for f, member in zip(fs, cols)
+    ]
+    return tables, denom
+
+
+def _term(entries):
+    combo = tuple(chi for chi, _, _ in entries)
+    prod = 1.0 + 0j
+    for _, c, _ in entries:
+        prod *= c
+    return combo, tuple(sum(x) for x in zip(*combo)), prod
+
+
+def tuples(tables, resonant: bool = True):
+    """(tuple, output, coefficient product) of the tuples of table entries,
+    by full enumeration in itertools.product order: those whose phase vector
+    vanishes, or with ``resonant`` false all of them."""
+    return [
+        _term(entries)
+        for entries in itertools.product(*tables)
+        if not (resonant and any(map(sum, zip(*(phases for _, _, phases in entries)))))
+    ]
+
+
+def shift_phase(sys, fam, combo, j: int) -> Fraction:
+    """c_j = sum_i chi_i^T A v_{i,j} of a frequency tuple, in Fractions."""
+    A = fractions_of(sys)
+    return sum(
+        sum(c * x for c, x in zip(chi, matvec(A, fractions_of(p)[j - 1])))
+        for chi, p in zip(combo, fam.members)
+    )
+
+
+def furstenberg_moment(sys, fam, observables, shifts, resonant=None):
+    """The moment and the shifted moments over ``resonant`` (the resonant
+    tuples by default), each tuple's shift phase from A and the v."""
+    f0 = observables[0]
+    if resonant is None:
+        resonant = tuples(phase_tables(sys, fam, observables[1:])[0])
+    moment, shifted = 0j, [0j] * len(shifts)
+    for combo, out, prod in resonant:
+        c0 = f0.terms.get(tuple(-x for x in out))
+        if c0 is None:
+            continue
+        weight = c0 * prod
+        moment += weight
+        for s, (j, t) in enumerate(shifts):
+            shifted[s] += weight * cmath.exp(2j * cmath.pi * float(t * shift_phase(sys, fam, combo, j) % 1))
+    return moment, shifted
+
+
+def _isotropy_basis(A: Rows, m: int, vectors) -> tuple:
+    """The integer kernel of the rows (A v)^T, each scaled to integers by
+    the lcm of its reduced denominators."""
+    rows = []
+    for v in vectors:
+        w = matvec(A, v)
+        den = lcm(*(x.denominator for x in w))
+        if any(w):
+            rows.append(tuple(x.numerator * (den // x.denominator) for x in w))
+    if not rows:
+        return tuple(tuple(int(i == j) for i in range(m)) for j in range(m))
+    return int_kernel(rows, m)
+
+
+def xi_factor_basis(sys, fam) -> tuple:
+    """The Hermite basis of the join of the isotropy lattices of the last
+    member's top vector and of each difference member - last."""
+    A, m = fractions_of(sys), sys.m
+    last = fractions_of(fam.members[-1])
+    spans = [[last[-1]]] + [subtract(fractions_of(p), last) for p in fam.members[:-1]]
+    return column_hermite([b for span in spans for b in _isotropy_basis(A, m, span)], m)

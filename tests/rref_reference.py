@@ -1,7 +1,7 @@
 """Reduced row-echelon form over Q, kept as the tests' reference for the
-library's one exact route (the Hermite form behind ``is_independent``,
-goodness and the characteristic factor): a textbook elimination on
-``Fraction`` rows that shares no code with it."""
+library's one exact route (the Hermite form behind goodness and the
+characteristic factor): a textbook elimination on ``Fraction`` rows that
+shares no code with it."""
 
 from fractions import Fraction
 from typing import Sequence

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +21,17 @@ from fpet.averages import (
 from fpet.fpoly import FPolyFamily, random_good_family
 from fpet.interval import TemperedSequence, tempered_family
 from fpet.quadrature import _BATCH_ROWS, DEFAULT_BUDGET, Phase, adaptive_integral, osc_phase_average
-from fpet.torus import CharacterLattice, TorusSystem, TrigPoly, act, project_factor, xi_factor
+from fpet.torus import (
+    CharacterLattice,
+    TorusSystem,
+    TrigPoly,
+    act,
+    project_factor,
+    system_from_text,
+    system_to_text,
+    xi_factor,
+)
+import fpoly_reference as ref
 
 F = Fraction
 
@@ -294,7 +305,7 @@ def ref_resonant(sys, fam, fs):
     found = []
     for combo in itertools.product(*(f.support() for f in fs)):
         phase = [
-            sum(sys.phase(chi, p.coeffs[j]) for chi, p in zip(combo, fam.members))
+            sum(sys.phase(chi, ref.fractions_of(p)[j]) for chi, p in zip(combo, fam.members))
             for j in range(fam.height)
         ]
         if any(phase):
@@ -442,6 +453,89 @@ def test_zero_phase_join_partial_sum_count(monkeypatch):
     limit = symbolic_limit(sys3, fam, fs)
     assert sum(built) <= 16 + 16**2
     assert list(limit.terms.items()) == list(ref_limit(sys3, fam, fs).items())
+
+
+# entries over 1, 2, 3, 4, 6 and 12, mixed within and across A and the members
+_MIXED = (F(1), F(-1), F(2), F(1, 2), F(-1, 3), F(3, 4), F(2, 3), F(-5, 6), F(1, 12))
+_MATRIX = (F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-2, 3), F(3, 4), F(5, 6), F(-1, 4), F(7, 12))
+
+
+@st.composite
+def mixed_cases(draw):
+    """A good family (k in 1..3, height 1 or 2) whose last member is
+    top-degree, of scaled basis vectors sheared by earlier ones, a system on
+    T^1 or T^2 whose matrix mixes denominators, observables with small
+    supports, f_0, and two shifts."""
+    k, d, m = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    leads = [draw(st.integers(1, d)) for _ in range(k - 1)] + [d]
+    D = sum(leads)
+    vectors = []
+    for r in range(D):
+        row = [F(0)] * D
+        row[r] = draw(st.sampled_from(_MIXED))
+        if r:
+            c = draw(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-2, 3)]))
+            row = [x + c * y for x, y in zip(row, vectors[draw(st.integers(0, r - 1))])]
+        vectors.append(row)
+    members, pos = [], 0
+    for lead in leads:
+        members.append(vectors[pos : pos + lead] + [[F(0)] * D] * (d - lead))
+        pos += lead
+    A = [[draw(st.sampled_from(_MATRIX)) for _ in range(D)] for _ in range(m)]
+    freq = st.tuples(*[st.integers(-1, 1)] * m)
+    coeff = st.sampled_from([1.0, -0.5, 0.25j, 0.3 - 0.7j])
+
+    def obs(max_terms):
+        return TrigPoly(m, draw(st.dictionaries(freq, coeff, min_size=1, max_size=max_terms)))
+
+    fs = [obs(3) for _ in range(k)]
+    shifts = [(draw(st.integers(1, d)), draw(st.sampled_from([F(1, 3), F(-7), F(5, 2)])))
+              for _ in range(2)]
+    return A, FPolyFamily.make(members, height=d), fs, obs(6), shifts
+
+
+def _close(a, b):
+    return len(a) == len(b) and all(abs(x - y) <= 1e-12 * (1 + abs(y)) for x, y in zip(a, b))
+
+
+@settings(max_examples=50, deadline=None)
+@given(mixed_cases())
+def test_integer_matrix_matches_the_fraction_reference(case):
+    """The torus matrix on integer rows over one denominator against the
+    route on ``Fraction`` rows (A v in rationals, then the lcm of the reduced
+    denominators): the matrix's form, the phase tables as rationals, the
+    zero-phase join, the shifted moments (with the shift phases from A and
+    the v, also on a join that lets every tuple through) and the factor."""
+    A, fam, fs, f0, shifts = case
+    sys_obj = TorusSystem.make(A)
+    assert ref.fractions_of(sys_obj) == ref.rows_of(A)
+    assert sys_obj.den == math.lcm(*(x.denominator for row in A for x in row))
+    assert system_from_text(system_to_text(sys_obj)) == sys_obj
+    tables, denom = averages._phase_tables(sys_obj, fam, fs)
+    ref_tables, ref_denom = ref.phase_tables(sys_obj, fam, fs)
+    assert [[(chi, c, tuple(F(n, denom) for n in ns)) for chi, c, ns in t] for t in tables] == ref_tables
+    assert denom == math.lcm(*(p.den for p in fam.members)) * sys_obj.den
+    assert denom % ref_denom == 0
+    assert averages._resonant_tuples(sys_obj, fam, fs) == ref.tuples(ref_tables)
+    observables = (f0, *fs)
+    moment, shifted = furstenberg_moment(sys_obj, fam, observables, shifts)
+    ref_moment, ref_shifted = ref.furstenberg_moment(sys_obj, fam, observables, shifts)
+    assert moment == ref_moment and _close(shifted, ref_shifted)
+    assert xi_factor(sys_obj, fam).basis == ref.xi_factor_basis(sys_obj, fam)
+    # a join blind to the phases lets every tuple through: the shifted
+    # moments still take each tuple's own c_j, from A and the v
+    real = averages._phase_tables
+
+    def blind(*args):
+        tables, denom = real(*args)
+        return [[(chi, c, (0,) * len(ns)) for chi, c, ns in t] for t in tables], denom
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(averages, "_phase_tables", blind)
+        moment, shifted = furstenberg_moment(sys_obj, fam, observables, shifts)
+    every = ref.tuples(ref_tables, resonant=False)
+    ref_moment, ref_shifted = ref.furstenberg_moment(sys_obj, fam, observables, shifts, every)
+    assert moment == ref_moment and _close(shifted, ref_shifted)
 
 
 def closure_reference(a1, a2, d, h):

@@ -1,10 +1,15 @@
-"""Byte-level goldens for the commands that run on exact algebra only.
+"""Byte-level goldens for the commands that run on exact algebra only, and
+for the boundary where exact phases become floats.
 
 The fixture digests were recorded before independence moved onto the Hermite
 form and goodness onto one test; the benchmark digests before the
 self-joining moments, their shifts and the characteristic-factor check moved
 onto one zero-phase join.  A change to how any of these is decided must leave
 every output, and the exit code, exactly as it was.
+
+The numeric commands' outputs pass through numpy's exp and are not pinned;
+their phase groups are, as they leave the exact layer (recorded before the
+torus matrix moved onto integer rows over one denominator).
 """
 
 import hashlib
@@ -12,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from fpet.cli import main
+from fpet.averages import _phase_groups
+from fpet.cli import _load_inputs, main, parse_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -75,3 +81,34 @@ def test_benchmark_exact_outputs_are_byte_identical(tmp_path, capsys, monkeypatc
     stdout = capsys.readouterr().out.replace(str(out), "OUT")
     files = {f.name: _sha(f.read_bytes()) for f in sorted(out.iterdir())}
     assert (rc, _sha(stdout.encode()), files) == BENCH_GOLDEN[stem]
+
+
+# sha256 of repr(_phase_groups(...)): each group's Phase coefficients
+# {j/d: n_j/denom} and its P per output, in the groups' order.  Each float is
+# a correctly rounded division of Python ints and each P a Python complex sum
+# in product order, so the digests do not depend on the platform.
+GROUPS_GOLDEN = {
+    "conv_k1": "3a191211422d163c6b3132e0329226c2c53cbc02920504d4137984af1251e7ca",
+    "vdc": "a4cad9117a1f780763fa7f2d65bc1a1cbbe930d5ce8a951227f59dca612d7d23",
+    # the seed-1 benchmark inputs: both run-convergence configs share theirs
+    "convergence/conv_pinned": "437ed2d81fd40f7b54c9554b4e6a7d2f87cb0ed1d488052890677a7e122ccc4e",
+    "timechange_vdc/vdc": "e23089ce988c6f4bff5eb7e06d0ffd2cb610e92d38ef1405e9a3635d1049dced",
+}
+
+
+def _groups_digest(config: Path) -> str:
+    spec = parse_config(config.read_text(), str(config))
+    return _sha(repr(_phase_groups(*_load_inputs(spec))).encode())
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS_GOLDEN))
+def test_phase_groups_are_pinned(tmp_path, monkeypatch, name):
+    workload, _, stem = name.rpartition("/")
+    if not workload:
+        config = FIXTURES / f"{stem}.cfg"
+    else:
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import inputs
+
+        config = next(op for op in inputs.generate(workload, 1, tmp_path) if op.stem == stem).config
+    assert _groups_digest(config) == GROUPS_GOLDEN[name]

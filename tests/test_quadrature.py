@@ -594,6 +594,20 @@ def test_float_window_takes_the_array_route(window, tol, monkeypatch):
     assert abs(value - fresnel_reference(phase.coeffs, a, b, extra=_digits(b / (b - a)))) <= err <= tol
 
 
+def test_float_window_computes_its_closed_form_once(monkeypatch):
+    """A float window whose closed-form bound misses tol hands that closed
+    form to the narrow-window rules instead of computing it again there, and
+    still returns the value and bound of the one-element array window."""
+    phase = Phase({1: 0.123})
+    window, tol = (1e9, 1e9 + 1e-3), 1e-5
+    calls, fresnel = [], Phase._fresnel
+    monkeypatch.setattr(Phase, "_fresnel", lambda self, *args: calls.append(args) or fresnel(self, *args))
+    value, err, evals = phase.average(*window, tol)
+    assert len(calls) == 1
+    values, errs, array_evals = phase.average(np.array([window[0]]), np.array([window[1]]), tol)
+    assert value == values[0] and err == errs[0] <= tol and evals == array_evals == 0
+
+
 @pytest.mark.parametrize("coeffs", [
     {F(1): 0.37},
     {F(1): 2.5, F(2): -0.01},

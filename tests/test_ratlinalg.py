@@ -7,15 +7,21 @@ import pytest
 from fpet.fpoly import FPoly
 from fpet.ratlinalg import (
     as_fraction_vector,
-    clear_denominators,
     column_hermite,
     hermite_contains,
     int_kernel,
-    is_independent,
+    integer_rows,
 )
 from rref_reference import rank, rref
 
 F = Fraction
+
+
+def hermite_rank(rows):
+    """The rank over Q of rational rows: the length of the Hermite basis of
+    their integer rows over one denominator, the route goodness takes."""
+    _, ints = integer_rows(rows)
+    return len(column_hermite(ints, len(ints[0]) if ints else 0))
 
 
 def test_rref_canonical():
@@ -30,9 +36,10 @@ def test_rref_canonical():
 
 def test_rank_and_independence():
     assert rank([[1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 2
-    assert is_independent([[1, 0], [1, 1]])
-    assert not is_independent([[1, 0], [2, 0]])
-    assert not is_independent([[0, 0]])
+    assert hermite_rank([[1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 2
+    assert hermite_rank([[1, 0], [1, 1]]) == 2
+    assert hermite_rank([[1, 0], [2, 0]]) == 1
+    assert hermite_rank([[0, 0]]) == 0
 
 
 def test_as_fraction_vector_rejects_floats():
@@ -53,7 +60,10 @@ def test_numpy_floats_are_refused(x):
 
 def test_clear_denominators():
     row = (Fraction(1, 2), Fraction(2, 3), Fraction(0))
-    assert clear_denominators(row) == (3, 4, 0)
+    assert integer_rows([row]) == (6, ((3, 4, 0),))
+    assert integer_rows([["2/4", 1], [0, "-1/3"]]) == (6, ((3, 6), (0, -2)))
+    assert integer_rows([[0, 0]]) == (1, ((0, 0),)) and integer_rows([]) == (1, ())
+    assert hermite_rank([row]) == 1
 
 
 def test_column_hermite_canonical_and_membership():
@@ -98,7 +108,7 @@ def test_int_kernel_full_and_trivial():
     assert int_kernel([[1, 0], [0, 1]], 2) == ()
 
 
-def test_is_independent_certificate_agrees_with_exact_rank(rng):
+def test_hermite_rank_agrees_with_exact_rank(rng):
     for _ in range(400):
         ncols = rng.randint(1, 5)
         nrows = rng.randint(1, ncols + 1)
@@ -110,18 +120,25 @@ def test_is_independent_certificate_agrees_with_exact_rank(rng):
             i, j, l = rng.sample(range(nrows), 3)
             a, b = F(rng.randint(-3, 3), rng.randint(1, 4)), F(rng.randint(-3, 3), 5)
             rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[l])]
-        assert is_independent(rows) == (rank(rows) == nrows)
+        assert hermite_rank(rows) == rank(rows)
 
 
-def test_is_independent_falls_back_when_p_divides_every_minor():
-    p = 2**61 - 1
-    # determinant p: full rank over Q although p divides every maximal minor
-    assert is_independent([[1, 1], [1, 1 + p]])
-    assert is_independent([[F(1, 2), 1], [1, F(1, 3)]])
-    assert not is_independent([[1, 0], [0, 1], [1, 1]])
+# (rows, rank): full rank over Q although 2^61 - 1 divides every maximal
+# minor of the first; mixed denominators; more rows than columns; a zero
+# row; a repeated row; no rows
+@pytest.mark.parametrize("rows, expected", [
+    ([[1, 1], [1, 1 + 2**61 - 1]], 2),
+    ([[F(1, 2), 1], [1, F(1, 3)]], 2),
+    ([[1, 0], [0, 1], [1, 1]], 2),
+    ([[1, 2, 3], [0, 0, 0]], 1),
+    ([[F(1, 3), 2, 3], [F(1, 3), 2, 3]], 1),
+    ([], 0),
+])
+def test_hermite_rank_of_integer_rows(rows, expected):
+    assert hermite_rank(rows) == rank(rows) == expected
 
 
-@pytest.mark.parametrize("route", [is_independent, rank, rref])
+@pytest.mark.parametrize("route", [integer_rows, rank, rref])
 def test_exact_routines_reject_floats(route):
     # 0.1 is not 1/10 in binary: a silent conversion would call these rows
     # independent although [1/10, 3/10] and [1, 3] are dependent over Q
@@ -129,10 +146,6 @@ def test_exact_routines_reject_floats(route):
         route([[0.1, 0.3], [1, 3]])
 
 
-def test_is_independent_deficient_shapes():
-    assert not is_independent([[1, 2, 3], [0, 0, 0]])
-    assert not is_independent([[F(1, 3), 2, 3], [F(1, 3), 2, 3]])
-    assert not is_independent([[1, 0], [0, 1], [1, 1]])
-    assert is_independent([])
+def test_hermite_rank_rejects_a_ragged_matrix():
     with pytest.raises(ValueError):
-        is_independent([[1, 2], [1]])
+        hermite_rank([[1, 2], [1]])

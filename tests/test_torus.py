@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import fpoly_reference as ref
 from rref_reference import rref
 
 from fpet.fpoly import FPolyFamily, random_good_family, subtract
@@ -41,6 +42,8 @@ def test_act_rejects_float_shifts(circle_system):
         act(circle_system, [0.5], TrigPoly.character(1, (1,)))
     with pytest.raises(ValueError, match="float"):
         circle_system.phase((1,), [0.5])
+    with pytest.raises(ValueError, match="non-integer"):
+        circle_system.phase((0.5,), [1])
 
 
 def test_act_preserves_l2_norm(plane_system, rng):
@@ -176,8 +179,9 @@ def test_xi_factor_matches_the_rref_span_route(rng):
             [[rng.choice(entries) for _ in range(fam.ambient_dim)] for _ in range(rng.randint(1, 4))]
         )
         old = lattice_join(
-            isotropy_lattice(sys_obj, [last.coeffs[-1]]),
-            *(isotropy_lattice(sys_obj, rref(subtract(p, last).coeffs)) for p in fam.members[:-1]),
+            isotropy_lattice(sys_obj, [ref.fractions_of(last)[-1]]),
+            *(isotropy_lattice(sys_obj, rref(ref.fractions_of(subtract(p, last))))
+              for p in fam.members[:-1]),
         )
         assert xi_factor(sys_obj, fam) == old
         checked += 1
@@ -249,6 +253,35 @@ def test_trigpoly_rejects_non_finite_coefficients(c):
     # a nan coefficient used to pass, and multiple_average then returned nan+nanj
     with pytest.raises(ValueError, match="not finite"):
         TrigPoly(2, {(1, 0): c})
+
+
+def test_constructor_messages():
+    for rows in ([], [[]]):
+        with pytest.raises(ValueError, match="torus and acting dimensions must be positive"):
+            TorusSystem.make(rows)
+    for entry in (F(1, 2), 0.5):
+        with pytest.raises(ValueError, match="tuples of ints"):
+            TorusSystem(1, 1, 1, ((entry,),))
+    with pytest.raises(ValueError, match="tuples of ints"):
+        TorusSystem(1, 1, 1, [[1]])
+    for den in (0, -2, 2.0, F(2)):
+        with pytest.raises(ValueError, match="denominator must be a positive integer"):
+            TorusSystem(1, 1, den, ((1,),))
+    with pytest.raises(ValueError, match="share a factor"):
+        TorusSystem(1, 2, 2, ((2, 4),))
+    for m, D, rows in ((2, 2, ((1, 0), (1,))), (2, 2, ((1, 0),)), (1, 1, ((1, 0),))):
+        with pytest.raises(ValueError, match="m x D matrix"):
+            TorusSystem(m, D, 1, rows)
+    with pytest.raises(ValueError, match="refusing to coerce float"):
+        TorusSystem.make([[0.5]])
+    assert TorusSystem(1, 2, 2, ((1, 4),)) == TorusSystem.make([["1/2", 2]])
+
+
+def test_integer_matrix_is_canonical():
+    half, quarters = TorusSystem.make([["1/2"]]), TorusSystem.make([["2/4"]])
+    assert half == quarters and hash(half) == hash(quarters)
+    assert (half.den, half.rows) == (2, ((1,),)) == (quarters.den, quarters.rows)
+    assert TorusSystem.make([[2, "1/3"], [0, F(-4, 6)]]) == TorusSystem(2, 2, 3, ((6, 1), (0, -2)))
 
 
 def test_system_text_round_trip():
