@@ -33,14 +33,12 @@ from .fpoly import (
     is_top_degree,
     lift_to_independent,
     lower_part,
-    map_coefficients,
     random_good_family,
     subtract,
 )
 from .interval import (
     TemperedSequence,
     TimeChangeWeights,
-    is_tempered_prefix,
     standard_tempered_families,
     tempered_family,
     time_change_weights,
@@ -71,10 +69,8 @@ from .torus import (
     CharacterLattice,
     TorusSystem,
     TrigPoly,
-    act,
     isotropy_lattice,
     lattice_join,
-    project_factor,
     system_from_text,
     system_to_text,
     trigpoly_from_text,

@@ -175,8 +175,7 @@ def _timechange(spec, sys_obj, fam, fs):
         a, b = _timechange_interval(alpha, seq, spec.pass_tol)
         af = float(alpha)
         weights = time_change_weights(af, (a, b))
-        kernel_mass = weights.kernel_mass()
-        mass_err = abs(weights.w0 + kernel_mass - 1.0)
+        mass_err = abs(weights.w0 + weights.mass - 1.0)
         avg = time_changed_average(curve, alpha, (a, b), tol=spec.tol, budget=spec.budget)
         limit_pass = abs(avg) < spec.pass_tol
         # dual-route consistency at a small interval (nested quadrature, so the
@@ -193,7 +192,7 @@ def _timechange(spec, sys_obj, fam, fs):
                 "alpha": str(alpha),
                 "interval": [a, b],
                 "w0": weights.w0,
-                "kernel_mass": kernel_mass,
+                "kernel_mass": weights.mass,
                 "mass_error": mass_err,
                 "tc_avg": _c2(avg),
                 "tc_abs": abs(avg),
@@ -241,7 +240,10 @@ def _text(value, path, lineno, key) -> str:
 
 def _path(value, path, lineno, key) -> str:
     base = Path(path).parent if path not in ("<config>", "-") else Path(".")
-    return str((base / value).resolve())
+    try:
+        return str((base / value).resolve())
+    except (OSError, RuntimeError, ValueError) as exc:  # a NUL byte; a symlink loop
+        raise ParseError(path, lineno, f"{key} path {value!r} cannot be resolved: {exc}") from None
 
 
 def _listed(item):
@@ -450,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         text = Path(args.config).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -151,15 +151,6 @@ def subtract(p: FPoly, q: FPoly) -> FPoly:
     return _fpoly(p.height, p.ambient_dim, *_lowest(den, rows))
 
 
-def map_coefficients(matrix: Sequence[Sequence], p: FPoly) -> FPoly:
-    """Apply a rational linear map (rows of a D' x D matrix) to every v_j."""
-    mden, mat = integer_rows(matrix)
-    if any(len(r) != p.ambient_dim for r in mat):
-        raise ValueError("matrix has the wrong number of columns")
-    rows = tuple(tuple(sum(a * x for a, x in zip(m, v)) for m in mat) for v in p.rows)
-    return FPoly(p.height, len(mat), *_lowest(p.den * mden, rows))
-
-
 @dataclass(frozen=True)
 class FPolyFamily:
     """An ordered tuple of fractional polynomials sharing height and dimension.
@@ -229,8 +220,8 @@ def lift_to_independent(
     identity, and the matrix is the transpose of the inputs' coefficient
     vectors, each input zero-padded to d vectors, in member order: a
     D x (k*d) matrix sending basis vector i*d + j - 1 back to u_{i,j}.
-    Applying the matrix to the lifted family (see :func:`map_coefficients`)
-    reproduces the inputs coefficient-wise.
+    Applying the matrix to every coefficient vector of member i reproduces
+    input i coefficient-wise.
     """
     if not polys:
         raise ValueError("at least one polynomial is required")
@@ -238,6 +229,8 @@ def lift_to_independent(
     if any(not p for p in coeff_lists):
         raise ValueError("each polynomial needs at least one coefficient vector")
     dim = len(coeff_lists[0][0])
+    if dim == 0:
+        raise ValueError("coefficient vectors must be nonempty")
     for p in coeff_lists:
         for u in p:
             if len(u) != dim:

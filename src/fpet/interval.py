@@ -55,29 +55,6 @@ class TemperedSequence:
         return a, b
 
 
-def is_tempered_prefix(seq: TemperedSequence, n_max: int) -> bool:
-    """Finite-prefix temperedness check.
-
-    Verifies a_n <= seq.K (b_n - a_n) for every n <= n_max and that the running
-    maximum of the lengths is still being beaten in the second half of the
-    prefix (the finite stand-in for |I_n| -> infinity).
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    lengths = []
-    for n in range(1, n_max + 1):
-        a, b = seq.interval(n)
-        if not 0 <= a < b:
-            raise ValueError(f"malformed interval ({a}, {b}) at n = {n}")
-        if a > seq.K * (b - a):
-            return False
-        lengths.append(b - a)
-    if n_max == 1:
-        return True
-    half = n_max // 2
-    return max(lengths[half:]) > max(lengths[:half])
-
-
 def standard_tempered_families() -> list[TemperedSequence]:
     """The stock interval fixtures: pinned dyadic, two sliding windows, and an
     irregular-but-tempered variant."""
@@ -125,7 +102,7 @@ class TimeChangeWeights:
     Fields: ``alpha`` and ``interval`` (a, b) as given, as floats; ``w0``;
     ``kernel``, t -> kernel(t) on floats or arrays, or None for alpha = 1;
     ``support``, (A, B); and ``mass``, the kernel's total mass in closed
-    form (0.0 without a kernel), which :meth:`kernel_mass` returns.
+    form (0.0 without a kernel).
     """
 
     alpha: float
@@ -134,11 +111,6 @@ class TimeChangeWeights:
     kernel: Callable[[np.ndarray], np.ndarray] | None
     support: tuple[float, float]
     mass: float
-
-    def kernel_mass(self) -> float:
-        """Closed-form total mass of the kernel, as :func:`time_change_weights`
-        computed it."""
-        return self.mass
 
     def weighted_average(
         self,

@@ -9,7 +9,9 @@ are trigonometric polynomials, stored as finitely supported maps from integer
 frequency vectors to complex coefficients.  Factors fixed by the subaction of
 a rational subspace V are character sublattices {chi : chi^T A v = 0 for v in
 V}, computed by exact integer kernels; joins of factors are subgroup sums in
-Hermite form, and conditional expectations are Fourier truncations.
+Hermite form.  The conditional expectation onto a factor, the truncation of
+an observable to the frequencies in its lattice, is taken only inside
+:func:`~fpet.averages.partially_characteristic_check`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .fpoly import FPolyFamily, is_top_degree, subtract
 from .ratlinalg import (
     IntVec,
     _check_rows,
-    as_fraction_vector,
     column_hermite,
     hermite_contains,
     int_kernel,
@@ -60,15 +61,6 @@ class TorusSystem:
         """Build from the rows of A (ints / Fractions / 'p/q' strings)."""
         den, ints = integer_rows(rows)
         return cls(len(ints), len(ints[0]) if ints else 0, den, ints)
-
-    def phase(self, chi: Sequence[int], w: Sequence) -> Fraction:
-        """chi . (A w), exact; a float entry of w, or an entry of chi that is
-        not an integer, raises ``ValueError``."""
-        chi, w = _frequency(chi), as_fraction_vector(w)
-        if len(chi) != self.m or len(w) != self.D:
-            raise ValueError("dimension mismatch in phase computation")
-        Aw = (sum(a * x for a, x in zip(row, w)) for row in self.rows)
-        return Fraction(sum(c * y for c, y in zip(chi, Aw)), self.den)
 
 
 _QUARTER_PHASES = {
@@ -153,46 +145,12 @@ class TrigPoly:
     def __sub__(self, other):
         return self._binop(other, -1)
 
-    def __mul__(self, other):
-        """Pointwise product of functions = convolution of coefficient maps."""
-        if not isinstance(other, TrigPoly):
-            return self.scale(other)
-        if self.m != other.m:
-            raise ValueError("mixed torus dimensions")
-        out: dict[tuple[int, ...], complex] = {}
-        for chi1, c1 in self.terms.items():
-            for chi2, c2 in other.terms.items():
-                chi = tuple(a + b for a, b in zip(chi1, chi2))
-                out[chi] = out.get(chi, 0j) + c1 * c2
-        return TrigPoly(self.m, out)
-
-    def scale(self, z: complex) -> "TrigPoly":
-        return TrigPoly(self.m, {chi: z * c for chi, c in self.terms.items()})
-
-    def conj(self) -> "TrigPoly":
-        return TrigPoly(
-            self.m, {tuple(-x for x in chi): c.conjugate() for chi, c in self.terms.items()}
-        )
-
-    def inner(self, other: "TrigPoly") -> complex:
-        """L^2(Haar) inner product <f, g> = sum c_chi * conj(d_chi)."""
-        if self.m != other.m:
-            raise ValueError("mixed torus dimensions")
-        small, big = sorted((self.terms, other.terms), key=len)
-        if small is self.terms:
-            return sum(c * big.get(chi, 0j).conjugate() for chi, c in small.items())
-        return sum(self.terms.get(chi, 0j) * c.conjugate() for chi, c in small.items())
-
     def norm2(self) -> float:
         """Exact Parseval norm: sqrt(sum |c_chi|^2)."""
         return sum(abs(c) ** 2 for c in self.terms.values()) ** 0.5
 
     def l1(self) -> float:
         return sum(abs(c) for c in self.terms.values())
-
-    def haar(self) -> complex:
-        """Integral against Haar measure: the coefficient at frequency 0."""
-        return self.terms.get((0,) * self.m, 0j)
 
     def __eq__(self, other):
         return (
@@ -202,18 +160,6 @@ class TrigPoly:
     def __repr__(self):
         inside = ", ".join(f"{chi}: {c:.6g}" for chi, c in sorted(self.terms.items()))
         return f"TrigPoly(m={self.m}, {{{inside}}})"
-
-
-def act(sys: TorusSystem, w: Sequence, f: TrigPoly) -> TrigPoly:
-    """Compose an observable with the translation tau^w: each coefficient picks
-    up the unimodular factor exp(2 pi i chi . A w).  The shift w must be
-    rational (a float raises ``ValueError``), and every phase is exact."""
-    w = as_fraction_vector(w)
-    if f.m != sys.m:
-        raise ValueError("observable does not live on this torus")
-    return TrigPoly(
-        f.m, {chi: c * _unit_phase(sys.phase(chi, w)) for chi, c in f.terms.items()}
-    )
 
 
 @dataclass(frozen=True)
@@ -232,18 +178,11 @@ class CharacterLattice:
     def full(cls, m: int) -> "CharacterLattice":
         return cls.from_generators(m, [[int(i == j) for i in range(m)] for j in range(m)])
 
-    @classmethod
-    def zero(cls, m: int) -> "CharacterLattice":
-        return cls(m, ())
-
     def contains(self, chi: Sequence[int]) -> bool:
         chi = _frequency(chi)
         if len(chi) != self.m:
             raise ValueError("character of the wrong dimension")
         return hermite_contains(self.basis, chi)
-
-    def contains_lattice(self, other: "CharacterLattice") -> bool:
-        return all(self.contains(b) for b in other.basis)
 
     @property
     def rank(self) -> int:
@@ -282,15 +221,6 @@ def lattice_join(*lattices: CharacterLattice) -> CharacterLattice:
         raise ValueError("join of lattices in different ambient groups")
     gens = [b for l in lattices for b in l.basis]
     return CharacterLattice.from_generators(m, gens)
-
-
-def project_factor(f: TrigPoly, lattice: CharacterLattice) -> TrigPoly:
-    """Conditional expectation onto the factor generated by the lattice:
-    keep exactly the terms whose frequency lies in it (an orthogonal,
-    idempotent, L^2-contractive projection)."""
-    if f.m != lattice.m:
-        raise ValueError("observable and lattice dimensions differ")
-    return TrigPoly(f.m, {chi: c for chi, c in f.terms.items() if lattice.contains(chi)})
 
 
 def xi_factor(sys: TorusSystem, fam: FPolyFamily) -> CharacterLattice:

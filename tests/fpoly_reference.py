@@ -5,7 +5,11 @@ text, written out from their definitions with no code shared with
 ``fpet.fpoly`` or ``fpet.order``; and the exact layer of the averages and the
 factor as it ran on ``Fraction`` rows (``A v`` in rationals, then the lcm of
 the reduced denominators), sharing only the integer kernel and Hermite form
-of ``fpet.ratlinalg``.
+of ``fpet.ratlinalg``.  The last section keeps, as references, tools that
+the library dropped once no command used them: the exact phase chi . (A w)
+and the composition with a translation, the truncation of an observable to a
+factor, a linear map on the coefficient vectors, and the finite-prefix
+temperedness check.  These take and return library objects.
 
 A member is a tuple of ``Fraction`` rows v_1, ..., v_d; a family is a pair
 (height, members).
@@ -18,7 +22,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from fpet.ratlinalg import column_hermite, int_kernel
+from fpet.fpoly import FPoly
+from fpet.ratlinalg import as_fraction_vector, column_hermite, int_kernel
+from fpet.torus import TrigPoly, _frequency, _unit_phase
 from rref_reference import rank
 
 Rows = tuple[tuple[Fraction, ...], ...]
@@ -204,3 +210,53 @@ def xi_factor_basis(sys, fam) -> tuple:
     last = fractions_of(fam.members[-1])
     spans = [[last[-1]]] + [subtract(fractions_of(p), last) for p in fam.members[:-1]]
     return column_hermite([b for span in spans for b in _isotropy_basis(A, m, span)], m)
+
+
+# ---------------------------------------------------------------------------
+# tools the library dropped, on library objects
+
+
+def phase(sys, chi, w) -> Fraction:
+    """chi . (A w), exact; a float entry of w, or an entry of chi that is not
+    an integer, raises ``ValueError``."""
+    chi, w = _frequency(chi), as_fraction_vector(w)
+    if len(chi) != sys.m or len(w) != sys.D:
+        raise ValueError("dimension mismatch in phase computation")
+    return sum(c * y for c, y in zip(chi, matvec(fractions_of(sys), w)))
+
+
+def act(sys, w, f):
+    """f composed with the translation tau^w: each coefficient picks up the
+    unimodular factor exp(2 pi i chi . A w), from the exact phase."""
+    return TrigPoly(f.m, {chi: c * _unit_phase(phase(sys, chi, w)) for chi, c in f.terms.items()})
+
+
+def project_factor(f, lattice):
+    """The conditional expectation onto the factor of a character lattice:
+    the terms of f whose frequency lies in it."""
+    return TrigPoly(f.m, {chi: c for chi, c in f.terms.items() if lattice.contains(chi)})
+
+
+def map_coefficients(matrix, p):
+    """The rational linear map with rows ``matrix`` applied to every
+    coefficient vector of p."""
+    M = rows_of(matrix)
+    return FPoly.make([matvec(M, v) for v in fractions_of(p)], height=p.height)
+
+
+def is_tempered_prefix(seq, n_max: int) -> bool:
+    """a_n <= seq.K (b_n - a_n) for every n <= n_max, and the largest length
+    of the second half of the prefix beats that of the first (the finite
+    stand-in for |I_n| -> infinity); a malformed interval raises."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    lengths = []
+    for n in range(1, n_max + 1):
+        a, b = seq.interval(n)
+        if not 0 <= a < b:
+            raise ValueError(f"malformed interval ({a}, {b}) at n = {n}")
+        if a > seq.K * (b - a):
+            return False
+        lengths.append(b - a)
+    half = n_max // 2
+    return n_max == 1 or max(lengths[half:]) > max(lengths[:half])

@@ -347,6 +347,33 @@ def test_zero_dimension_input_exits_2(tmp_path, capsys, name, text):
     assert not (tmp_path / "out" / "zero.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "name, body, error",
+    [
+        ("bad.cfg", b"command = enumerate-precedents\nfamily = x\xff\n", "input error: "),
+        ("x\0y.cfg", None, "input error: "),
+        ("nul.cfg", b"command = check-vdc\nsystem = x\0y\n", "config error: {cfg}:2: system"),
+        ("nul.cfg", b"command = enumerate-precedents\nfamily = x\0y\n", "config error: {cfg}:2: family"),
+        ("nul.cfg", b"command = check-vdc\nobservables = e.obs, x\0y\n",
+         "config error: {cfg}:2: observables"),
+        ("loop.cfg", b"command = enumerate-precedents\nfamily = loop\n", "config error: {cfg}:2: family"),
+    ],
+    ids=["not-utf8", "nul-in-config-path", "nul-in-system", "nul-in-family", "nul-in-observables",
+         "symlink-loop"],
+)
+def test_malformed_config_bytes_exit_2(tmp_path, capsys, name, body, error):
+    # each used to end in a traceback and exit 1: UnicodeDecodeError and
+    # "embedded null byte" are ValueErrors, and a symlink loop raised
+    # RuntimeError from Path.resolve
+    (tmp_path / "loop").symlink_to("loop")
+    cfg = tmp_path / name
+    if body is not None:
+        cfg.write_bytes(body)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(error.format(cfg=cfg))
+    assert not (tmp_path / "out").exists()
+
+
 def test_threads_option_exits_2_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,14 @@
 import hashlib
 import random
 from collections import deque
+from functools import cache
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from fpet.fpoly import FPoly, FPolyFamily, degree, family_is_good, is_good, random_good_family
+from fpet.fpoly import (FPoly, FPolyFamily, degree, family_is_good, is_good, lift_to_independent,
+                        random_good_family)
 from fpet.order import (
     DagBudgetError,
     StepKind,
@@ -334,3 +336,34 @@ def test_descent_dag_maps_onto_its_shape_dag(monkeypatch):
     for _ in range(25):
         k, h = rng.choice(pairs)
         assert_dag_maps_onto_shapes(random_good_family(rng, k=k, height=h, dim=k * h))
+
+
+@pytest.mark.parametrize(
+    "k, d, nodes, edges, longest",
+    [(2, 2, 12, 12, 5), (3, 3, 100, 146, 11), (4, 4, 687, 1_370, 19),
+     (5, 4, 2_945, 7_083, 23), (6, 3, 7_171, 19_669, 20)],
+)
+def test_lifted_dag_size_is_pinned(k, d, nodes, edges, longest):
+    """The descent DAG of a lifted family, pinned: its nodes, its edges and
+    its longest path, counted in nodes."""
+    lifted, _ = lift_to_independent([[[1]] * d] * k)
+    dag = induction_dag(lifted, max_nodes=nodes)
+    assert (dag.node_count, len(dag.edges)) == (nodes, edges)
+    succ = {}
+    for src, dst, _ in dag.edges:
+        succ.setdefault(src, []).append(dst)
+
+    @cache
+    def depth(n):
+        return 1 + max(map(depth, succ.get(n, ())), default=0)
+
+    assert depth(0) == longest
+
+
+@pytest.mark.parametrize("k, d", [(3, 3), (4, 4)])
+def test_lifted_dag_text_depends_only_on_k_and_d(k, d):
+    """A lifted family's coefficients are rows of the identity, so two tuples
+    of polynomials with the same (k, d) give the same DAG text."""
+    ones, _ = lift_to_independent([[[1]] * d] * k)
+    other, _ = lift_to_independent([[[j - i, 2 * i + 1] for j in range(d)] for i in range(k)])
+    assert dag_to_text(induction_dag(other)) == dag_to_text(induction_dag(ones))
