@@ -52,11 +52,9 @@ from .order import (
     StepKind,
     canonical_family,
     dag_to_text,
-    height_drop,
     induction_dag,
+    precedents,
     precedes,
-    type1_precedent,
-    type2_precedent,
 )
 from .quadrature import (
     DEFAULT_BUDGET,

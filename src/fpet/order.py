@@ -5,7 +5,8 @@ its degree-sorted members are pointwise no larger in degree, and something is
 strictly smaller (fewer members, or a strict degree drop).  At one height d a
 degree is a lead j over d, so the comparison runs on the members' integer
 leads (:class:`~fpet.fpoly.FPoly`).  Families of distinct heights always
-compare by height.  Three descent constructions realize the order:
+compare by height.  :func:`precedents` lists the three descent constructions
+that realize the order:
 
 * type I:   subtract a member of minimal leading degree from all others;
 * type II:  replace a top-degree member by its lower part (omitting it
@@ -15,7 +16,11 @@ compare by height.  Three descent constructions realize the order:
             time change; the coefficient vectors are unchanged).
 
 The order has no infinite descending chains, so exhaustively applying the
-moves from any good family yields a finite DAG.
+moves from any good family yields a finite DAG.  Each check runs once:
+:func:`precedents` checks its input (at least two members, good), and
+:func:`induction_dag` checks that each new node is good and that each edge
+descends, by the same comparison of sorted leads that :func:`precedes` makes
+after checking that both families are good.
 """
 
 from __future__ import annotations
@@ -50,9 +55,19 @@ class PrecedentStep:
     """
 
     kind: StepKind
-    source: FPolyFamily
     result: FPolyFamily
     detail: tuple[int, ...]
+
+
+def _descends(a: FPolyFamily, b: FPolyFamily) -> bool:
+    # the order's rule on heights and sorted leads, with no goodness lookup
+    if a.height != b.height:
+        return a.height < b.height
+    la = sorted((p.lead for p in a.members), reverse=True)
+    lb = sorted((p.lead for p in b.members), reverse=True)
+    if len(la) > len(lb) or any(x > y for x, y in zip(la, lb)):
+        return False
+    return len(la) < len(lb) or any(x < y for x, y in zip(la, lb))
 
 
 def precedes(a: FPolyFamily, b: FPolyFamily) -> bool:
@@ -61,76 +76,38 @@ def precedes(a: FPolyFamily, b: FPolyFamily) -> bool:
         raise ValueError("precedence is defined on nonempty families")
     if not family_is_good(a) or not family_is_good(b):
         raise ValueError("precedence is defined on good families")
-    if a.height != b.height:
-        return a.height < b.height
-    la = sorted((p.lead for p in a.members), reverse=True)
-    lb = sorted((p.lead for p in b.members), reverse=True)
-    if len(la) > len(lb):
-        return False
-    if any(x > y for x, y in zip(la, lb)):
-        return False
-    return len(la) < len(lb) or any(x < y for x, y in zip(la, lb))
+    return _descends(a, b)
 
 
-def _checked(step: PrecedentStep) -> PrecedentStep:
-    # the constructions below provably preserve goodness and descend; verify anyway
-    if not family_is_good(step.result):
-        raise RuntimeError(f"{step.kind.value} produced a non-good family")
-    if step.result.k > 0 and not precedes(step.result, step.source):
-        raise RuntimeError(f"{step.kind.value} result does not precede its source")
-    return step
-
-
-def type1_precedent(f: FPolyFamily) -> PrecedentStep:
-    """Subtract the first member of minimal leading degree from all others."""
+def precedents(f: FPolyFamily) -> list[PrecedentStep]:
+    """The descent moves from a good family of at least two members, in the
+    DAG's successor order: type I (subtract the first member of minimal
+    leading degree), then type II at each top-degree member by index (its
+    lower part, omitted when that is the zero map, as always at height 1),
+    then the height drop when no member is top-degree (the coefficient rows
+    are reused verbatim: the dropped rows are zero, so each denominator
+    stays as it is)."""
     if f.k < 2:
-        raise ValueError("a type-I precedent needs at least two members")
+        raise ValueError("precedents are defined on families of at least two members")
     if not family_is_good(f):
-        raise ValueError("type-I precedent is defined on good families")
+        raise ValueError("precedents are defined on good families")
+    h, dim = f.height, f.ambient_dim
     leads = [p.lead for p in f.members]
     j1 = min(leads)
     i1 = leads.index(j1)  # smallest index among the minimizers
     base = f.members[i1]
-    rest = [subtract(p, base) for i, p in enumerate(f.members) if i != i1]
-    result = FPolyFamily(f.height, f.ambient_dim, tuple(rest))
-    return _checked(PrecedentStep(StepKind.TYPE_I, f, result, (i1 + 1, j1)))
-
-
-def type2_precedent(f: FPolyFamily, i: int) -> PrecedentStep:
-    """Replace member ``i`` (1-based) by its lower part, omitting it when that
-    lower part is the zero map (always the case at height 1)."""
-    if not 1 <= i <= f.k:
-        raise ValueError(f"member index {i} out of range 1..{f.k}")
-    if not family_is_good(f):
-        raise ValueError("type-II precedent is defined on good families")
-    member = f.members[i - 1]
-    if not is_top_degree(member):
-        raise ValueError("type-II precedent requires a top-degree member")
-    low = lower_part(member)
-    if low.lead == 0:
-        new = f.members[: i - 1] + f.members[i:]
-    else:
-        new = f.members[: i - 1] + (low,) + f.members[i:]
-    result = FPolyFamily(f.height, f.ambient_dim, new)
-    return _checked(PrecedentStep(StepKind.TYPE_II, f, result, (i,)))
-
-
-def height_drop(f: FPolyFamily) -> PrecedentStep:
-    """Re-declare a family with no top-degree member at its maximal leading
-    index; the coefficient rows are reused verbatim (the dropped rows are
-    zero, so each denominator stays as it is)."""
-    if f.k == 0:
-        raise ValueError("cannot drop the height of an empty family")
-    if not family_is_good(f):
-        raise ValueError("height drop is defined on good families")
-    new_d = max(p.lead for p in f.members)
-    if new_d == f.height:
-        raise ValueError("height drop applies only when no member is top-degree")
-    members = tuple(
-        FPoly(new_d, f.ambient_dim, p.den, p.rows[:new_d]) for p in f.members
-    )
-    result = FPolyFamily(new_d, f.ambient_dim, members)
-    return _checked(PrecedentStep(StepKind.HEIGHT_DROP, f, result, (new_d,)))
+    rest = tuple(subtract(p, base) for i, p in enumerate(f.members) if i != i1)
+    steps = [PrecedentStep(StepKind.TYPE_I, FPolyFamily(h, dim, rest), (i1 + 1, j1))]
+    for i, p in enumerate(f.members):
+        if is_top_degree(p):
+            low = lower_part(p)
+            new = f.members[:i] + ((low,) if low.lead else ()) + f.members[i + 1 :]
+            steps.append(PrecedentStep(StepKind.TYPE_II, FPolyFamily(h, dim, new), (i + 1,)))
+    if len(steps) == 1:
+        new_d = max(leads)
+        members = tuple(FPoly(new_d, dim, p.den, p.rows[:new_d]) for p in f.members)
+        steps.append(PrecedentStep(StepKind.HEIGHT_DROP, FPolyFamily(new_d, dim, members), (new_d,)))
+    return steps
 
 
 def canonical_family(f: FPolyFamily) -> FPolyFamily:
@@ -173,13 +150,15 @@ class DagBudgetError(RuntimeError):
 
 
 def induction_dag(f: FPolyFamily, max_nodes: int = 10_000) -> InductionDag:
-    """Exhaustively apply the descent moves until every leaf is a singleton or
-    empty family.  Nodes are deduplicated after canonical sorting; traversal
-    is breadth first with a fixed successor order (type I, then type II by
-    member index, then height drop), so the DAG is deterministic."""
-    if not family_is_good(f):
-        raise ValueError("the induction starts from a good family")
+    """Exhaustively apply :func:`precedents` until every leaf is a singleton
+    or empty family.  Nodes are deduplicated after canonical sorting;
+    traversal is breadth first in the successor order of :func:`precedents`,
+    so the DAG is deterministic.  The moves provably keep goodness and
+    descend; each new node is checked good once, and each edge is checked to
+    descend on its leads, raising ``RuntimeError`` if either fails."""
     root = canonical_family(f)
+    if not family_is_good(root):
+        raise ValueError("the induction starts from a good family")
     ids: dict[FPolyFamily, int] = {root: 0}
     nodes: list[FPolyFamily] = [root]
     edges: list[tuple[int, int, PrecedentStep]] = []
@@ -188,13 +167,13 @@ def induction_dag(f: FPolyFamily, max_nodes: int = 10_000) -> InductionDag:
         fam = queue.popleft()
         if fam.k <= 1:
             continue
-        top = [i for i, p in enumerate(fam.members, start=1) if is_top_degree(p)]
-        steps = [type1_precedent(fam)] + [type2_precedent(fam, i) for i in top]
-        if not top:
-            steps.append(height_drop(fam))
-        for step in steps:
+        for step in precedents(fam):
             res = canonical_family(step.result)
+            if not _descends(res, fam):
+                raise RuntimeError(f"{step.kind.value} result does not precede its source")
             if res not in ids:
+                if not family_is_good(res):
+                    raise RuntimeError(f"{step.kind.value} produced a non-good family")
                 if len(nodes) >= max_nodes:
                     partial = InductionDag(tuple(nodes), tuple(edges))
                     raise DagBudgetError(

@@ -18,8 +18,8 @@ from fpet.averages import (
     symbolic_limit,
     vdc_bound_check,
 )
-from fpet.fpoly import FPolyFamily, random_good_family
-from fpet.interval import TemperedSequence, tempered_family
+from fpet.fpoly import FPolyFamily
+from fpet.interval import tempered_family
 from fpet.quadrature import _BATCH_ROWS, DEFAULT_BUDGET, Phase, adaptive_integral, osc_phase_average
 from fpet.torus import (
     CharacterLattice,

@@ -9,16 +9,15 @@ import pytest
 
 from fpet.fpoly import (FPoly, FPolyFamily, degree, family_is_good, is_good, lift_to_independent,
                         random_good_family)
+from fpet import order
 from fpet.order import (
     DagBudgetError,
     StepKind,
     canonical_family,
     dag_to_text,
-    height_drop,
     induction_dag,
+    precedents,
     precedes,
-    type1_precedent,
-    type2_precedent,
 )
 
 F = Fraction
@@ -26,6 +25,10 @@ F = Fraction
 
 def fam(member_rows, height=None):
     return FPolyFamily.make(member_rows, height=height)
+
+
+def steps_of(f, kind):
+    return [step for step in precedents(f) if step.kind is kind]
 
 
 def oracle_precedes(a, b):
@@ -84,7 +87,7 @@ def test_precedes_fewer_members_is_not_enough():
 
 def test_type1_example_two_full_members():
     f = fam([[[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, 1]]])
-    step = type1_precedent(f)
+    step = precedents(f)[0]
     assert step.kind is StepKind.TYPE_I
     assert step.detail == (1, 2)
     (psi,) = step.result.members
@@ -101,56 +104,65 @@ def test_type1_minimality_scan():
         ],
         height=2,
     )
-    step = type1_precedent(f)
+    step = precedents(f)[0]
+    assert step.kind is StepKind.TYPE_I
     assert step.detail == (1, 1)
     assert step.result.k == 1
 
 
 def test_type1_requires_two_members():
-    with pytest.raises(ValueError):
-        type1_precedent(fam([[[1]]]))
+    with pytest.raises(ValueError, match="at least two members"):
+        precedents(fam([[[1]]]))
+
+
+def test_precedents_require_a_good_family():
+    with pytest.raises(ValueError, match="good families"):
+        precedents(fam([[[1, 0]], [[2, 0]]]))
 
 
 def test_type1_random_results_good_and_preceding(rng):
     for _ in range(200):
         f = random_good_family(rng, k=rng.randint(2, 4), height=rng.randint(1, 3), dim=12)
-        step = type1_precedent(f)
+        step = precedents(f)[0]
+        assert step.kind is StepKind.TYPE_I
         assert family_is_good(step.result)
         assert precedes(step.result, f)
 
 
 def test_type2_replacement():
-    f = fam([[[1, 0], [0, 1]]])
-    step = type2_precedent(f, 1)
-    assert step.result.members[0] == FPoly.make([[1, 0], [0, 0]])
+    f = fam([[[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [0, 0, 0]]], height=2)
+    (step,) = steps_of(f, StepKind.TYPE_II)
+    assert step.detail == (1,)
+    assert step.result.members[0] == FPoly.make([[1, 0, 0], [0, 0, 0]])
+    assert step.result.members[1] == f.members[1]
     assert precedes(step.result, f)
 
 
 def test_type2_omission_at_height_one():
     f = fam([[[1, 0]], [[0, 1]]])
-    step = type2_precedent(f, 2)
+    step = precedents(f)[2]
     assert step.kind is StepKind.TYPE_II
+    assert step.detail == (2,)
     assert step.result.k == 1
     assert step.result.members[0] == FPoly.make([[1, 0]])
 
 
 def test_type2_rejects_non_top_degree():
     f = fam([[[1, 0, 0], [0, 0, 0]], [[0, 1, 0], [0, 0, 1]]], height=2)
-    with pytest.raises(ValueError):
-        type2_precedent(f, 1)
-    step = type2_precedent(f, 2)
+    # member 1 is not top-degree, so only member 2 has a type-II step
+    (step,) = steps_of(f, StepKind.TYPE_II)
+    assert step.detail == (2,)
     assert family_is_good(step.result)
 
 
 def test_type2_random_results_good_and_preceding(rng):
     for _ in range(200):
-        f = random_good_family(rng, k=rng.randint(1, 4), height=rng.randint(1, 3), dim=12)
+        f = random_good_family(rng, k=rng.randint(2, 4), height=rng.randint(1, 3), dim=12)
         tops = [i for i, p in enumerate(f.members, start=1) if degree(p) == 1]
-        if not tops:
-            continue
-        step = type2_precedent(f, rng.choice(tops))
-        assert family_is_good(step.result)
-        if step.result.k:
+        steps = steps_of(f, StepKind.TYPE_II)
+        assert [step.detail for step in steps] == [(i,) for i in tops]
+        for step in steps:
+            assert family_is_good(step.result)
             assert precedes(step.result, f)
 
 
@@ -159,15 +171,15 @@ def test_height_drop():
         [[[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 1, 0], [0, 0, 1], [0, 0, 0]]],
         height=3,
     )
-    step = height_drop(f)
+    step = precedents(f)[-1]
     assert step.kind is StepKind.HEIGHT_DROP
     assert step.detail == (2,)
     assert step.result.height == 2
     # coefficient vectors are reused verbatim
     assert step.result.members[1] == FPoly.make([[0, 1, 0], [0, 0, 1]])
     assert precedes(step.result, f)
-    with pytest.raises(ValueError):
-        height_drop(step.result)  # now has a top-degree member
+    # the result has a top-degree member, so it has no height drop
+    assert steps_of(step.result, StepKind.HEIGHT_DROP) == []
 
 
 def test_induction_dag_singleton():
@@ -203,6 +215,20 @@ def test_induction_dag_budget_error():
     with pytest.raises(DagBudgetError) as exc:
         induction_dag(f, max_nodes=3)
     assert exc.value.partial.node_count == 3
+
+
+def test_induction_dag_raises_when_a_move_does_not_descend(monkeypatch):
+    # a type-II move that keeps the member leaves the family where it was
+    monkeypatch.setattr(order, "lower_part", lambda p: p)
+    with pytest.raises(RuntimeError, match="type2 result does not precede its source"):
+        induction_dag(fam([[[1, 0]], [[0, 1]]]))
+
+
+def test_induction_dag_raises_when_a_move_breaks_goodness(monkeypatch):
+    # a type-I move that repeats the subtracted member gives a dependent family
+    monkeypatch.setattr(order, "subtract", lambda p, q: q)
+    with pytest.raises(RuntimeError, match="type1 produced a non-good family"):
+        induction_dag(fam([[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]]))
 
 
 def test_dag_text_deterministic(rng):
@@ -257,12 +283,13 @@ def test_dag_text_golden_digest():
 
 
 def test_goodness_cache_counts_on_golden_dag():
-    # cached hashes must leave every cache lookup, hit or miss, where it was
+    # one miss per node (one column_hermite each) and one hit per node that
+    # precedents expands; cached hashes must leave every lookup where it is
     family_is_good.cache_clear()
     is_good.cache_clear()
     induction_dag(golden_family())
     fig, good = family_is_good.cache_info(), is_good.cache_info()
-    assert (fig.hits, fig.misses) == (742, 171)
+    assert (fig.hits, fig.misses) == (87, 122)
     # family_is_good decides goodness in one independence test, not through is_good
     assert (good.hits, good.misses) == (0, 0)
 
@@ -284,7 +311,7 @@ def test_goodness_cache_counts_on_template_dag(monkeypatch):
     dag = induction_dag(fam0)
     assert (dag.node_count, len(dag.edges)) == (574, 1478)
     fig, good = family_is_good.cache_info(), is_good.cache_info()
-    assert (fig.hits, fig.misses) == (5013, 900)
+    assert (fig.hits, fig.misses) == (496, 574)
     assert (good.hits, good.misses) == (0, 0)
 
 

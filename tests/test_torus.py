@@ -1,4 +1,3 @@
-import cmath
 from fractions import Fraction
 
 import numpy as np
