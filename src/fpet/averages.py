@@ -18,7 +18,9 @@ run.  Higher heights and the correlations run on the panels.
 
 c_j is linear in the tuple, so each member's contribution chi^T A v_{i,j} is
 computed once per support frequency, as integers over one common denominator
-(the phase tables).  A finite-interval command enumerates the tuples once,
+(the phase tables).  One generator, :func:`_tuple_data`, enumerates choices of
+table entries with their integer phase vectors; every tuple, whole or half,
+comes from it.  A finite-interval command enumerates the tuples once,
 grouped by phase vector and output (:func:`_phase_groups`): a window averages
 each distinct phase vector once, the convergence diagnostic takes its limit
 from the group whose phase vector vanishes, and the van der Corput step pairs
@@ -27,11 +29,13 @@ pair's phase is moved to a batch of shifts and integrated in one adaptive
 pass (see :func:`_correlation_average`).  The exact limits, self-joining
 moments and the partially-characteristic-factor witnesses need only the
 tuples whose phase vector vanishes.  Each exact command finds them once, with a
-meet-in-the-middle hash join on the tables (:func:`_resonant_tuples`), at a
-cost of about |S|^ceil(k/2) plus the number of survivors for supports of size
-|S|, instead of |S|^k; Haar orthogonality against f_0 is then one lookup per
+meet-in-the-middle hash join of two half enumerations, one over the first
+ceil(k/2) tables and one over the rest (:func:`_resonant_tuples`), at a cost
+of about |S|^ceil(k/2) plus the number of survivors for supports of size |S|,
+instead of |S|^k; Haar orthogonality against f_0 is then one lookup per
 survivor, outside the join.  Survivors come out in itertools.product order,
-the order a full enumeration visits them, so every float sum is the same.
+the order a full enumeration visits them, and multiply their k coefficients
+left to right as it does, so every float sum is the same.
 """
 
 from __future__ import annotations
@@ -118,23 +122,24 @@ def _vsum(vectors: Iterable[tuple[int, ...]], width: int) -> tuple[int, ...]:
     return tuple(map(sum, zip((0,) * width, *vectors)))
 
 
-def _tuple_term(entries: Sequence[_Entry]):
-    """(frequency tuple, output frequency, coefficient product) of one choice
-    of table entries."""
+def _tuple_term(entries: Sequence[_Entry], m: int):
+    """(frequency tuple, output frequency on T^m, coefficient product) of one
+    choice of table entries; the coefficients multiply left to right."""
     combo = tuple(chi for chi, _, _ in entries)
     prod = 1.0 + 0j
     for _, c, _ in entries:
         prod *= c
-    return combo, tuple(sum(x) for x in zip(*combo)), prod
+    return combo, _vsum(combo, m), prod
 
 
 def _tuple_data(
     tables: Sequence[Sequence[_Entry]], width: int
-) -> Iterator[tuple[tuple[Freq, ...], Freq, complex, tuple[int, ...]]]:
-    """Enumerate frequency tuples: (tuple, output frequency, coefficient
-    product, integer phase vector over denom), in itertools.product order."""
+) -> Iterator[tuple[tuple[_Entry, ...], tuple[int, ...]]]:
+    """Enumerate the choices of one entry per table with their integer phase
+    vector over denom, in itertools.product order: the one enumerator of
+    frequency tuples."""
     for entries in itertools.product(*tables):
-        yield *_tuple_term(entries), _vsum((n for _, _, n in entries), width)
+        yield entries, _vsum((n for _, _, n in entries), width)
 
 
 def _phase_groups(sys: TorusSystem, fam: FPolyFamily, fs: Sequence[TrigPoly]) -> list[_Group]:
@@ -145,7 +150,8 @@ def _phase_groups(sys: TorusSystem, fam: FPolyFamily, fs: Sequence[TrigPoly]) ->
     tables, denom = _phase_tables(sys, fam, fs)
     d = fam.height
     groups: dict[tuple[int, ...], dict[Freq, complex]] = {}
-    for _, out, prod, n in _tuple_data(tables, d):
+    for entries, n in _tuple_data(tables, d):
+        _, out, prod = _tuple_term(entries, sys.m)
         by_out = groups.setdefault(n, {})
         by_out[out] = by_out.get(out, 0j) + prod
     return [
@@ -154,51 +160,30 @@ def _phase_groups(sys: TorusSystem, fam: FPolyFamily, fs: Sequence[TrigPoly]) ->
     ]
 
 
-def _partial_sums(
-    keys: Sequence[Sequence[tuple[int, ...]]], width: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(index tuple, key sum) over the product of the key lists, in
-    itertools.product order."""
-    return [
-        (tuple(i for i, _ in picks), _vsum((key for _, key in picks), width))
-        for picks in itertools.product(*(list(enumerate(ks)) for ks in keys))
-    ]
-
-
-def _zero_sum_indices(
-    keys: Sequence[Sequence[tuple[int, ...]]], width: int
-) -> list[tuple[int, ...]]:
-    """Index tuples (one index per key list) whose keys sum to zero, in
-    itertools.product order.
-
-    Meet in the middle: the partial sums of the last floor(n/2) lists go into
-    a hash table under their negation, and each partial sum of the first
-    ceil(n/2) lists looks up its matches there.  With lists of length |S| this
-    builds |S|^ceil(n/2) + |S|^floor(n/2) partial sums, plus one item per
-    match, instead of the |S|^n full sums.  The first half is scanned in
-    product order and each bucket keeps product order, so the matches come
-    out in product order too.
-    """
-    half = (len(keys) + 1) // 2
-    right: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for idx, key in _partial_sums(keys[half:], width):
-        right.setdefault(tuple(-x for x in key), []).append(idx)
-    return [
-        idx + tail
-        for idx, key in _partial_sums(keys[:half], width)
-        for tail in right.get(key, ())
-    ]
-
-
 def _resonant_tuples(
     sys: TorusSystem, fam: FPolyFamily, fs: Sequence[TrigPoly]
 ) -> list[tuple[tuple[Freq, ...], Freq, complex]]:
     """(tuple, output frequency, coefficient product) of the frequency tuples
-    whose exact phase vector vanishes, joined on the phase tables, in
-    itertools.product order."""
+    whose exact phase vector vanishes, in itertools.product order.
+
+    Meet in the middle: the entry tuples of the last floor(k/2) tables go
+    into a hash table under the negation of their phase vector, and each
+    entry tuple of the first ceil(k/2) tables looks up its matches there.
+    With supports of size |S| this enumerates |S|^ceil(k/2) + |S|^floor(k/2)
+    partial tuples, plus one item per match, instead of the |S|^k tuples.
+    The first half is scanned in product order and each bucket keeps product
+    order, so the matches come out in product order too, and each product is
+    taken left to right over all k entries, as a full enumeration takes it."""
     tables, _ = _phase_tables(sys, fam, fs)
-    hits = _zero_sum_indices([[n for _, _, n in t] for t in tables], fam.height)
-    return [_tuple_term([t[i] for t, i in zip(tables, idx)]) for idx in hits]
+    half = (len(tables) + 1) // 2
+    right: dict[tuple[int, ...], list[tuple[_Entry, ...]]] = {}
+    for entries, n in _tuple_data(tables[half:], fam.height):
+        right.setdefault(tuple(-x for x in n), []).append(entries)
+    return [
+        _tuple_term(left + tail, sys.m)
+        for left, n in _tuple_data(tables[:half], fam.height)
+        for tail in right.get(n, ())
+    ]
 
 
 def _sum_by_output(m: int, terms) -> TrigPoly:
@@ -261,7 +246,7 @@ def symbolic_limit(
     tuple survives iff its entire phase vector vanishes.
 
     Only the surviving tuples are built, by the hash join on the members'
-    integer phase tables (see :func:`_zero_sum_indices`): with supports of
+    integer phase tables (see :func:`_resonant_tuples`): with supports of
     size |S| the cost is about |S|^ceil(k/2) plus the number of survivors,
     not |S|^k.  Survivors are summed in itertools.product order, as a full
     enumeration would sum them.

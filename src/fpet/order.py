@@ -34,6 +34,7 @@ from math import lcm
 from .fpoly import (
     FPoly,
     FPolyFamily,
+    _fpoly,
     family_is_good,
     is_top_degree,
     lower_part,
@@ -85,8 +86,8 @@ def precedents(f: FPolyFamily) -> list[PrecedentStep]:
     leading degree), then type II at each top-degree member by index (its
     lower part, omitted when that is the zero map, as always at height 1),
     then the height drop when no member is top-degree (the coefficient rows
-    are reused verbatim: the dropped rows are zero, so each denominator
-    stays as it is)."""
+    are reused verbatim and unchecked: the dropped rows are zero, so each
+    denominator stays as it is, in lowest terms)."""
     if f.k < 2:
         raise ValueError("precedents are defined on families of at least two members")
     if not family_is_good(f):
@@ -105,7 +106,7 @@ def precedents(f: FPolyFamily) -> list[PrecedentStep]:
             steps.append(PrecedentStep(StepKind.TYPE_II, FPolyFamily(h, dim, new), (i + 1,)))
     if len(steps) == 1:
         new_d = max(leads)
-        members = tuple(FPoly(new_d, dim, p.den, p.rows[:new_d]) for p in f.members)
+        members = tuple(_fpoly(new_d, dim, p.den, p.rows[:new_d]) for p in f.members)
         steps.append(PrecedentStep(StepKind.HEIGHT_DROP, FPolyFamily(new_d, dim, members), (new_d,)))
     return steps
 

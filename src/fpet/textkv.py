@@ -10,6 +10,7 @@ from integers over one denominator, the form the exact layer stores.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -69,15 +70,6 @@ def parse_float(token: str, path: str, lineno: int, key: str) -> float:
     if not math.isfinite(value):
         raise ParseError(path, lineno, f"{key} must be finite, got {token!r}")
     return value
-
-
-def _unravel(k: int, shape: tuple[int, ...]) -> tuple[int, ...]:
-    """The k-th (0-based) index of the 1-based box ``shape`` in row-major order."""
-    index = []
-    for bound in reversed(shape):
-        k, r = divmod(k, bound)
-        index.append(r + 1)
-    return tuple(reversed(index))
 
 
 def read_indexed(
@@ -163,7 +155,7 @@ def read_indexed(
         return values, entries
     if len(entries) != math.prod(shape):
         # lazily: the box may be far larger than the file
-        box = (_unravel(k, shape) for k in range(math.prod(shape)))
+        box = itertools.product(*(range(1, b + 1) for b in shape))
         missing = next(index for index in box if index not in entries)
         raise ParseError(path, 0, f"missing entry {entry}" + "".join(f"[{i}]" for i in missing))
     return values, dict(sorted(entries.items()))

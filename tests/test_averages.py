@@ -429,17 +429,37 @@ def test_zero_phase_join_edge_cases(plane_system, linear_pair_family):
     assert_join_matches(still, fam2, fs, TrigPoly(2, {(1, 1): 1.0, (2, 0): -1.0}), (1, F(1, 3)))
 
 
+# the empty family: one empty tuple, with coefficient 1, output 0 and phase 0
+
+
+def test_empty_family_limit_is_one(plane_system):
+    assert symbolic_limit(plane_system, FPolyFamily(1, 2, ()), []) == TrigPoly.one(2)
+
+
+def test_empty_family_average_is_one_with_no_error(plane_system):
+    res = multiple_average(plane_system, FPolyFamily(1, 2, ()), [], (0.5, 40.0))
+    assert res.value == TrigPoly.one(2)
+    assert res.est_error == {(0, 0): 0.0}
+
+
+def test_empty_family_moment_is_the_mean_of_f0(plane_system):
+    f0 = TrigPoly(2, {(0, 0): 0.25, (1, 0): 1.0})
+    moment, shifted = furstenberg_moment(plane_system, FPolyFamily(1, 2, ()), [f0], [(1, F(1, 3))])
+    assert moment == 0.25 and shifted == [0.25]
+
+
 def test_zero_phase_join_partial_sum_count(monkeypatch):
-    # k = 3 with 16-term observables: 16 + 16^2 partial sums, not 16^3 tuples
+    # k = 3 with 16-term observables: the join enumerates 16 + 16^2 partial
+    # tuples, not 16^3 tuples
     built = []
-    real = averages._partial_sums
+    real = averages._tuple_data
 
-    def counting(keys, width):
-        sums = real(keys, width)
-        built.append(len(sums))
-        return sums
+    def counting(tables, width):
+        for item in real(tables, width):
+            built.append(1)
+            yield item
 
-    monkeypatch.setattr(averages, "_partial_sums", counting)
+    monkeypatch.setattr(averages, "_tuple_data", counting)
     sys3 = TorusSystem.make([[1, 0, 1, 0, 0, 0], [0, 1, 0, 1, 0, 0], [0, 0, 1, 0, 1, 1]])
     fam = FPolyFamily.make(
         [[[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]],
@@ -449,7 +469,7 @@ def test_zero_phase_join_partial_sum_count(monkeypatch):
     support = [(a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 0, 1, 2)]
     fs = [TrigPoly(3, {chi: 1.0 + 0.5j * i for chi in support}) for i in range(3)]
     limit = symbolic_limit(sys3, fam, fs)
-    assert sum(built) <= 16 + 16**2
+    assert len(built) <= 16 + 16**2
     assert list(limit.terms.items()) == list(ref_limit(sys3, fam, fs).items())
 
 
@@ -558,11 +578,12 @@ def closure_reference(a1, a2, d, h):
 
 
 def _grouped_reference(sys, fam, fs):
-    """The tuple rows of ``_tuple_data`` grouped by (output, n): per output,
+    """The tuples of ``_tuple_data`` grouped by (output, n): per output,
     in sorted order, the sorted (n, summed coefficient products)."""
     tables, denom = averages._phase_tables(sys, fam, fs)
     sums = {}
-    for _, out, prod, n in averages._tuple_data(tables, fam.height):
+    for entries, n in averages._tuple_data(tables, fam.height):
+        _, out, prod = averages._tuple_term(entries, sys.m)
         row = sums.setdefault(out, {})
         row[n] = row.get(n, 0j) + prod
     return denom, [sorted(sums[out].items()) for out in sorted(sums)]
@@ -625,7 +646,8 @@ def test_correlation_pairs_merge_tuples_with_one_phase_and_output(plane_system):
 
     tables, denom = averages._phase_tables(plane_system, fam, fs)
     tuples = {}
-    for _, out, prod, n in averages._tuple_data(tables, fam.height):
+    for entries, n in averages._tuple_data(tables, fam.height):
+        _, out, prod = averages._tuple_term(entries, plane_system.m)
         coeffs = {F(j + 1, fam.height): x / denom for j, x in enumerate(n)}
         tuples.setdefault(out, []).append((prod, coeffs))
     tuple_pairs = [
@@ -660,7 +682,8 @@ def test_multiple_average_sums_each_phase_group_once(plane_system):
 
     tables, denom = averages._phase_tables(plane_system, fam, fs)
     value, per_tuple, groups = {}, {}, {}
-    for _, out, prod, n in averages._tuple_data(tables, fam.height):
+    for entries, n in averages._tuple_data(tables, fam.height):
+        _, out, prod = averages._tuple_term(entries, plane_system.m)
         coeffs = {F(j + 1, fam.height): x / denom for j, x in enumerate(n)}
         avg, err, _ = osc_phase_average(coeffs, *window, tol)
         value[out] = value.get(out, 0j) + prod * avg

@@ -1,4 +1,3 @@
-import itertools
 import json
 import os
 import subprocess
@@ -157,10 +156,12 @@ def test_check_invariance_can_fail(tmp_path, monkeypatch):
     # show up as a shifted moment that differs from the unshifted one; f_0's
     # term at (-2, 1) cancels the output of the non-resonant tuple
     # ((2, 0), (0, -1)), so Haar orthogonality alone does not drop it
-    monkeypatch.setattr(
-        averages, "_zero_sum_indices",
-        lambda keys, width: list(itertools.product(*(range(len(k)) for k in keys))),
-    )
+    def every_tuple(sys, fam, fs):
+        tables, _ = averages._phase_tables(sys, fam, fs)
+        return [averages._tuple_term(entries, sys.m)
+                for entries, _ in averages._tuple_data(tables, fam.height)]
+
+    monkeypatch.setattr(averages, "_resonant_tuples", every_tuple)
     for name, terms in (("f0", "-1 1 : 1.0 0.0\nterm = -2 1 : 0.5 0.0"), ("f1", "1 0 : 1.0 0.0"),
                         ("f2", "0 -1 : 1.0 0.0")):
         (tmp_path / f"{name}.obs").write_text(f"m = 2\nterm = {terms}\nterm = 2 0 : 0.5 0.0\n")
@@ -179,9 +180,9 @@ def test_exact_check_runs_one_join(tmp_path, monkeypatch, stem):
     # the moment, every shifted moment, the projected limit and the witnesses
     # all read the one list of resonant tuples
     calls = []
-    real = averages._zero_sum_indices
+    real = averages._resonant_tuples
     monkeypatch.setattr(
-        averages, "_zero_sum_indices", lambda keys, width: calls.append(1) or real(keys, width)
+        averages, "_resonant_tuples", lambda sys, fam, fs: calls.append(1) or real(sys, fam, fs)
     )
     assert main(["--config", cfg_path(f"{stem}.cfg"), "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
