@@ -392,11 +392,14 @@ def _correlation_average(
 
     Each non-constant pair is integrated after its substitution t = u^L,
     which keeps the phase derivative bounded near zero even for fractional
-    exponents, on batches of ``_BATCH_ROWS`` shifts: one
+    exponents, on batches of ``_BATCH_ROWS`` (63) shifts: one
     :func:`~fpet.quadrature.adaptive_integral` per batch, whose rows share
     their panels and each meet ``tol`` on their own.  The window guard of a
     batch (which refuses a window too far out for the float phase) takes
-    its largest shift."""
+    its largest shift, and the panels are graded toward the branch point
+    of its smallest (:meth:`~fpet.quadrature.Phase.at`).  A pair whose
+    phase is constant in t (at height 1, two groups with one phase vector)
+    takes one panel per batch."""
     shifts = np.atleast_1d(np.asarray(hs, dtype=float))
     total = np.zeros(shifts.shape, dtype=complex)
     for weight, phase in pairs:
@@ -404,8 +407,11 @@ def _correlation_average(
             total += weight
             continue
         for s in range(0, len(shifts), _BATCH_ROWS):
-            L, integrand, theta = phase.at(shifts[s : s + _BATCH_ROWS]).substitute(T, tol)
-            values, _, _ = adaptive_integral(integrand, 0.0, T ** (1.0 / L), tol * T, budget, theta)
+            moved = phase.at(shifts[s : s + _BATCH_ROWS])
+            L, integrand, theta = moved.substitute(T, tol)
+            values, _, _ = adaptive_integral(
+                integrand, 0.0, T ** (1.0 / L), tol * T, budget, theta, branch=moved.branch
+            )
             total[s : s + _BATCH_ROWS] += weight * values / T
     return complex(total[0]) if np.ndim(hs) == 0 else total
 

@@ -38,19 +38,25 @@ methods, the same for a float window and an array of them.
   form whose narrow-window rules miss the tolerance too (b tiny against a
   on a wide window, where the closed form's terms cancel and the Gauss
   piece's bound is far above it).  The initial panels are laid out from
-  the phase itself: the cycles in each of 512 probe cells are the variation
+  the phase itself: the cycles in each of 128 probe cells are the variation
   |theta(p_(i+1)) - theta(p_i)| of the phase across it, and the edges split
-  the cumulative count so each panel carries roughly a fixed number of
-  cycles (17 uniform edges when no phase is given, its variation is not
-  finite and positive, or cells of subnormal variation leave an edge that
-  is not finite).  A fixed-order Gauss-Legendre rule is applied per
-  panel, and the difference between the 24-point and 15-point rules serves
-  as the per-panel error estimate.  It is an estimate, not a proven bound:
-  it mostly measures the 15-point rule's own error (a 15-point rule is
-  essentially exact below 3 cycles per panel, a 24-point rule well beyond
-  5), and nothing shows that it brackets the true error of the 24-point
-  value.  Panels with the largest estimates are bisected until the absolute
-  tolerance or the evaluation budget is reached.
+  the cumulative count into ceil(cycles / 3.5) panels, at least one and
+  at most those that half the budget pays for (17 uniform edges when no
+  phase is given, its variation is not finite, or cells of subnormal
+  variation leave an edge that is not finite).  A shifted block
+  (u^L + h)^e with a fractional exponent has a branch point at
+  |u| = h^(1/L), next to the window's end u = 0 for a small shift, and the
+  Gauss rate on a panel is set by its nearest singularity (Trefethen, SIAM
+  Review 50, 2008): on a window from u = 0 the first panel is halved
+  until it ends within twice the branch point of the smallest shift.  A
+  fixed-order Gauss-Legendre rule is applied per panel, and the difference
+  between the 24-point and 15-point rules serves as the per-panel error
+  estimate.  It is an estimate, not a proven bound: it mostly measures the
+  15-point rule's own error (a 15-point rule is essentially exact below 3
+  cycles per panel, a 24-point rule well beyond 5), and nothing shows that
+  it brackets the true error of the 24-point value.  Panels with the
+  largest estimates are bisected until the absolute tolerance or the
+  evaluation budget is reached.
 
 The adaptive panels have a batch axis.  A phase moved to a vector of N
 shifts by :meth:`Phase.at` returns N rows, and one adaptive pass integrates
@@ -68,7 +74,7 @@ import cmath
 import copy
 import numbers
 from fractions import Fraction
-from math import comb, isfinite, lcm, pi, prod, sqrt
+from math import ceil, comb, isfinite, lcm, log2, pi, prod, sqrt
 from operator import neg
 from typing import Callable, Mapping
 
@@ -80,7 +86,7 @@ DEFAULT_BUDGET = 10**7
 _CYCLES_PER_PANEL = 3.5
 _CHUNK_POINTS = 1 << 13  # integrand points per vectorized call
 _MAX_ROUNDS = 64
-_PROBES = 513  # layout probes per row
+_PROBES = 129  # layout probes per row
 _BATCH_ROWS = _CHUNK_POINTS // _PROBES  # rows whose layout probes fill one chunk
 _EVALS_PER_PANEL = 24 + 15
 _EPS = float(np.finfo(float).eps)
@@ -184,37 +190,44 @@ def _eval_panels(f, a: np.ndarray, b: np.ndarray, batch: tuple) -> tuple[np.ndar
 
 
 def _probe_cycles(lo: float, hi: float, phase) -> tuple[np.ndarray, np.ndarray]:
-    """513 probes across (lo, hi) and the cycles of ``phase`` in each probe
+    """129 probes across (lo, hi) and the cycles of ``phase`` in each probe
     cell: its variation |theta(p_(i+1)) - theta(p_i)| across the cell, one
     row per row of a batched phase."""
     probes = np.linspace(lo, hi, _PROBES)
     return probes, np.abs(np.diff(phase(probes)))
 
 
-def _initial_edges(lo: float, hi: float, phase, budget: int) -> tuple[np.ndarray, tuple]:
+def _initial_edges(
+    lo: float, hi: float, phase, budget: int, branch: float = 0.0
+) -> tuple[np.ndarray, tuple]:
     """The initial panel edges and the batch shape: () for one integrand,
     (N,) for a phase that returns N rows.  A batch shares one layout, laid
     out from the largest variation over its rows in each probe cell."""
-    base = np.linspace(lo, hi, 17)
+    uniform = np.linspace(lo, hi, 17)
     if phase is None:
-        return base, ()
+        return uniform, ()
     probes, cycles = _probe_cycles(lo, hi, phase)
     batch = cycles.shape[:-1]
     if batch:
         cycles = cycles.max(axis=0)
     total = float(cycles.sum())
-    if isfinite(total) and total > 0.0:
-        # leave at least half the budget for error-driven refinement
-        cap = max(16, budget // (2 * _EVALS_PER_PANEL))
-        n_panels = int(min(total / _CYCLES_PER_PANEL + 16, cap))
+    if not isfinite(total):
+        return uniform, batch
+    # leave at least half the budget for error-driven refinement
+    n_panels = max(1, min(ceil(total / _CYCLES_PER_PANEL), budget // (2 * _EVALS_PER_PANEL)))
+    edges = np.array([lo, hi])
+    if n_panels > 1:
         cum = np.concatenate(([0.0], np.cumsum(cycles)))
-        targets = np.linspace(0.0, total, n_panels + 1)
-        edges = np.interp(targets, cum, probes)
+        edges = np.interp(np.linspace(0.0, total, n_panels + 1), cum, probes)
         # a cell of subnormal cycles overflows its slope to an infinite edge
-        if np.isfinite(edges).all():
-            edges[0], edges[-1] = lo, hi
-            return np.union1d(edges, base), batch
-    return base, batch
+        if not np.isfinite(edges).all():
+            return uniform, batch
+        edges[0], edges[-1] = lo, hi
+    if lo == 0.0 and 0.0 < branch < edges[1]:
+        # halve the first panel until it ends within twice the branch point
+        halvings = np.arange(int(log2(edges[1] / branch)), 0, -1)
+        edges = np.concatenate(([lo], edges[1] * 2.0**-halvings, edges[1:]))
+    return edges, batch
 
 
 def adaptive_integral(
@@ -224,13 +237,19 @@ def adaptive_integral(
     abs_tol: float,
     budget: int = DEFAULT_BUDGET,
     phase: Callable[[np.ndarray], np.ndarray] | None = None,
+    *,
+    branch: float = 0.0,
 ) -> tuple[complex | np.ndarray, float, int]:
     """Integral of a vectorized complex integrand with absolute tolerance.
 
     ``phase``, when given, is the integrand's phase in cycles; its variation
-    lays out the initial panels.  Returns (value, error estimate,
-    evaluations); raises :class:`QuadratureBudgetError`, with the partial
-    value, when the tolerance is unreachable within the budget.
+    lays out the initial panels.  ``branch``, when positive and ``lo`` is
+    0, is the distance from 0 of the integrand's nearest singularity (the
+    branch point of a shifted block, :meth:`Phase.at`): the first panel is
+    halved toward it until it ends within twice that distance.  Returns
+    (value, error estimate, evaluations); raises
+    :class:`QuadratureBudgetError`, with the partial value, when the
+    tolerance is unreachable within the budget.
 
     A phase that maps the m probes to an (N, m) array makes a batch: N
     integrands on one window, which ``f`` evaluates at once, mapping an
@@ -246,7 +265,7 @@ def adaptive_integral(
         raise ValueError("need a finite, nonempty integration interval")
     if not (isfinite(abs_tol) and abs_tol > 0):
         raise ValueError("tolerance must be finite and positive")
-    edges, batch = _initial_edges(float(lo), float(hi), phase, budget)
+    edges, batch = _initial_edges(float(lo), float(hi), phase, budget, branch)
     a, b = edges[:-1], edges[1:]
     if _EVALS_PER_PANEL * len(a) > budget:
         zero = np.zeros(batch, dtype=complex) if batch else 0j
@@ -326,6 +345,7 @@ class Phase:
 
     def __init__(self, coeffs: Mapping = {}, shifted: Mapping = {}):
         self.coeffs, self.shifted, self.h = _terms(coeffs), _terms(shifted), 0.0
+        self.branch = 0.0
         L = self.L = lcm(*(e.denominator for e in (*self.coeffs, *self.shifted)))
         # the unshifted terms as a polynomial in u = t^(1/L), ascending: t^e
         # is u^(e L), an integer power taken in integers
@@ -340,11 +360,22 @@ class Phase:
     def at(self, h) -> "Phase":
         """The same phase at shift h; the term tables are shared.  A vector
         of N shifts gives one phase for all of them: its phase and
-        u-integrand then return one row per shift, shape (N, m)."""
+        u-integrand then return one row per shift, shape (N, m).
+
+        A shifted term (u^L + h)^e with a fractional exponent e has a branch
+        point where u^L = -h, at |u| = h^(1/L): the phase keeps that
+        distance, at the smallest positive shift, as its ``branch``, which
+        grades the adaptive panels of a window from u = 0 toward it (0.0
+        when no shifted exponent is fractional or no shift is positive)."""
         moved = copy.copy(self)
         h = np.asarray(h, dtype=float)
         # a batch of shifts runs down the rows
         moved.h = float(h) if h.ndim == 0 else h[:, None]
+        positive = h[h > 0.0]
+        fractional = any(e.denominator > 1 for e in self.shifted)
+        moved.branch = 0.0
+        if fractional and positive.size:
+            moved.branch = float(positive.min()) ** (1.0 / self.L)
         return moved
 
     def power(self, alpha) -> "Phase":
@@ -465,7 +496,8 @@ class Phase:
         if ends > tol:
             raise QuadratureBudgetError("the window is too narrow for its ends in u", 0j, ends, spent)
         value, err, evals = adaptive_integral(
-            self._u_integrand, lo ** (1.0 / L), hi ** (1.0 / L), tol * width, budget, self._u_theta
+            self._u_integrand, lo ** (1.0 / L), hi ** (1.0 / L), tol * width, budget,
+            self._u_theta, branch=self.branch,
         )
         err, evals = err / width + ends, evals + spent
         if ends and err > tol:

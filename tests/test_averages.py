@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -777,3 +778,67 @@ def test_correlation_batches_match_scalar_shifts(plane_system, monkeypatch):
     for h, value in zip(hs, batched):
         assert abs(value - _panel_correlation(pairs, T, h, tol)) <= slack
     assert isinstance(averages._correlation_average(pairs, T, 1.5, tol, DEFAULT_BUDGET), complex)
+
+
+def test_constant_in_t_pairs_take_one_panel(plane_system, linear_pair_family, monkeypatch):
+    """At height 1 a pair of groups with one phase vector c has the phase
+    c (t + h) - c t = c h, constant in t.  Each batch of such a pair takes
+    one panel, 24 + 15 evaluations per row (31 panels under a layout with a
+    floor of 16), and the check's rhs_core stays the same to the bit."""
+    fs = [
+        TrigPoly(2, {(1, 0): 0.5, (0, 1): 0.3j, (1, 1): -0.2}),
+        TrigPoly(2, {(-1, 0): 0.7, (0, 0): 0.1, (0, -1): 0.4 - 0.1j}),
+    ]
+    groups = averages._phase_groups(plane_system, linear_pair_family, fs)
+    pairs = averages._correlation_pairs(groups)
+    constant = [(w, phase) for w, phase in pairs
+                if phase.shifted and phase.coeffs == {e: -c for e, c in phase.shifted.items()}]
+    assert len(constant) == 5
+    evals = []
+    real = averages.adaptive_integral
+
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        evals.append(result[2])
+        return result
+
+    monkeypatch.setattr(averages, "adaptive_integral", counted)
+    hs = np.linspace(0.1, 2.0, 2 * _BATCH_ROWS + 3)
+    averages._correlation_average(constant, 20.0, hs, 1e-6, DEFAULT_BUDGET)
+    assert evals == [24 + 15] * (3 * len(constant))
+    monkeypatch.setattr(averages, "adaptive_integral", real)
+    report = vdc_bound_check(plane_system, linear_pair_family, fs, 20.0, 2.0)
+    assert report.rhs_core == 0.16033188126978018
+
+
+def test_benchmark_vdc_evaluations_are_bounded(tmp_path, monkeypatch):
+    """The benchmark's seed-1 check-vdc integrates its correlations in at
+    most 400,000 integrand points and lays them out from at most 400,000
+    probe points.  A layout with a floor of 16 uniform panels and 513 probes
+    per row took 3,030,690 and 1,280,448 there."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import inputs
+
+    from fpet.cli import main
+
+    op = next(op for op in inputs.generate("timechange_vdc", 1, tmp_path / "in")
+              if op.command == "check-vdc")
+    points = {"integrand": 0, "probe": 0}
+    real = averages.adaptive_integral
+
+    def counted(f, lo, hi, abs_tol, budget=DEFAULT_BUDGET, phase=None, **kwargs):
+        def integrand(u):
+            points["integrand"] += np.size(u)
+            return f(u)
+
+        def probed(u):
+            theta = phase(u)
+            points["probe"] += np.size(theta)
+            return theta
+
+        return real(integrand, lo, hi, abs_tol, budget, phase and probed, **kwargs)
+
+    monkeypatch.setattr(averages, "adaptive_integral", counted)
+    assert main(["--config", str(op.config), "--out", str(tmp_path / "out")]) == 0
+    assert 0 < points["integrand"] <= 400_000
+    assert 0 < points["probe"] <= 400_000

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -193,9 +194,9 @@ def test_exp_phase_curve_theta_and_values():
 def test_adaptive_average_uses_curve_hint():
     curve = lambda t: np.exp(2j * np.pi * t / 3)
     hint = lambda t: t / 3
-    # 1365 cycles: the layout gives them about 400 panels, the uniform 16
+    # 1365.3 cycles: the layout gives them one panel per 3.5 cycles
     edges, batch = _initial_edges(0.0, 4096.0, hint, DEFAULT_BUDGET)
-    assert len(edges) > 400 and batch == ()
+    assert len(edges) - 1 == math.ceil(4096 / 3 / 3.5) == 391 and batch == ()
     value, _, _ = adaptive_integral(curve, 0.0, 4096.0, 1e-10 * 4096.0, phase=hint)
     assert abs(value / 4096.0 - closed_linear_average(1 / 3, 0.0, 4096.0)) < 1e-9
 
@@ -222,16 +223,17 @@ def test_layout_counts_the_cycles_of_the_phase(monkeypatch, coeffs, window):
     assert cycles.sum() == pytest.approx(phase_cycles(coeffs, lo, hi), rel=0.01)
 
 
-@pytest.mark.parametrize("phase", [
-    lambda p: np.zeros_like(p),
-    lambda p: np.where(p > 3.0, np.nan, p),
-    lambda p: np.where(p < p[-1], p, np.inf),
+@pytest.mark.parametrize("phase, panels", [
+    (lambda p: np.zeros_like(p), np.array([2.0, 5.0])),
+    (lambda p: np.where(p > 3.0, np.nan, p), np.linspace(2.0, 5.0, 17)),
+    (lambda p: np.where(p < p[-1], p, np.inf), np.linspace(2.0, 5.0, 17)),
 ], ids=["constant", "nan", "inf"])
-def test_layout_falls_back_to_uniform_edges(phase):
-    """A phase whose variation is not finite and positive lays out the 17
-    uniform edges, and the integral still converges from them."""
+def test_layout_falls_back_to_uniform_edges(phase, panels):
+    """A phase of zero variation lays out one panel, and one whose variation
+    is not finite the 17 uniform edges; the integral still converges from
+    either."""
     edges, batch = _initial_edges(2.0, 5.0, phase, DEFAULT_BUDGET)
-    assert np.array_equal(edges, np.linspace(2.0, 5.0, 17)) and batch == ()
+    assert np.array_equal(edges, panels) and batch == ()
     value, err, _ = adaptive_integral(np.cos, 2.0, 5.0, 1e-12, phase=phase)
     assert abs(value - (np.sin(5.0) - np.sin(2.0))) < 1e-12 and err <= 1e-12
 
@@ -690,7 +692,8 @@ def _u_integral(phase, T, tol, wrap=lambda f: f):
     """The integral of ``phase`` over t in (0, T) in u = t^(1/L), as the van
     der Corput correlations take it: (value, error, evaluations)."""
     L, integrand, theta = phase.substitute(T, tol)
-    return adaptive_integral(wrap(integrand), 0.0, T ** (1.0 / L), tol * T, phase=theta)
+    return adaptive_integral(wrap(integrand), 0.0, T ** (1.0 / L), tol * T, phase=theta,
+                             branch=phase.branch)
 
 
 @settings(max_examples=30, deadline=None)
@@ -717,9 +720,9 @@ def test_batched_rows_match_scalar_calls(coeffs, T, hs, tol):
 
 
 def test_batch_refines_a_row_that_alone_needs_it():
-    """Row 0 is constant and exact on the 16 uniform panels that a flat
-    phase lays out; row 1 winds 400.5 times over them.  Only row 1 asks for
-    refinement, and it still converges."""
+    """Row 0 is constant and exact on the one panel that a flat phase lays
+    out; row 1 winds 400.5 times over it.  Only row 1 asks for refinement,
+    and it still converges."""
     freqs = np.array([0.0, 400.5])
 
     def f(u):
@@ -772,3 +775,77 @@ def test_far_window_guard_takes_the_largest_shift_of_a_batch():
         phase.at(hs[-1]).substitute(1000.5, 1e-8)
     assert batch.value.evals == 0
     assert batch.value.est_error == single.value.est_error > 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the branch point of a shifted block near the window's end u = 0
+
+
+def _mp_shifted_integral(c, s, h, T):
+    """The integral over t in (0, T) of e(c_1 sqrt(t) + c_2 t + s_1 sqrt(t + h)
+    + s_2 (t + h)) from mpmath at 30 digits, in u = sqrt(t), on pieces graded
+    toward the branch points u = +-i sqrt(h) and at most 1/2 wide."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        c1, c2, s1, s2, h = map(mp.mpf, (*c, *s, h))
+        r, top = mp.sqrt(h), mp.sqrt(mp.mpf(T))
+        graded = [mp.mpf(0)]
+        while graded[-1] < top / 2:
+            graded.append(max(r / 4, 2 * graded[-1]))
+        graded.append(top)
+        points = [graded[0]]
+        for a, b in zip(graded, graded[1:]):
+            n = max(1, int(2 * (b - a)))
+            points += [a + (b - a) * k / n for k in range(1, n + 1)]
+
+        def f(u):
+            x = u * u + h
+            return 2 * u * mp.expjpi(2 * (c1 * u + c2 * u * u + s1 * mp.sqrt(x) + s2 * x))
+
+        return complex(mp.quad(f, points))
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    c=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    s=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    hs=st.lists(st.floats(-9.0, -2.0).map(lambda x: 10.0**x), min_size=1, max_size=3),
+    T=st.floats(1.0, 12.0),
+    tol=st.sampled_from([1e-8, 1e-10]),
+)
+# two shifts whose branch point at |u| = sqrt(h) sits next to u = 0: on
+# panels not graded toward it both miss tol * T (1.54 and 1.09 times it)
+# while their error estimates read under half of it
+@example(c=(0.327, 1.656), s=(-1.091, -0.765), hs=[6.6e-7], T=10.4, tol=1e-10)
+@example(c=(0.684, 0.815), s=(-1.706, -1.64), hs=[4e-7], T=10.0, tol=1e-10)
+def test_tiny_shifts_meet_the_tolerance_at_the_branch_point(c, s, hs, T, tol):
+    """A shifted block (t + h)^(1/2) is (u^2 + h)^(1/2) in u = sqrt(t), with
+    branch points at u = +-i sqrt(h); for a tiny shift they lie next to the
+    window's end u = 0.  Each row of a batch of shifts, and the average at
+    each shift on its own, meet tol * T against 30-digit mpmath."""
+    phase = Phase({F(1, 2): c[0], F(1): c[1]}, shifted={F(1, 2): s[0], F(1): s[1]})
+    values, _, _ = _u_integral(phase.at(hs), T, tol)
+    for h, value in zip(hs, values):
+        ref = _mp_shifted_integral(c, s, h, T)
+        single, _, _ = phase.at(h).average(0.0, T, tol)
+        assert abs(value - ref) <= tol * T
+        assert abs(single * T - ref) <= tol * T
+
+
+def test_panels_are_graded_toward_the_smallest_shift():
+    """The layout halves its first panel down to the branch point of the
+    smallest positive shift of a batch, h^(1/L); a shifted block of integer
+    exponents has none, and neither has a batch of zero shifts."""
+    phase = Phase({F(1, 2): 0.5}, shifted={F(1, 2): -0.5, F(1): 0.2})
+    moved = phase.at([0.0, 1e-6, 0.3])
+    assert moved.branch == 1e-6 ** 0.5
+    L, _, theta = moved.substitute(10.0, 1e-8)
+    plain, _ = _initial_edges(0.0, 10.0 ** 0.5, theta, DEFAULT_BUDGET)
+    edges, _ = _initial_edges(0.0, 10.0 ** 0.5, theta, DEFAULT_BUDGET, moved.branch)
+    graded = edges[1 : len(edges) - len(plain) + 2]
+    assert np.array_equal(edges[len(edges) - len(plain) + 1 :], plain[1:])
+    assert np.array_equal(graded[1:] / graded[:-1], np.full(len(graded) - 1, 2.0))
+    assert moved.branch <= graded[0] < 2 * moved.branch
+    assert Phase({F(1, 2): 0.5}, shifted={F(1): 0.2}).at([1e-6]).branch == 0.0
+    assert phase.at(np.zeros(3)).branch == moved.at(0.0).branch == phase.branch == 0.0
