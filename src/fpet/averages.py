@@ -22,11 +22,14 @@ computed once per support frequency, as integers over one common denominator
 table entries with their integer phase vectors; every tuple, whole or half,
 comes from it.  A finite-interval command enumerates the tuples once,
 grouped by phase vector and output (:func:`_phase_groups`): a window averages
-each distinct phase vector once, the convergence diagnostic takes its limit
-from the group whose phase vector vanishes, and the van der Corput step pairs
-phase groups.  A van der Corput correlation runs at many shifts h at once: each
-pair's phase is moved to a batch of shifts and integrated in one adaptive
-pass (see :func:`_correlation_average`).  The exact limits, self-joining
+each distinct phase vector once, by
+:func:`~fpet.quadrature.osc_phase_average`, which keeps a group's phase from
+window to window and reuses the end two windows share; the convergence
+diagnostic takes its limit from the group whose phase vector vanishes, and
+the van der Corput step pairs phase groups.  A van der Corput correlation
+runs at many shifts h at once: each pair's phase is moved to a batch of
+shifts and integrated in one adaptive pass (see
+:func:`_correlation_average`).  The exact limits, self-joining
 moments and the partially-characteristic-factor witnesses need only the
 tuples whose phase vector vanishes.  Each exact command finds them once, with a
 meet-in-the-middle hash join of two half enumerations, one over the first

@@ -25,7 +25,11 @@ methods, the same for a float window and an array of them.
   contributes its own terms of a primitive, so it also takes arrays of
   windows (a float end, such as the shared end of the time-change kernel's
   tail or head windows, is evaluated once), with a value and a bound per
-  window.
+  window.  Work on identical inputs is reused, never a result: a phase
+  computes the closed form's constants once, a float window takes the
+  terms of an end it shares with the phase's previous float window, and
+  :func:`osc_phase_average` keeps the phases of its last 128 coefficient
+  tables, so the windows of a run share them.
 * Narrow-window rules, on each window whose closed-form bound exceeds the
   tolerance (a narrow window, whose end terms cancel, or one whose terms
   overflow); a float window enters them as an array of one window.  A
@@ -74,7 +78,8 @@ import cmath
 import copy
 import numbers
 from fractions import Fraction
-from math import ceil, comb, isfinite, lcm, log2, pi, prod, sqrt
+from functools import lru_cache
+from math import ceil, comb, copysign, isfinite, lcm, log2, pi, prod, sqrt
 from operator import neg
 from typing import Callable, Mapping
 
@@ -354,8 +359,13 @@ class Phase:
         self._asc[powers] = list(self.coeffs.values())
         # the closed form's class: exponents within {1/2, 1} or within {1, 2}
         self._closed = not self.shifted and L <= 2 and len(self._asc) <= 3
-        # the shifted terms with float exponents
+        # the shifted terms with float exponents, and |c_e| at the float
+        # exponents of the unshifted ones, for the guard's bound
         self._moved = [(float(e), s) for e, s in self.shifted.items()]
+        self._sizes = [(float(e), abs(c)) for e, c in self.coeffs.items()]
+        self._ends = {}  # the last scalar closed form's end terms, see _fresnel
+        if self._closed:
+            self._closed_constants()
 
     def at(self, h) -> "Phase":
         """The same phase at shift h; the term tables are shared.  A vector
@@ -368,6 +378,7 @@ class Phase:
         grades the adaptive panels of a window from u = 0 toward it (0.0
         when no shifted exponent is fractional or no shift is positive)."""
         moved = copy.copy(self)
+        moved._ends = {}
         h = np.asarray(h, dtype=float)
         # a batch of shifts runs down the rows
         moved.h = float(h) if h.ndim == 0 else h[:, None]
@@ -422,7 +433,7 @@ class Phase:
         t <= hi moves an average, for a float ``hi`` or an array of them."""
         h = self.h if isinstance(self.h, float) else float(self.h.max())
         return 2 * np.pi * _EPS * (
-            sum(abs(c) * hi ** float(e) for e, c in self.coeffs.items())
+            sum(c * hi**e for e, c in self._sizes)
             + sum(abs(s) * (hi + h) ** e for e, s in self._moved)
         )
 
@@ -505,10 +516,32 @@ class Phase:
                                         value / width, err, evals)
         return value / width, err, evals
 
-    def _ab(self) -> tuple[float, float]:
-        """(a, b): the coefficients of u and u^2 of a closed-form phase."""
+    def _closed_constants(self) -> None:
+        """The constants of a closed-form phase, computed once: ``_ab``, the
+        coefficients (a, b) of u and u^2; and those of :meth:`_fresnel`,
+        which averages the conjugate phase when b < 0 (``_flip``): its
+        (a, b) as ``_fab``, and for b = 0 k = 2 pi i a, else beta = 2 pi b,
+        the weight -a/b of the Fresnel term (1 at L = 1), u* = -a/(2b),
+        sqrt(beta), the ray of w, the tail from 0 and the exponent 2 pi i
+        theta* of e(theta*) at u*, with e(theta*) itself."""
         asc = self._asc
-        return float(asc[1]), (float(asc[2]) if len(asc) == 3 else 0.0)
+        a, b = self._ab = tuple(float(asc[j]) if j < len(asc) else 0.0 for j in (1, 2))
+        self._flip = b < 0.0
+        if self._flip:
+            a, b = -a, -b
+        self._fab = a, b
+        if b == 0.0:
+            self._k = 2j * pi * a
+            return
+        beta = 2 * pi * b
+        self._ibeta = 1j * beta
+        weight = self._weight = 1.0 if self.L == 1 else -a / b
+        ustar = self._ustar = -a / (2 * b)
+        root = sqrt(beta)
+        self._ray = _E8 * root  # w is taken at ray * |s|
+        self._tail0 = 0.5 * sqrt(pi) / root * _E8 * weight
+        self._star = _TWO_PI_I * ((a * ustar) % 1.0 + (b * (ustar * ustar)) % 1.0)
+        self._e_star = cmath.exp(self._star)
 
     def _closed_windows(self, lo, hi, noise: float, tol: float,
                         closed=None) -> tuple[np.ndarray, np.ndarray, int]:
@@ -536,7 +569,7 @@ class Phase:
         narrow = ~(err <= tol)
         if not narrow.any():
             return value, err, 0
-        a, b = self._ab()
+        a, b = self._ab
         nlo, nhi = (np.broadcast_to(x, shape)[narrow] for x in (lo, hi))
         ulo, uhi = (np.sqrt(x) if self.L == 2 else x for x in (nlo, nhi))
         # the guard's rounding bound at each window's own far end
@@ -580,7 +613,7 @@ class Phase:
         window by at most eps * t, and a move of the ends by at most eps * t
         moves an average by at most 2 pi eps max_t |theta'(t) t|, which is
         within ``noise``: 3 noise more."""
-        a, b = map(abs, self._ab())
+        a, b = map(abs, self._ab)
         d = uhi - ulo
         amplitude = 1.0 if self.L == 1 else 2 * (uhi + 2 * d)
         # a growth beyond exp(700) leaves the bound far above any tolerance
@@ -608,59 +641,39 @@ class Phase:
         window with one end on each side adds twice the tail from 0.  So
         every w lies on the ray arg z = pi/4 and no two erf values of similar
         size are subtracted.  Every phase e(theta) is taken at a point of the
-        window, with a*u and b*u^2 reduced mod 1 before they are summed."""
-        a, b = self._ab()
-        flip = b < 0.0
-        if flip:
-            a, b = -a, -b
-        L = self.L
+        window, with a*u and b*u^2 reduced mod 1 before they are summed
+        (:meth:`_end`).
+
+        An end's terms depend on the end alone.  A float call keeps those of
+        its two ends, and the next float call takes the terms of an end
+        equal to one of them and of its sign (-0.0 computes its own); an
+        array of windows neither reads nor keeps them, and a copy made by
+        :meth:`at` starts without them.  The terms are replaced, never
+        changed in place."""
         array = isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray)
-        exp, root_of = (np.exp, np.sqrt) if array else (cmath.exp, sqrt)
-
-        def e(u, square):
-            return exp(_TWO_PI_I * ((a * u) % 1.0 + (b * square) % 1.0))
-
-        slack = 0.0  # error of the terms beyond their rounding
-        if b == 0.0:
-            k = 2j * pi * a
-
-            def primitive(t):
-                if L == 1:
-                    return (e(t, t * t) / k,)
-                u = root_of(t)
-                eu = e(u, t)
-                # divided by k twice: k * k underflows to 0 for |a| below 1e-154
-                return 2 * eu * u / k, -2 * eu / k / k
-
-            terms = [*primitive(hi), *map(neg, primitive(lo))]
+        if array:
+            ends = self._end(hi, True), self._end(lo, True)
         else:
-            beta = 2 * pi * b
-            ibeta = 1j * beta
-            weight = 1.0 if L == 1 else -a / b
-            ustar = -a / (2 * b)
-            root = sqrt(beta)
-            ray = _E8 * root  # w is taken at ray * |s|
-            tail0 = 0.5 * sqrt(pi) / root * _E8 * weight
-
-            def primitive(t):
-                """The end's boundary and Fresnel terms of G, its u, its w and
-                its side of u* (+1 or -1)."""
-                u = root_of(t) if L == 2 else t
-                eu = e(u, t if L == 2 else t * t)
-                if not weight:
-                    return eu / ibeta, 0.0, u, 0.0, 0.0
-                s = u - ustar
-                side = (s >= 0) * 2.0 - 1.0
-                w = _faddeeva(ray * abs(s))
-                return eu / ibeta, -side * tail0 * eu * w, u, w, side
-
-            (b1, f1, u1, w1, side1), (b0, f0, u0, w0, side0) = primitive(hi), primitive(lo)
-            terms = [b1, -b0] if L == 2 else []
+            # a float end equal to, and of the sign of, an end of the last
+            # float call takes that call's terms
+            last, ends = self._ends, []
+            keys = (hi, copysign(1.0, hi)), (lo, copysign(1.0, lo))
+            for key in keys:
+                ends.append(last[key] if key in last else self._end(key[0], False))
+            self._ends = dict(zip(keys, ends))
+        slack = 0.0  # error of the terms beyond their rounding
+        if self._fab[1] == 0.0:
+            terms = [*ends[0], *map(neg, ends[1])]
+        else:
+            (b1, f1, u1, w1, side1), (b0, f0, u0, w0, side0) = ends
+            weight, ustar, tail0 = self._weight, self._ustar, self._tail0
+            terms = [b1, -b0] if self.L == 2 else []
             if weight:
                 terms += [-f0, f1]
                 if array or side0 != side1:
                     # the tail from 0, twice where the window holds u*
-                    terms.append((side1 - side0) * tail0 * e(ustar, ustar * ustar))
+                    e_star = np.exp(self._star) if array else self._e_star
+                    terms.append((side1 - side0) * tail0 * e_star)
                 # s rounds by up to 4 eps (|u| + |u*|) at each end, and a
                 # tail's derivative in s has modulus at most 1 on the ray
                 # (sqrt(pi)/2 |w'(z)| <= 1 there): 12 eps charges it 3 times
@@ -670,7 +683,30 @@ class Phase:
         value = sum(terms) / width
         size = sum(map(abs, terms)) / width
         err = noise + (2 * noise + 32 * _EPS) * size + slack / width
-        return (value.conjugate() if flip else value), err
+        return (value.conjugate() if self._flip else value), err
+
+    def _end(self, t, array: bool) -> tuple:
+        """One end's terms of the primitive G of :meth:`_fresnel`, at a float
+        or an array ``t``: for b = 0 its one (L = 1) or two terms, else its
+        boundary and Fresnel terms, its u, its w and its side of u* (+1 or
+        -1).  Every phase e(theta) has a*u and b*u^2 reduced mod 1 before
+        they are summed."""
+        exp, root_of = (np.exp, np.sqrt) if array else (cmath.exp, sqrt)
+        (a, b), L = self._fab, self.L
+        u = root_of(t) if L == 2 else t
+        eu = exp(_TWO_PI_I * ((a * u) % 1.0 + (b * (t if L == 2 else t * t)) % 1.0))
+        if b == 0.0:
+            k = self._k
+            if L == 1:
+                return (eu / k,)
+            # divided by k twice: k * k underflows to 0 for |a| below 1e-154
+            return 2 * eu * u / k, -2 * eu / k / k
+        if not self._weight:
+            return eu / self._ibeta, 0.0, u, 0.0, 0.0
+        s = u - self._ustar
+        side = (s >= 0) * 2.0 - 1.0
+        w = _faddeeva(self._ray * abs(s))
+        return eu / self._ibeta, -side * self._tail0 * eu * w, u, w, side
 
     def _u_integrand(self, u):
         # theta(u^L) stays a temporary, freed as soon as it is used
@@ -695,6 +731,16 @@ class Phase:
             return theta
         return np.broadcast_to(theta, np.broadcast(theta, self.h).shape)
 
+# coefficient tables whose Phase osc_phase_average keeps for the next call
+_PHASE_MEMO = 128
+
+
+@lru_cache(maxsize=_PHASE_MEMO)
+def _table_phase(table: tuple) -> Phase:
+    """The :class:`Phase` of a table keyed by :func:`osc_phase_average`."""
+    return Phase({e: c for _, e, _, c in table})
+
+
 def osc_phase_average(
     coeffs: Mapping[Fraction | int, float],
     lo: float,
@@ -708,5 +754,20 @@ def osc_phase_average(
     evaluations) when the exponents lie within {1/2, 1} or within {1, 2} and
     its bound meets ``tol``, else from the narrow-window rules (a bound, and
     the evaluations of a Gauss piece) when theirs does, and from adaptive
-    panels (their error estimate) otherwise."""
-    return Phase(coeffs).average(lo, hi, tol, budget)
+    panels (their error estimate) otherwise.
+
+    One :class:`Phase` serves every call with an equal table, of equal
+    types and order, while the last ``_PHASE_MEMO`` (128) distinct tables
+    are kept: the exponents are checked and the closed form's constants
+    computed once, and a window end shared with the phase's previous float
+    window reuses its terms (:meth:`Phase._fresnel`).  Every call still runs
+    the whole prologue of :meth:`Phase.average`, and returns what a fresh
+    ``Phase(coeffs)`` returns, bit for bit.  The types are part of the key:
+    0.5 equals Fraction(1, 2) and hashes alike, but only the Fraction is an
+    exact exponent."""
+    table = tuple((type(e), e, type(c), c) for e, c in coeffs.items())
+    try:
+        phase = _table_phase(table)
+    except TypeError:  # an unhashable coefficient
+        phase = Phase(coeffs)
+    return phase.average(lo, hi, tol, budget)

@@ -211,6 +211,63 @@ def test_convergence_rejects_empty_prefix(circle_system):
         convergence_diagnostic(circle_system, fam, [f], tempered_family("pinned"), 0)
 
 
+def _fresh_phase_rows(sys_obj, fam, fs, seq, n_max, quad_tol, budget):
+    """The rows of :func:`convergence_diagnostic`, each (group, window)
+    averaged by a fresh ``Phase`` and each output summed in group order."""
+    groups = averages._phase_groups(sys_obj, fam, fs)
+    limit = TrigPoly(sys_obj.m, next((by_out for coeffs, by_out in groups if not coeffs), {}))
+    rows, prev = [], None
+    for n in range(1, n_max + 1):
+        a, b = seq.interval(n)
+        value, errors = {}, {}
+        for coeffs, by_out in groups:
+            avg, err = Phase(coeffs).average(a, b, quad_tol, budget)[:2] if coeffs else (1 + 0j, 0.0)
+            for out, P in by_out.items():
+                value[out] = value.get(out, 0j) + P * avg
+                errors[out] = errors.get(out, 0.0) + abs(P) * err
+        avg = TrigPoly(sys_obj.m, value)
+        cauchy = (avg - prev).norm2() if prev is not None else math.nan
+        rows.append((n, a, b, (avg - limit).norm2(), cauchy, max(errors.values(), default=0.0)))
+        prev = avg
+    return rows
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("name", [
+    "convergence/1", "convergence/2", "convergence/3",
+    # the other run-convergence fixture, broken.cfg, has a family that does not parse
+    "fixtures/conv_k1",
+])
+def test_convergence_rows_match_fresh_phases(tmp_path, monkeypatch, name):
+    """Every row of the benchmark's run-convergence configs (seeds 1-3) and
+    of the run-convergence fixture equals, to the bit, the row built from a
+    fresh phase per group and window."""
+    from fpet.cli import _load_inputs, parse_config
+
+    where, _, which = name.partition("/")
+    if where == "fixtures":
+        configs = [FIXTURES / f"{which}.cfg"]
+    else:
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import inputs
+
+        configs = [op.config for op in inputs.generate(where, int(which), tmp_path)]
+    assert configs
+    for config in configs:
+        spec = parse_config(config.read_text(), str(config))
+        assert spec.command == "run-convergence"
+        sys_obj, fam, fs = _load_inputs(spec)
+        seq = tempered_family(spec.intervals)
+        report = convergence_diagnostic(sys_obj, fam, fs, seq, spec.n_max, tol=spec.pass_tol,
+                                        quad_tol=spec.tol, budget=spec.budget)
+        rows = [(r.n, r.a, r.b, r.distance, r.cauchy_diff, r.max_coeff_err) for r in report.rows]
+        reference = _fresh_phase_rows(sys_obj, fam, fs, seq, spec.n_max, spec.tol, spec.budget)
+        assert [tuple(map(repr, row)) for row in rows] == [tuple(map(repr, row)) for row in reference]
+
+
 @pytest.mark.parametrize("T,H", [(100.0, float("inf")), (float("inf"), 10.0)])
 def test_vdc_rejects_non_finite_horizons(plane_system, linear_pair_family, T, H):
     fs = [TrigPoly.character(2, (1, 0)), TrigPoly.character(2, (0, 1))]

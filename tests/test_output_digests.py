@@ -46,3 +46,17 @@ def test_a_fixture_run_digests_the_same_in_two_directories(tmp_path):
     assert lines[0] == lines[1]
     assert [line.split()[1] for line in lines[0]] == ["exit", "stdout", "stderr",
                                                       "out/prec_pair.dag"]
+
+
+def test_against_prints_only_the_lines_that_differ():
+    """Lines pair by config and part: a moved digest shows on both sides, a
+    part that one run alone has shows on its side, and the count closes."""
+    before = ["a.cfg exit 11", "a.cfg stdout 22", "b.cfg exit 33", "b.cfg out/b.csv 44"]
+    after = ["a.cfg exit 11", "a.cfg stdout 2f", "b.cfg exit 33", "b.cfg out/b.jsonl 55"]
+    assert output_digests.differing(before, after) == [
+        "- a.cfg stdout 22", "+ a.cfg stdout 2f",
+        "- b.cfg out/b.csv 44",
+        "+ b.cfg out/b.jsonl 55",
+        "3 of 5 digest lines differ",
+    ]
+    assert output_digests.differing(before, before) == ["0 of 4 digest lines differ"]

@@ -15,6 +15,7 @@ from fpet.quadrature import (
     _BATCH_ROWS,
     _CHUNK_POINTS,
     _E8,
+    _PHASE_MEMO,
     _W_COEF,
     _W_REL,
     _W_SCALE,
@@ -24,6 +25,7 @@ from fpet.quadrature import (
     _faddeeva,
     _initial_edges,
     _probe_cycles,
+    _table_phase,
     adaptive_integral,
     osc_phase_average,
 )
@@ -238,11 +240,22 @@ def test_layout_falls_back_to_uniform_edges(phase, panels):
     assert abs(value - (np.sin(5.0) - np.sin(2.0))) < 1e-12 and err <= 1e-12
 
 
-def test_deterministic_reruns():
+@pytest.fixture
+def fresh_phases():
+    """No phase kept by ``osc_phase_average``, before and after the test:
+    for tests that count or patch the closed form's work."""
+    _table_phase.cache_clear()
+    yield
+    _table_phase.cache_clear()
+
+
+def test_deterministic_reruns(fresh_phases):
+    """A call that builds its phase, and one that reuses it, both return
+    what a fresh phase returns."""
     coeffs = {F(1, 2): -3.0, F(1): 5 / 7}
-    first = osc_phase_average(coeffs, 0.0, 1e4, 1e-9)
-    second = osc_phase_average(coeffs, 0.0, 1e4, 1e-9)
-    assert first == second
+    fresh = Phase(coeffs).average(0.0, 1e4, 1e-9)
+    assert osc_phase_average(coeffs, 0.0, 1e4, 1e-9) == fresh
+    assert osc_phase_average(coeffs, 0.0, 1e4, 1e-9) == fresh
 
 
 def test_far_window_raises_instead_of_drifting():
@@ -596,7 +609,7 @@ def test_float_window_takes_the_array_route(window, tol, monkeypatch):
     assert abs(value - fresnel_reference(phase.coeffs, a, b, extra=_digits(b / (b - a)))) <= err <= tol
 
 
-def test_float_window_computes_its_closed_form_once(monkeypatch):
+def test_float_window_computes_its_closed_form_once(monkeypatch, fresh_phases):
     """A float window whose closed-form bound misses tol hands that closed
     form to the narrow-window rules instead of computing it again there, and
     still returns the value and bound of the one-element array window."""
@@ -630,6 +643,129 @@ def test_float_closed_form_calls_no_numpy(coeffs, monkeypatch):
     value, err, evals = phase.average(100.0, 900.0, 1e-8)
     assert evals == 0 and err <= 1e-8 and guards == [900.0]
     assert type(value) is complex
+
+
+# ---------------------------------------------------------------------------
+# one phase across the windows of a command
+
+
+def _bits(call):
+    """The outcome of ``call()`` to the bit: the hex of the value's parts,
+    of the error and the evaluations, or the exception's type and message."""
+    try:
+        value, err, evals = call()
+    except (QuadratureBudgetError, ValueError) as exc:
+        return type(exc), str(exc)
+    return value.real.hex(), value.imag.hex(), err.hex(), evals
+
+
+_TABLE_COEF = st.one_of(
+    st.just(0.0),
+    st.builds(float.__mul__, st.floats(0.05, 3.0), st.sampled_from([1.0, -1.0])),
+)
+
+
+@st.composite
+def window_chains(draw):
+    """One to three closed-form coefficient tables, each of exponents within
+    {1/2, 1} or within {1, 2} (ints or Fractions), and a chain of windows:
+    pinned (lo, e_n), sliding (e_n, e_(n+1)) from (lo, e_1), or each pinned
+    window twice, with lo = 0.0 or -0.0."""
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        exponents = draw(st.sampled_from([(F(1, 2), F(1)), (F(1, 2), 1), (1, 2), (F(1), F(2)),
+                                          (F(1, 2),), (1,)]))
+        tables.append({e: draw(_TABLE_COEF) for e in exponents})
+    ends = sorted(draw(st.lists(st.floats(0.5, 1e4), min_size=1, max_size=6, unique=True)))
+    lo = draw(st.sampled_from([0.0, -0.0]))
+    kind = draw(st.sampled_from(["pinned", "sliding", "repeated"]))
+    if kind == "sliding":
+        windows = list(zip([lo, *ends], ends))
+    else:
+        windows = [(lo, e) for e in ends for _ in range(1 + (kind == "repeated"))]
+    return tables, windows, draw(st.sampled_from([1e-8, 1e-6]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_chains())
+@example(([{F(1, 2): 1.0, F(1): -0.5}], [(0.0, 4.0), (-0.0, 4.0), (-0.0, 8.0), (0.0, 8.0)], 1e-8))
+def test_reused_phase_matches_a_fresh_one(case):
+    """Along a chain of windows, taken window by window and table by table
+    as the convergence diagnostic takes them, ``osc_phase_average`` on its
+    kept phases returns what a fresh phase returns, to the bit."""
+    tables, windows, tol = case
+    _table_phase.cache_clear()
+    for lo, hi in windows:
+        for coeffs in tables:
+            assert (_bits(lambda: osc_phase_average(coeffs, lo, hi, tol))
+                    == _bits(lambda: Phase(coeffs).average(lo, hi, tol)))
+
+
+def test_a_kept_phase_keeps_inexact_exponents_inexact(fresh_phases):
+    """0.5 equals Fraction(1, 2) and hashes alike, but a table of the float
+    is refused after one of the Fraction has been kept."""
+    assert osc_phase_average({F(1, 2): 1.0}, 0.0, 10.0, 1e-8)[1] <= 1e-8
+    with pytest.raises(ValueError, match="exact"):
+        osc_phase_average({0.5: 1.0}, 0.0, 10.0, 1e-8)
+
+
+def test_an_unhashable_coefficient_takes_a_fresh_phase(fresh_phases):
+    """A table that cannot be a key, here with a 0-d array coefficient, is
+    averaged by a phase of its own, as before tables were kept."""
+    coeffs = {F(1): np.array(0.37)}
+    assert (_bits(lambda: osc_phase_average(coeffs, 0.0, 10.0, 1e-8))
+            == _bits(lambda: Phase(coeffs).average(0.0, 10.0, 1e-8)))
+    assert _table_phase.cache_info().currsize == 0
+
+
+def test_a_kept_phase_runs_the_whole_prologue_on_every_call(fresh_phases, monkeypatch):
+    """Each call on a kept phase passes the window guard once, at its own
+    ``hi``, and still checks its window and its tolerance."""
+    coeffs = {F(1, 2): 0.3, F(1): 0.7}
+    guards = _counting_guards(monkeypatch)
+    for hi in (10.0, 20.0, 20.0, 40.0):
+        osc_phase_average(coeffs, 0.0, hi, 1e-8)
+    assert guards == [10.0, 20.0, 20.0, 40.0]
+    with pytest.raises(ValueError, match="interval"):
+        osc_phase_average(coeffs, -1.0, 40.0, 1e-8)
+    with pytest.raises(ValueError, match="tolerance"):
+        osc_phase_average(coeffs, 0.0, 40.0, float("nan"))
+    assert len(guards) == 5
+
+
+def test_float_ends_reuse_the_last_call_s_terms(monkeypatch):
+    """A float window computes the terms of an end only where the phase's
+    last float window has no end equal to it and of its sign: -0.0 computes
+    its own.  The phase keeps the terms of two ends at most."""
+    phase = Phase({F(1, 2): 0.3, F(1): 0.7})
+    calls, end = [], Phase._end
+    monkeypatch.setattr(Phase, "_end", lambda self, t, array: calls.append(t) or end(self, t, array))
+    for lo, hi in ((0.0, 10.0), (-0.0, 10.0), (-0.0, 20.0), (20.0, 30.0), (0.0, 10.0)):
+        phase.average(lo, hi, 1e-8)
+    assert [(t, math.copysign(1.0, t)) for t in calls] == [
+        (10.0, 1.0), (0.0, 1.0), (0.0, -1.0), (20.0, 1.0), (30.0, 1.0), (10.0, 1.0), (0.0, 1.0),
+    ]
+    kept = dict(phase._ends)
+    assert len(kept) == 2
+    phase.average(np.array([0.0]), 10.0, 1e-8)  # arrays neither read nor keep them
+    assert len(calls) == 9 and phase._ends == kept
+
+
+def test_a_moved_copy_carries_no_end_terms():
+    phase = Phase({F(1, 2): 0.3, F(1): 0.7})
+    phase.average(0.0, 10.0, 1e-8)
+    moved = phase.at(1.0)
+    assert moved._ends == {} and len(phase._ends) == 2
+
+
+def test_the_kept_phases_stay_within_their_bound(fresh_phases):
+    """Beyond ``_PHASE_MEMO`` distinct tables the oldest are dropped, and a
+    call on a dropped table still returns what a fresh phase returns."""
+    tables = [{F(1, 2): 0.5, F(1): 0.1 + j / 1000} for j in range(_PHASE_MEMO + 10)]
+    for coeffs in tables + tables[:3]:
+        assert (_bits(lambda: osc_phase_average(coeffs, 0.0, 10.0, 1e-8))
+                == _bits(lambda: Phase(coeffs).average(0.0, 10.0, 1e-8)))
+    assert _table_phase.cache_info().currsize == _PHASE_MEMO
 
 
 def test_window_arrays_take_the_closed_form_only():
