@@ -36,9 +36,13 @@ meet-in-the-middle hash join of two half enumerations, one over the first
 ceil(k/2) tables and one over the rest (:func:`_resonant_tuples`), at a cost
 of about |S|^ceil(k/2) plus the number of survivors for supports of size |S|,
 instead of |S|^k; Haar orthogonality against f_0 is then one lookup per
-survivor, outside the join.  Survivors come out in itertools.product order,
-the order a full enumeration visits them, and multiply their k coefficients
-left to right as it does, so every float sum is the same.
+survivor, outside the join.  The characteristic check sums the products of
+the witnesses, the survivors whose last frequency lies outside the factor,
+by output: that is the contribution of f_k - E(f_k | factor), and AGREE
+means it vanishes at every output.  Survivors come out in
+itertools.product order, the order a full enumeration visits them, and
+multiply their k coefficients left to right as it does, so every float sum
+is the same.
 """
 
 from __future__ import annotations
@@ -469,22 +473,15 @@ def partially_characteristic_check(
     """Compare the exact limit against the limit with the last observable
     replaced by its conditional expectation onto the candidate factor.
 
-    AGREE means the two limits coincide exactly.  DISAGREE is a legitimate
-    experimental outcome and is reported, not raised; the witnesses are the
-    surviving frequency tuples whose last frequency lies outside the factor
-    lattice.
-
-    Both limits and the witnesses come from one hash join (see
-    :func:`symbolic_limit` for the cost): projecting f_k keeps its terms in
-    the factor, so the projected limit sums the survivors whose last
-    frequency lies there, in the product order a join on the projected f_k
-    would visit them.  Witnesses keep itertools.product order."""
+    The two limits differ by the contribution of f_k - E(f_k | factor): the
+    witnesses, the surviving frequency tuples whose last frequency lies
+    outside the factor lattice.  Their products are summed by output, in
+    the hash join's product order (see :func:`symbolic_limit` for the cost),
+    and ``distance`` is the norm of that sum.  AGREE means the sum vanishes
+    at every output.  DISAGREE is a legitimate experimental outcome and is
+    reported, not raised."""
     factor = xi_factor(sys, fam)
-    resonant = _resonant_tuples(sys, fam, fs)
-    inside = [factor.contains(combo[-1]) for combo, _, _ in resonant]
-    limit_full = _sum_by_output(sys.m, resonant)
-    limit_proj = _sum_by_output(sys.m, (term for term, keep in zip(resonant, inside) if keep))
-    witnesses = tuple(term[0] for term, keep in zip(resonant, inside) if not keep)
-    diff = limit_full - limit_proj
+    outside = [term for term in _resonant_tuples(sys, fam, fs) if not factor.contains(term[0][-1])]
+    diff = _sum_by_output(sys.m, outside)
     verdict = "AGREE" if not diff.terms else "DISAGREE"
-    return CharacteristicReport(verdict, diff.norm2(), witnesses, factor)
+    return CharacteristicReport(verdict, diff.norm2(), tuple(combo for combo, _, _ in outside), factor)

@@ -667,18 +667,16 @@ class Phase:
         else:
             (b1, f1, u1, w1, side1), (b0, f0, u0, w0, side0) = ends
             weight, ustar, tail0 = self._weight, self._ustar, self._tail0
-            terms = [b1, -b0] if self.L == 2 else []
-            if weight:
-                terms += [-f0, f1]
-                if array or side0 != side1:
-                    # the tail from 0, twice where the window holds u*
-                    e_star = np.exp(self._star) if array else self._e_star
-                    terms.append((side1 - side0) * tail0 * e_star)
-                # s rounds by up to 4 eps (|u| + |u*|) at each end, and a
-                # tail's derivative in s has modulus at most 1 on the ray
-                # (sqrt(pi)/2 |w'(z)| <= 1 there): 12 eps charges it 3 times
-                slack = abs(weight) * 12 * _EPS * (u0 + u1 + 2 * abs(ustar))
-                slack += _W_REL * abs(tail0) * (abs(w0) + abs(w1))
+            terms = [b1, -b0, -f0, f1] if self.L == 2 else [-f0, f1]
+            if array or side0 != side1:
+                # the tail from 0, twice where the window holds u*
+                e_star = np.exp(self._star) if array else self._e_star
+                terms.append((side1 - side0) * tail0 * e_star)
+            # s rounds by up to 4 eps (|u| + |u*|) at each end, and a
+            # tail's derivative in s has modulus at most 1 on the ray
+            # (sqrt(pi)/2 |w'(z)| <= 1 there): 12 eps charges it 3 times
+            slack = abs(weight) * 12 * _EPS * (u0 + u1 + 2 * abs(ustar))
+            slack += _W_REL * abs(tail0) * (abs(w0) + abs(w1))
         width = hi - lo
         value = sum(terms) / width
         size = sum(map(abs, terms)) / width
@@ -701,8 +699,6 @@ class Phase:
                 return (eu / k,)
             # divided by k twice: k * k underflows to 0 for |a| below 1e-154
             return 2 * eu * u / k, -2 * eu / k / k
-        if not self._weight:
-            return eu / self._ibeta, 0.0, u, 0.0, 0.0
         s = u - self._ustar
         side = (s >= 0) * 2.0 - 1.0
         w = _faddeeva(self._ray * abs(s))

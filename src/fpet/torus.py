@@ -9,9 +9,11 @@ are trigonometric polynomials, stored as finitely supported maps from integer
 frequency vectors to complex coefficients.  Factors fixed by the subaction of
 a rational subspace V are character sublattices {chi : chi^T A v = 0 for v in
 V}, computed by exact integer kernels; joins of factors are subgroup sums in
-Hermite form.  The conditional expectation onto a factor, the truncation of
-an observable to the frequencies in its lattice, is taken only inside
-:func:`~fpet.averages.partially_characteristic_check`.
+Hermite form.  The conditional expectation onto a factor is the truncation
+of an observable to the frequencies in its lattice; it is never built:
+:func:`~fpet.averages.partially_characteristic_check` sums the surviving
+tuples whose last frequency lies outside the lattice, which are the
+contribution of f_k - E(f_k | factor).
 """
 
 from __future__ import annotations

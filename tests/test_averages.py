@@ -403,16 +403,19 @@ def assert_join_matches(sys, fam, fs, f0, shift):
     assert moment == ref_moment(sys, fam, observables)
     assert shifted == [ref_moment(sys, fam, observables, shift)]
     report = partially_characteristic_check(sys, fam, fs)
-    # the projected limit, bit for bit, as a join on the projected f_k finds it
-    projected = symbolic_limit(sys, fam, [*fs[:-1], ref.project_factor(fs[-1], report.factor)])
-    diff = limit - projected
-    assert (report.verdict == "AGREE") == (not diff.terms)
-    assert report.distance == diff.norm2()
-    assert report.witnesses == tuple(
-        combo
-        for combo, _, _ in ref_resonant(sys, fam, fs)
-        if not report.factor.contains(combo[-1])
-    )
+    # the witnesses' products summed by output in product order: the
+    # contribution of f_k - E(f_k | factor), the two limits' difference term
+    # for term (a float difference of the two limits can lose it)
+    witnesses = [
+        term for term in ref_resonant(sys, fam, fs) if not report.factor.contains(term[0][-1])
+    ]
+    gap = {}
+    for _, out, prod in witnesses:
+        gap[out] = gap.get(out, 0j) + prod
+    gap = TrigPoly(sys.m, gap)
+    assert (report.verdict == "AGREE") == (not gap.terms)
+    assert report.distance == gap.norm2()
+    assert report.witnesses == tuple(combo for combo, _, _ in witnesses)
 
 
 _SCALES = (F(1), F(-1), F(2), F(1, 2), F(-1, 2), F(2, 3))
@@ -485,6 +488,23 @@ def test_zero_phase_join_edge_cases(plane_system, linear_pair_family):
     report = partially_characteristic_check(still, fam2, fs)
     assert report.verdict == "DISAGREE" and len(report.witnesses) > 1
     assert_join_matches(still, fam2, fs, TrigPoly(2, {(1, 1): 1.0, (2, 0): -1.0}), (1, F(1, 3)))
+
+
+def test_zero_phase_join_keeps_a_witness_the_float_limits_absorb():
+    """The check-characteristic fixture whose one witness contributes -3e-21
+    at output (-1, 0), where the in-factor tuples sum to 0.03: the witness
+    sum, not the difference of the two float limits, decides the verdict."""
+    from fpet.cli import _load_inputs, parse_config
+
+    config = FIXTURES / "char_absorbed.cfg"
+    sys_obj, fam, fs = _load_inputs(parse_config(config.read_text(), str(config)))
+    limit = symbolic_limit(sys_obj, fam, fs)
+    expectation = ref.project_factor(fs[-1], xi_factor(sys_obj, fam))
+    assert limit == symbolic_limit(sys_obj, fam, [*fs[:-1], expectation])
+    report = partially_characteristic_check(sys_obj, fam, fs)
+    assert report.verdict == "DISAGREE" and report.distance == 3e-21
+    assert report.witnesses == (((-1, 0), (0, -1), (0, 1)),)
+    assert_join_matches(sys_obj, fam, fs, TrigPoly(2, {(1, 0): 1.0, (0, 0): 0.5}), (1, F(1, 3)))
 
 
 # the empty family: one empty tuple, with coefficient 1, output 0 and phase 0

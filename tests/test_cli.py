@@ -196,6 +196,18 @@ def test_check_characteristic_cli(tmp_path):
     assert record["l2_distance"] == 0.0
 
 
+def test_check_characteristic_reports_a_witness_the_limits_absorb(tmp_path, capsys):
+    # the witness's product -3e-21 is below the rounding of the in-factor
+    # mass 0.03 at its output: two float limits would read equal
+    rc = main(["--config", cfg_path("char_absorbed.cfg"), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "DISAGREE (distance 3e-21)" in capsys.readouterr().out
+    record = json.loads((tmp_path / "char_absorbed.jsonl").read_text())
+    assert record["verdict"] == "DISAGREE"
+    assert record["l2_distance"] == 3e-21
+    assert record["witnesses"] == [[[-1, 0], [0, -1], [0, 1]]]
+
+
 GOLDEN_JSONL = {
     "characteristic": (
         '{"check": "partially_characteristic", "factor_rank": 2, "l2_distance": 0.0, '

@@ -501,6 +501,26 @@ def test_closed_form_route_spends_no_evaluations(coeffs, window):
     assert abs(value - fresnel_reference(coeffs, *window)) <= err <= 1e-8
 
 
+@pytest.mark.parametrize("a", [1e-320, -1e-320])
+@pytest.mark.parametrize("b", [12345.678, -12345.678])
+def test_closed_form_with_an_underflowing_fresnel_weight(a, b):
+    """With L = 2 and -a/b underflowing to +-0.0 the Fresnel weight, u* and
+    the tail from 0 vanish, and the general terms of the closed form are
+    exactly the boundary terms: every window, float or in an array, lies
+    within its bound of the reference, with no evaluations."""
+    coeffs = {F(1, 2): a, F(1): b}
+    phase = Phase(coeffs)
+    assert phase._weight == 0.0 and phase._tail0 == 0.0
+    lo, hi = np.array([0.0, 0.1, 0.3, 2.0]), np.array([1.0, 0.7, 0.30001, 3.0])
+    values, errs, evals = phase.average(lo, hi, 1e-8)
+    assert evals == 0
+    for t0, t1, value, err in zip(lo, hi, values, errs):
+        ref = fresnel_reference(coeffs, t0, t1, extra=_digits(t1 / (t1 - t0)))
+        assert abs(value - ref) <= err <= 1e-8
+        scalar, scalar_err, scalar_evals = Phase(coeffs).average(float(t0), float(t1), 1e-8)
+        assert scalar_evals == 0 and abs(scalar - ref) <= scalar_err <= 1e-8
+
+
 @st.composite
 def window_arrays(draw):
     """A phase and span of :func:`fresnel_cases`, and up to six windows in
