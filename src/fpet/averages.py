@@ -23,8 +23,8 @@ table entries with their integer phase vectors; every tuple, whole or half,
 comes from it.  A finite-interval command enumerates the tuples once,
 grouped by phase vector and output (:func:`_phase_groups`): a window averages
 each distinct phase vector once, by
-:func:`~fpet.quadrature.osc_phase_average`, which keeps a group's phase from
-window to window and reuses the end two windows share; the convergence
+:func:`~fpet.quadrature.osc_phase_average` on the group's table, which keeps
+its phase for every window; the convergence
 diagnostic takes its limit from the group whose phase vector vanishes, and
 the van der Corput step pairs phase groups.  A van der Corput correlation
 runs at many shifts h at once: each pair's phase is moved to a batch of
@@ -38,8 +38,8 @@ of about |S|^ceil(k/2) plus the number of survivors for supports of size |S|,
 instead of |S|^k; Haar orthogonality against f_0 is then one lookup per
 survivor, outside the join.  The characteristic check sums the products of
 the witnesses, the survivors whose last frequency lies outside the factor,
-by output: that is the contribution of f_k - E(f_k | factor), and AGREE
-means it vanishes at every output.  Survivors come out in
+exactly by output: that is the contribution of f_k - E(f_k | factor), and
+AGREE means it vanishes at every output.  Survivors come out in
 itertools.product order, the order a full enumeration visits them, and
 multiply their k coefficients left to right as it does, so every float sum
 is the same.
@@ -58,7 +58,14 @@ import numpy as np
 
 from .fpoly import FPolyFamily, family_is_good
 from .interval import TemperedSequence
-from .quadrature import _BATCH_ROWS, DEFAULT_BUDGET, Phase, adaptive_integral, osc_phase_average
+from .quadrature import (
+    _BATCH_ROWS,
+    DEFAULT_BUDGET,
+    Phase,
+    PhaseTable,
+    adaptive_integral,
+    osc_phase_average,
+)
 from .ratlinalg import IntVec
 from .torus import (
     CharacterLattice,
@@ -151,7 +158,7 @@ def _tuple_data(
 
 def _phase_groups(sys: TorusSystem, fam: FPolyFamily, fs: Sequence[TrigPoly]) -> list[_Group]:
     """The tuples grouped by phase vector n, in increasing n.  A group holds
-    its Phase coefficients {j/d: n_j/denom} (empty for n = 0) and, per
+    its PhaseTable {j/d: n_j/denom} (a plain {} for n = 0) and, per
     output, P: the sum of its tuples' coefficient products, taken in
     itertools.product order."""
     tables, denom = _phase_tables(sys, fam, fs)
@@ -162,7 +169,8 @@ def _phase_groups(sys: TorusSystem, fam: FPolyFamily, fs: Sequence[TrigPoly]) ->
         by_out = groups.setdefault(n, {})
         by_out[out] = by_out.get(out, 0j) + prod
     return [
-        ({Fraction(j + 1, d): nj / denom for j, nj in enumerate(n)} if any(n) else {}, groups[n])
+        (PhaseTable({Fraction(j + 1, d): nj / denom for j, nj in enumerate(n)}) if any(n) else {},
+         groups[n])
         for n in sorted(groups)
     ]
 
@@ -475,13 +483,26 @@ def partially_characteristic_check(
 
     The two limits differ by the contribution of f_k - E(f_k | factor): the
     witnesses, the surviving frequency tuples whose last frequency lies
-    outside the factor lattice.  Their products are summed by output, in
-    the hash join's product order (see :func:`symbolic_limit` for the cost),
-    and ``distance`` is the norm of that sum.  AGREE means the sum vanishes
-    at every output.  DISAGREE is a legitimate experimental outcome and is
-    reported, not raised."""
+    outside the factor lattice.  Their products are taken and summed by
+    output exactly, as Fractions of the float coefficients (see
+    :func:`symbolic_limit` for the cost of the join).  AGREE means every
+    sum is 0; ``distance`` is the norm of the sums correctly rounded.
+    DISAGREE, a legitimate outcome, is reported, not raised."""
     factor = xi_factor(sys, fam)
     outside = [term for term in _resonant_tuples(sys, fam, fs) if not factor.contains(term[0][-1])]
-    diff = _sum_by_output(sys.m, outside)
-    verdict = "AGREE" if not diff.terms else "DISAGREE"
-    return CharacteristicReport(verdict, diff.norm2(), tuple(combo for combo, _, _ in outside), factor)
+    sums: dict[Freq, tuple[Fraction, Fraction]] = {}
+    for combo, out, _ in outside:
+        re, im = Fraction(1), Fraction(0)
+        for f, chi in zip(fs, combo):
+            x, y = map(Fraction, (f.terms[chi].real, f.terms[chi].imag))
+            re, im = re * x - im * y, re * y + im * x
+        s_re, s_im = sums.get(out, (0, 0))
+        sums[out] = s_re + re, s_im + im
+    try:
+        rounded = [float(x) for pair in sums.values() for x in pair]
+    except OverflowError:
+        raise ValueError("a witness sum exceeds the float range") from None
+    verdict = "DISAGREE" if any(x for pair in sums.values() for x in pair) else "AGREE"
+    witnesses = tuple(combo for combo, _, _ in outside)
+    # hypot scales its terms, where squares of sums below 1e-154 underflow
+    return CharacteristicReport(verdict, math.hypot(*rounded), witnesses, factor)

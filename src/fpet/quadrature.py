@@ -28,8 +28,8 @@ methods, the same for a float window and an array of them.
   window.  Work on identical inputs is reused, never a result: a phase
   computes the closed form's constants once, a float window takes the
   terms of an end it shares with the phase's previous float window, and
-  :func:`osc_phase_average` keeps the phases of its last 128 coefficient
-  tables, so the windows of a run share them.
+  a :class:`PhaseTable` keeps the phase built from it, so the windows of
+  a phase group share one.
 * Narrow-window rules, on each window whose closed-form bound exceeds the
   tolerance (a narrow window, whose end terms cancel, or one whose terms
   overflow); a float window enters them as an array of one window.  A
@@ -78,7 +78,7 @@ import cmath
 import copy
 import numbers
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from math import ceil, comb, copysign, isfinite, lcm, log2, pi, prod, sqrt
 from operator import neg
 from typing import Callable, Mapping
@@ -295,9 +295,9 @@ def adaptive_integral(
             break
         cut = abs_tol / (2 * len(a))
         worst = E[open_rows].max(axis=0)
+        # an open row sums to more than abs_tol over len(a) panels, so one
+        # of its panels exceeds twice the cut: the mask is never empty
         mask = worst > cut
-        if not mask.any():
-            mask[int(np.argmax(worst))] = True
         cost = 2 * _EVALS_PER_PANEL * int(mask.sum())
         if evals + cost > budget:
             failure = "evaluation budget exhausted"
@@ -727,14 +727,16 @@ class Phase:
             return theta
         return np.broadcast_to(theta, np.broadcast(theta, self.h).shape)
 
-# coefficient tables whose Phase osc_phase_average keeps for the next call
-_PHASE_MEMO = 128
 
+class PhaseTable(dict):
+    """A coefficient table {exponent: coefficient} that keeps the
+    :class:`Phase` built from it on first use: a phase group hands
+    :func:`osc_phase_average` one table for all its windows.  The table is
+    not to be changed once averaged."""
 
-@lru_cache(maxsize=_PHASE_MEMO)
-def _table_phase(table: tuple) -> Phase:
-    """The :class:`Phase` of a table keyed by :func:`osc_phase_average`."""
-    return Phase({e: c for _, e, _, c in table})
+    @cached_property
+    def phase(self) -> Phase:
+        return Phase(self)
 
 
 def osc_phase_average(
@@ -752,18 +754,11 @@ def osc_phase_average(
     the evaluations of a Gauss piece) when theirs does, and from adaptive
     panels (their error estimate) otherwise.
 
-    One :class:`Phase` serves every call with an equal table, of equal
-    types and order, while the last ``_PHASE_MEMO`` (128) distinct tables
-    are kept: the exponents are checked and the closed form's constants
-    computed once, and a window end shared with the phase's previous float
-    window reuses its terms (:meth:`Phase._fresnel`).  Every call still runs
-    the whole prologue of :meth:`Phase.average`, and returns what a fresh
-    ``Phase(coeffs)`` returns, bit for bit.  The types are part of the key:
-    0.5 equals Fraction(1, 2) and hashes alike, but only the Fraction is an
-    exact exponent."""
-    table = tuple((type(e), e, type(c), c) for e, c in coeffs.items())
-    try:
-        phase = _table_phase(table)
-    except TypeError:  # an unhashable coefficient
-        phase = Phase(coeffs)
+    A :class:`PhaseTable` averages with the phase it keeps, so its exponents
+    are checked and the closed form's constants computed once, and a window
+    end shared with the phase's previous float window reuses its terms
+    (:meth:`Phase._fresnel`); any other mapping gets a fresh ``Phase``.
+    Every call runs the whole prologue of :meth:`Phase.average`, and returns
+    what a fresh ``Phase(coeffs)`` returns, bit for bit."""
+    phase = coeffs.phase if isinstance(coeffs, PhaseTable) else Phase(coeffs)
     return phase.average(lo, hi, tol, budget)

@@ -57,6 +57,35 @@ def test_multiple_average_rejects_non_finite_tol(plane_system, linear_pair_famil
         multiple_average(plane_system, linear_pair_family, ones, (3.0, 50.0), tol)
 
 
+@pytest.mark.parametrize("route", [
+    lambda sys_obj, fam, fs: multiple_average(sys_obj, fam, fs, (0.0, 10.0)),
+    symbolic_limit,
+], ids=["window", "limit"])
+@pytest.mark.parametrize("case, error", [
+    ("count", "need 2 observables, got 1"),
+    ("torus", "observable does not live on this torus"),
+    ("dimension", "family and system acting dimensions differ"),
+])
+def test_phase_tables_reject_mismatched_inputs(plane_system, linear_pair_family, route, case,
+                                               error):
+    fam, fs = linear_pair_family, [TrigPoly.character(2, (1, 0)), TrigPoly.character(2, (0, 1))]
+    if case == "count":
+        fs = fs[:1]
+    elif case == "torus":
+        fs = [fs[0], TrigPoly.character(1, (1,))]
+    else:
+        fam = FPolyFamily.make([[[1, 0, 0]], [[0, 1, 0]]])
+    with pytest.raises(ValueError, match=error):
+        route(plane_system, fam, fs)
+
+
+@pytest.mark.parametrize("interval", [(5.0, 5.0), (6.0, 5.0), (-1.0, 5.0), (math.nan, 5.0)])
+def test_multiple_average_rejects_bad_intervals(plane_system, linear_pair_family, interval):
+    fs = [TrigPoly.character(2, (1, 0)), TrigPoly.character(2, (0, 1))]
+    with pytest.raises(ValueError, match=r"need an interval \(a, b\) with 0 <= a < b"):
+        multiple_average(plane_system, linear_pair_family, fs, interval)
+
+
 def test_multiple_average_k1_closed_form(circle_system):
     fam = FPolyFamily.make([[[1]]])
     f = TrigPoly.character(1, (1,))
@@ -505,6 +534,42 @@ def test_zero_phase_join_keeps_a_witness_the_float_limits_absorb():
     assert report.verdict == "DISAGREE" and report.distance == 3e-21
     assert report.witnesses == (((-1, 0), (0, -1), (0, 1)),)
     assert_join_matches(sys_obj, fam, fs, TrigPoly(2, {(1, 0): 1.0, (0, 0): 0.5}), (1, F(1, 3)))
+
+
+def _cancel_inputs():
+    from fpet.cli import _load_inputs, parse_config
+
+    config = FIXTURES / "char_cancel.cfg"
+    return _load_inputs(parse_config(config.read_text(), str(config)))
+
+
+def test_characteristic_distance_is_the_exact_witness_sum_rounded():
+    """The fixture's three witnesses meet at output (-3, -2) with products
+    1 * 1 * c, c the last observable's coefficients.  With c = 0.1, 0.2 and
+    -0.3 the float sum is 2^-54, the exact sum of the three floats 2^-55."""
+    sys_obj, fam, fs = _cancel_inputs()
+    assert partially_characteristic_check(sys_obj, fam, fs).distance == 1e-20
+    last = TrigPoly(2, {(1, -2): 0.1, (0, -1): 0.2, (-2, 1): -0.3})
+    assert 0.1 + 0.2 - 0.3 == 2.0**-54
+    report = partially_characteristic_check(sys_obj, fam, [*fs[:2], last])
+    assert report.verdict == "DISAGREE" and report.distance == 2.0**-55
+
+
+@pytest.mark.parametrize("c", [1e-60, 1e-200])
+def test_characteristic_witness_sums_near_and_beyond_the_float_range(c):
+    """The fixture's three witnesses with every coefficient c sum to 3 c^3
+    at one output.  At c = 1e-60 that is 3e-180, whose square underflows,
+    and the distance is still 3e-180; at c = 1e-200 the sum rounds to 0.0
+    but is no exact 0, so the verdict is DISAGREE at distance 0.0.
+    Products of 1e600 overflow, which is a ValueError, as an infinite
+    coefficient is."""
+    sys_obj, fam, fs = _cancel_inputs()
+    small = [TrigPoly(2, {chi: c for chi in f.terms}) for f in fs]
+    report = partially_characteristic_check(sys_obj, fam, small)
+    assert report.verdict == "DISAGREE" and report.distance == float(3 * F(c) ** 3)
+    huge = [TrigPoly(2, {chi: 1e200 for chi in f.terms}) for f in fs]
+    with pytest.raises(ValueError, match="float range"):
+        partially_characteristic_check(sys_obj, fam, huge)
 
 
 # the empty family: one empty tuple, with coefficient 1, output 0 and phase 0

@@ -208,6 +208,18 @@ def test_check_characteristic_reports_a_witness_the_limits_absorb(tmp_path, caps
     assert record["witnesses"] == [[[-1, 0], [0, -1], [0, 1]]]
 
 
+def test_check_characteristic_sums_cancelling_witnesses_exactly(tmp_path, capsys):
+    # three witnesses at output (-3, -2) with products 1, 1e-20 and -1: their
+    # float sum is 0, and a float sum read AGREE
+    rc = main(["--config", cfg_path("char_cancel.cfg"), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "DISAGREE (distance 1e-20)" in capsys.readouterr().out
+    record = json.loads((tmp_path / "char_cancel.jsonl").read_text())
+    assert record["verdict"] == "DISAGREE"
+    assert record["l2_distance"] == 1e-20
+    assert len(record["witnesses"]) == 3
+
+
 GOLDEN_JSONL = {
     "characteristic": (
         '{"check": "partially_characteristic", "factor_rank": 2, "l2_distance": 0.0, '
@@ -384,6 +396,18 @@ def test_malformed_config_bytes_exit_2(tmp_path, capsys, name, body, error):
         cfg.write_bytes(body)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(error.format(cfg=cfg))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, error", [
+    ("family third.family", "expected 'key = value', got 'family third.family'"),
+    ("= third.family", "empty key"),
+])
+def test_a_line_without_a_key_exits_2(tmp_path, capsys, line, error):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"command = enumerate-precedents\n{line}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}:2: {error}\n"
     assert not (tmp_path / "out").exists()
 
 

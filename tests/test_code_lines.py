@@ -46,3 +46,29 @@ def test_prints_each_module_and_the_total(tmp_path):
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert [line.split()[0] for line in out] == ["6", "1", "7"]
     assert out[-1].split()[1] == "total"
+
+
+def test_against_a_ref_prints_both_counts_and_their_difference(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tmp_path,
+                       capture_output=True, check=True)
+
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.py").write_text(SNIPPET)
+    (src / "gone.py").write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (src / "a.py").write_text(SNIPPET + "y = 2\n")
+    (src / "gone.py").unlink()
+    (src / "new.py").write_text("z = 3\nw = 4\n")
+    out = subprocess.run([sys.executable, str(ROOT / "ci" / "code_lines.py"), "--against", "HEAD",
+                          "src"], cwd=tmp_path, capture_output=True, text=True, check=True)
+    assert [line.split() for line in out.stdout.splitlines()] == [
+        ["ref", "here", "diff"],
+        ["6", "7", "+1", "src/a.py"],
+        ["1", "0", "-1", "src/gone.py"],
+        ["0", "2", "+2", "src/new.py"],
+        ["7", "9", "+2", "total"],
+    ]

@@ -15,17 +15,16 @@ from fpet.quadrature import (
     _BATCH_ROWS,
     _CHUNK_POINTS,
     _E8,
-    _PHASE_MEMO,
     _W_COEF,
     _W_REL,
     _W_SCALE,
     DEFAULT_BUDGET,
     Phase,
+    PhaseTable,
     QuadratureBudgetError,
     _faddeeva,
     _initial_edges,
     _probe_cycles,
-    _table_phase,
     adaptive_integral,
     osc_phase_average,
 )
@@ -178,6 +177,37 @@ def test_budget_error_carries_partial():
     assert exc.value.evals <= 2000
 
 
+@pytest.mark.parametrize("batched, budget, message, evals", [
+    # 17 uniform edges: 16 panels of 39 evaluations each
+    (False, 500, "budget too small for the initial panels", 0),
+    # one panel of 39 evaluations
+    (True, 30, "budget too small for the initial panels", 0),
+    # 16 panels, then a round that would bisect all of them
+    (False, 1000, "evaluation budget exhausted", 16 * 39),
+    # 12 panels (half the budget's worth), then a round bisecting them all
+    (True, 1000, "evaluation budget exhausted", 12 * 39),
+])
+def test_adaptive_integral_stops_within_its_budget(batched, budget, message, evals):
+    """An integrand winding 200 times at tol 1e-10, alone or in a batch
+    beside one winding once: the budget either cannot pay for the initial
+    panels or runs out in refinement.  The error carries a partial value
+    of the integrand's shape and no more evaluations than the budget."""
+    if batched:
+        freqs = np.array([[1.0], [200.0]])
+        f, phase = (lambda u: np.exp(2j * np.pi * freqs * u)), (lambda u: freqs * u)
+    else:
+        f, phase = (lambda u: np.exp(400j * np.pi * u)), None
+    with pytest.raises(QuadratureBudgetError, match=message) as exc:
+        adaptive_integral(f, 0.0, 1.0, 1e-10, budget=budget, phase=phase)
+    value = exc.value.value
+    if batched:
+        assert isinstance(value, np.ndarray) and value.shape == (2,)
+    else:
+        assert type(value) is complex
+    assert exc.value.est_error > 1e-10
+    assert exc.value.evals == evals <= budget
+
+
 def test_adaptive_average_smooth_curve():
     curve = lambda t: np.asarray(t, dtype=float) ** 2 + 0j
     value, err, _ = adaptive_integral(curve, 0.0, 3.0, 1e-12 * 3.0)
@@ -240,22 +270,34 @@ def test_layout_falls_back_to_uniform_edges(phase, panels):
     assert abs(value - (np.sin(5.0) - np.sin(2.0))) < 1e-12 and err <= 1e-12
 
 
-@pytest.fixture
-def fresh_phases():
-    """No phase kept by ``osc_phase_average``, before and after the test:
-    for tests that count or patch the closed form's work."""
-    _table_phase.cache_clear()
-    yield
-    _table_phase.cache_clear()
-
-
-def test_deterministic_reruns(fresh_phases):
-    """A call that builds its phase, and one that reuses it, both return
-    what a fresh phase returns."""
+def test_deterministic_reruns():
+    """A call on a table that builds its phase, one that reuses it, and one
+    on a plain dict all return what a fresh phase returns."""
     coeffs = {F(1, 2): -3.0, F(1): 5 / 7}
+    table = PhaseTable(coeffs)
     fresh = Phase(coeffs).average(0.0, 1e4, 1e-9)
+    assert osc_phase_average(table, 0.0, 1e4, 1e-9) == fresh
+    kept = table.phase
+    assert osc_phase_average(table, 0.0, 1e4, 1e-9) == fresh
+    assert table.phase is kept
     assert osc_phase_average(coeffs, 0.0, 1e4, 1e-9) == fresh
-    assert osc_phase_average(coeffs, 0.0, 1e4, 1e-9) == fresh
+
+
+def test_narrow_window_is_refused_for_its_ends_in_u():
+    """In u = t^(1/3) the ends of (1e3, 1e3 + 1) round within 3 eps t each,
+    which moves the average by up to 2 L eps (lo + hi) / (hi - lo), 2.67e-12.
+    Below that tolerance the window is refused before any panel; at 2.7e-12
+    the panels' own estimate (6.4e-14) takes the sum past it, after their
+    39 evaluations."""
+    phase = Phase({F(1, 3): 50.0})
+    ends = 2 * 3 * float(np.finfo(float).eps) * (1e3 + 1001.0)
+    with pytest.raises(QuadratureBudgetError, match="too narrow for its ends in u") as exc:
+        phase.average(1e3, 1001.0, 2.6e-12)
+    assert exc.value.est_error == ends and exc.value.evals == 0 and exc.value.value == 0j
+    with pytest.raises(QuadratureBudgetError, match="too narrow for its ends in u") as exc:
+        phase.average(1e3, 1001.0, 2.7e-12)
+    assert ends < 2.7e-12 < exc.value.est_error and exc.value.evals == 39
+    assert abs(abs(exc.value.value) - 1.0) < 0.2
 
 
 def test_far_window_raises_instead_of_drifting():
@@ -629,7 +671,7 @@ def test_float_window_takes_the_array_route(window, tol, monkeypatch):
     assert abs(value - fresnel_reference(phase.coeffs, a, b, extra=_digits(b / (b - a)))) <= err <= tol
 
 
-def test_float_window_computes_its_closed_form_once(monkeypatch, fresh_phases):
+def test_float_window_computes_its_closed_form_once(monkeypatch):
     """A float window whose closed-form bound misses tol hands that closed
     form to the narrow-window rules instead of computing it again there, and
     still returns the value and bound of the one-element array window."""
@@ -711,37 +753,46 @@ def window_chains(draw):
 @example(([{F(1, 2): 1.0, F(1): -0.5}], [(0.0, 4.0), (-0.0, 4.0), (-0.0, 8.0), (0.0, 8.0)], 1e-8))
 def test_reused_phase_matches_a_fresh_one(case):
     """Along a chain of windows, taken window by window and table by table
-    as the convergence diagnostic takes them, ``osc_phase_average`` on its
-    kept phases returns what a fresh phase returns, to the bit."""
+    as the convergence diagnostic takes them, ``osc_phase_average`` on
+    phase tables, each keeping its phase, returns what a fresh phase
+    returns, to the bit."""
     tables, windows, tol = case
-    _table_phase.cache_clear()
+    tables = [PhaseTable(coeffs) for coeffs in tables]
     for lo, hi in windows:
         for coeffs in tables:
             assert (_bits(lambda: osc_phase_average(coeffs, lo, hi, tol))
                     == _bits(lambda: Phase(coeffs).average(lo, hi, tol)))
 
 
-def test_a_kept_phase_keeps_inexact_exponents_inexact(fresh_phases):
-    """0.5 equals Fraction(1, 2) and hashes alike, but a table of the float
-    is refused after one of the Fraction has been kept."""
-    assert osc_phase_average({F(1, 2): 1.0}, 0.0, 10.0, 1e-8)[1] <= 1e-8
+def test_a_kept_phase_keeps_inexact_exponents_inexact():
+    """0.5 equals Fraction(1, 2), so the two tables compare equal, but a
+    table of the float is refused after one of the Fraction has kept its
+    phase: each table keeps its own."""
+    exact, inexact = PhaseTable({F(1, 2): 1.0}), PhaseTable({0.5: 1.0})
+    assert exact == inexact
+    assert osc_phase_average(exact, 0.0, 10.0, 1e-8)[1] <= 1e-8
+    with pytest.raises(ValueError, match="exact"):
+        osc_phase_average(inexact, 0.0, 10.0, 1e-8)
     with pytest.raises(ValueError, match="exact"):
         osc_phase_average({0.5: 1.0}, 0.0, 10.0, 1e-8)
 
 
-def test_an_unhashable_coefficient_takes_a_fresh_phase(fresh_phases):
-    """A table that cannot be a key, here with a 0-d array coefficient, is
-    averaged by a phase of its own, as before tables were kept."""
+def test_an_unhashable_coefficient_takes_a_fresh_phase():
+    """A table with an unhashable coefficient, here a 0-d array, needs no
+    key: a plain dict is averaged by a fresh phase and a phase table by the
+    phase it keeps, and both return what a fresh phase returns."""
     coeffs = {F(1): np.array(0.37)}
-    assert (_bits(lambda: osc_phase_average(coeffs, 0.0, 10.0, 1e-8))
-            == _bits(lambda: Phase(coeffs).average(0.0, 10.0, 1e-8)))
-    assert _table_phase.cache_info().currsize == 0
+    table = PhaseTable(coeffs)
+    for mapping in (coeffs, table, table):
+        assert (_bits(lambda: osc_phase_average(mapping, 0.0, 10.0, 1e-8))
+                == _bits(lambda: Phase(coeffs).average(0.0, 10.0, 1e-8)))
+    assert "phase" in vars(table)
 
 
-def test_a_kept_phase_runs_the_whole_prologue_on_every_call(fresh_phases, monkeypatch):
+def test_a_kept_phase_runs_the_whole_prologue_on_every_call(monkeypatch):
     """Each call on a kept phase passes the window guard once, at its own
     ``hi``, and still checks its window and its tolerance."""
-    coeffs = {F(1, 2): 0.3, F(1): 0.7}
+    coeffs = PhaseTable({F(1, 2): 0.3, F(1): 0.7})
     guards = _counting_guards(monkeypatch)
     for hi in (10.0, 20.0, 20.0, 40.0):
         osc_phase_average(coeffs, 0.0, hi, 1e-8)
@@ -776,16 +827,6 @@ def test_a_moved_copy_carries_no_end_terms():
     phase.average(0.0, 10.0, 1e-8)
     moved = phase.at(1.0)
     assert moved._ends == {} and len(phase._ends) == 2
-
-
-def test_the_kept_phases_stay_within_their_bound(fresh_phases):
-    """Beyond ``_PHASE_MEMO`` distinct tables the oldest are dropped, and a
-    call on a dropped table still returns what a fresh phase returns."""
-    tables = [{F(1, 2): 0.5, F(1): 0.1 + j / 1000} for j in range(_PHASE_MEMO + 10)]
-    for coeffs in tables + tables[:3]:
-        assert (_bits(lambda: osc_phase_average(coeffs, 0.0, 10.0, 1e-8))
-                == _bits(lambda: Phase(coeffs).average(0.0, 10.0, 1e-8)))
-    assert _table_phase.cache_info().currsize == _PHASE_MEMO
 
 
 def test_window_arrays_take_the_closed_form_only():
