@@ -427,6 +427,11 @@ def run(spec: ExperimentSpec, out_dir: str = ".", stem: str = "experiment") -> i
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        # finite inputs whose floats overflow, e.g. the square of a
+        # coefficient of 1e200 in an observable's norm
+        print(f"input error: float overflow {exc}", file=sys.stderr)
+        return 2
     print(f"{spec.command}: {summary}; wrote {out_path}")
     return code
 

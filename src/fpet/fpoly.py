@@ -32,8 +32,8 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
-from .ratlinalg import (IntVec, RatVec, _check_rows, _lowest, as_fraction_vector, column_hermite,
-                        integer_rows)
+from .ratlinalg import (IntVec, RatVec, _check_rows, _lowest, as_fraction_vector, integer_rows,
+                        rows_independent)
 from .textkv import parse_rational, rational_text, read_indexed
 
 
@@ -128,6 +128,9 @@ def is_good(p: FPoly) -> bool:
     return family_is_good(FPolyFamily(p.height, p.ambient_dim, (p,)))
 
 
+# the descent DAG repeats its moves (on the benchmark template 284 distinct
+# differences serve 1,078 type-I results), so both moves are cached
+@lru_cache(maxsize=65536)
 def lower_part(p: FPoly) -> FPoly:
     """Drop the top coefficient v_d; equals p when p is not top-degree."""
     if p.lead < p.height:
@@ -136,6 +139,7 @@ def lower_part(p: FPoly) -> FPoly:
     return _fpoly(p.height, p.ambient_dim, *_lowest(p.den, p.rows[:-1] + (zero,)))
 
 
+@lru_cache(maxsize=65536)
 def subtract(p: FPoly, q: FPoly) -> FPoly:
     if p.height != q.height or p.ambient_dim != q.ambient_dim:
         raise ValueError("height/dimension mismatch in fractional-polynomial difference")
@@ -192,20 +196,20 @@ class FPolyFamily:
 @lru_cache(maxsize=65536)
 def family_is_good(f: FPolyFamily) -> bool:
     """Every member nonzero, and v_{i,1}, ..., v_{i,lead_i} of all members
-    jointly independent over Q, decided by one :func:`column_hermite` call.
+    jointly independent over Q, decided by one :func:`rows_independent` call.
 
     This is the same as every member good and all nonzero v_{i,j} across the
     family jointly independent: above its lead a member's vectors are zero,
     and below it a zero or repeated vector is a dependence.  A member's rows
     are its vectors scaled by its positive denominator, which keeps the rank,
-    so they go to the Hermite form as they are.  Cached: this is the hot
+    so they go to the rank test as they are.  Cached: this is the hot
     predicate of the precedence order."""
     if any(p.lead == 0 for p in f.members):
         return False
     rows = [r for p in f.members for r in p.rows[: p.lead]]
     if len(rows) > f.ambient_dim:
         return False
-    return len(column_hermite(rows, f.ambient_dim)) == len(rows)
+    return rows_independent(rows, f.ambient_dim)
 
 
 def lift_to_independent(

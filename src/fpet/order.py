@@ -60,12 +60,15 @@ class PrecedentStep:
     detail: tuple[int, ...]
 
 
-def _descends(a: FPolyFamily, b: FPolyFamily) -> bool:
-    # the order's rule on heights and sorted leads, with no goodness lookup
-    if a.height != b.height:
-        return a.height < b.height
-    la = sorted((p.lead for p in a.members), reverse=True)
-    lb = sorted((p.lead for p in b.members), reverse=True)
+def _shape(f: FPolyFamily) -> tuple[int, list[int]]:
+    return f.height, sorted((p.lead for p in f.members), reverse=True)
+
+
+def _descends(a: tuple[int, list[int]], b: tuple[int, list[int]]) -> bool:
+    # the order's rule on the shapes (height, sorted leads), with no goodness lookup
+    (ha, la), (hb, lb) = a, b
+    if ha != hb:
+        return ha < hb
     if len(la) > len(lb) or any(x > y for x, y in zip(la, lb)):
         return False
     return len(la) < len(lb) or any(x < y for x, y in zip(la, lb))
@@ -77,7 +80,7 @@ def precedes(a: FPolyFamily, b: FPolyFamily) -> bool:
         raise ValueError("precedence is defined on nonempty families")
     if not family_is_good(a) or not family_is_good(b):
         raise ValueError("precedence is defined on good families")
-    return _descends(a, b)
+    return _descends(_shape(a), _shape(b))
 
 
 def precedents(f: FPolyFamily) -> list[PrecedentStep]:
@@ -168,9 +171,10 @@ def induction_dag(f: FPolyFamily, max_nodes: int = 10_000) -> InductionDag:
         fam = queue.popleft()
         if fam.k <= 1:
             continue
+        shape = _shape(fam)
         for step in precedents(fam):
             res = canonical_family(step.result)
-            if not _descends(res, fam):
+            if not _descends(_shape(res), shape):
                 raise RuntimeError(f"{step.kind.value} result does not precede its source")
             if res not in ids:
                 if not family_is_good(res):

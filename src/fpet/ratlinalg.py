@@ -8,10 +8,10 @@ coefficients of :class:`~fpet.fpoly.FPoly`, the matrix of
 :class:`~fpet.torus.TorusSystem`).  Integer routines use arbitrary-precision
 ints; subgroups of Z^m are canonicalized through a column-style Hermite
 normal form with positive pivots, so equal subgroups compare equal
-literally.  That one integer elimination is the module's only exact route:
-it also decides independence over Q (goodness of fractional polynomials),
-since scaling rows by positive integers keeps their rank, and integer rows
-go to it as they are stored.
+literally.  Independence over Q (goodness of fractional polynomials) needs
+only a rank, which :func:`rows_independent` reads from a fraction-free
+elimination; scaling rows by positive integers keeps their rank, so integer
+rows go to it as they are stored.
 """
 
 from __future__ import annotations
@@ -148,6 +148,43 @@ def column_hermite(generators: Iterable[Sequence[int]], m: int) -> tuple[IntVec,
             if npiv == len(cols):
                 break
     return tuple(tuple(c) for c in cols[:npiv])
+
+
+def rows_independent(rows: Sequence[Sequence[int]], m: int) -> bool:
+    """Are the integer rows, each of length m, linearly independent over Q?
+
+    Fraction-free elimination (after Bareiss, Math. Comp. 22, 1968): each
+    pivot column updates only the rows with a nonzero entry there, each
+    updated row is divided by its content, and the search stops once every
+    row has a pivot or a row is zero."""
+    work = list(rows)
+    if any(len(r) != m for r in work):
+        raise ValueError(f"row of wrong length in Z^{m}")
+    n = len(work)
+    npiv = 0
+    for c in range(m):
+        for j in range(npiv, n):
+            if work[j][c]:
+                break
+        else:
+            continue
+        piv = work[j]
+        work[j] = work[npiv]
+        work[npiv] = piv
+        a = piv[c]
+        # after the swap rows npiv + 1, ..., j are zero in column c
+        for i in range(j + 1, n):
+            b = work[i][c]
+            if b:
+                row = [a * x - b * y for x, y in zip(work[i], piv)]
+                g = gcd(*row)
+                if not g:
+                    return False
+                work[i] = [x // g for x in row] if g > 1 else row
+        npiv += 1
+        if npiv == n:
+            return True
+    return npiv == n
 
 
 def hermite_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:

@@ -316,6 +316,21 @@ def test_non_finite_observable_coefficient_exits_2(tmp_path, capsys, bad):
     assert not (tmp_path / "bad.csv").exists()
 
 
+def test_observable_coefficient_past_the_float_square_exits_2(tmp_path, capsys):
+    # conv_k1.cfg with a coefficient that is finite, but whose square in the
+    # distance's norm overflows
+    (tmp_path / "big.obs").write_text("m = 1\nterm = 1 : 1e200 0.0\n")
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(
+        f"command = run-convergence\nsystem = {cfg_path('circle.system')}\n"
+        f"family = {cfg_path('third.family')}\nobservables = big.obs\nn_max = 14\n"
+    )
+    rc = main(["--config", str(cfg), "--serial", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("input error: float overflow")
+    assert not (tmp_path / "big.csv").exists()
+
+
 @pytest.mark.parametrize("intervals, n", [("pinned", 1024), ("sliding-k5", 1022)])
 def test_interval_past_float_range_exits_2(tmp_path, capsys, intervals, n):
     """With only the frequency-0 term every phase is zero and no window guard

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from fpet.fpoly import (FPoly, FPolyFamily, degree, family_is_good, is_good, lift_to_independent,
-                        random_good_family)
+                        lower_part, random_good_family, subtract)
 from fpet import order
 from fpet.order import (
     DagBudgetError,
@@ -218,17 +218,23 @@ def test_induction_dag_budget_error():
 
 
 def test_induction_dag_raises_when_a_move_does_not_descend(monkeypatch):
-    # a type-II move that keeps the member leaves the family where it was
+    # a type-II move that keeps the member leaves the family where it was;
+    # the cached true moves of a first run must not hide it
+    f = fam([[[1, 0]], [[0, 1]]])
+    induction_dag(f)
     monkeypatch.setattr(order, "lower_part", lambda p: p)
     with pytest.raises(RuntimeError, match="type2 result does not precede its source"):
-        induction_dag(fam([[[1, 0]], [[0, 1]]]))
+        induction_dag(f)
 
 
 def test_induction_dag_raises_when_a_move_breaks_goodness(monkeypatch):
-    # a type-I move that repeats the subtracted member gives a dependent family
+    # a type-I move that repeats the subtracted member gives a dependent
+    # family; the cached true moves of a first run must not hide it
+    f = fam([[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]])
+    induction_dag(f)
     monkeypatch.setattr(order, "subtract", lambda p, q: q)
     with pytest.raises(RuntimeError, match="type1 produced a non-good family"):
-        induction_dag(fam([[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]]))
+        induction_dag(f)
 
 
 def test_dag_text_deterministic(rng):
@@ -283,7 +289,7 @@ def test_dag_text_golden_digest():
 
 
 def test_goodness_cache_counts_on_golden_dag():
-    # one miss per node (one column_hermite each) and one hit per node that
+    # one miss per node (one rank test each) and one hit per node that
     # precedents expands; cached hashes must leave every lookup where it is
     family_is_good.cache_clear()
     is_good.cache_clear()
@@ -313,6 +319,18 @@ def test_goodness_cache_counts_on_template_dag(monkeypatch):
     fig, good = family_is_good.cache_info(), is_good.cache_info()
     assert (fig.hits, fig.misses) == (496, 574)
     assert (good.hits, good.misses) == (0, 0)
+
+
+def test_move_cache_counts_on_template_dag(monkeypatch):
+    # 1,078 type-I differences on 284 distinct pairs, and 930 lower parts of
+    # 87 distinct members
+    fam0 = template_family(monkeypatch)
+    subtract.cache_clear()
+    lower_part.cache_clear()
+    induction_dag(fam0)
+    sub, low = subtract.cache_info(), lower_part.cache_info()
+    assert (sub.hits, sub.misses) == (794, 284)
+    assert (low.hits, low.misses) == (843, 87)
 
 
 def shape(f):
@@ -368,7 +386,7 @@ def test_descent_dag_maps_onto_its_shape_dag(monkeypatch):
 @pytest.mark.parametrize(
     "k, d, nodes, edges, longest",
     [(2, 2, 12, 12, 5), (3, 3, 100, 146, 11), (4, 4, 687, 1_370, 19),
-     (5, 4, 2_945, 7_083, 23), (6, 3, 7_171, 19_669, 20)],
+     (5, 4, 2_945, 7_083, 23), (6, 3, 7_171, 19_669, 20), (8, 2, 28_351, 95_632, 17)],
 )
 def test_lifted_dag_size_is_pinned(k, d, nodes, edges, longest):
     """The descent DAG of a lifted family, pinned: its nodes, its edges and

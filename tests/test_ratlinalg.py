@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fpet.fpoly import FPoly
 from fpet.ratlinalg import (
@@ -11,6 +13,7 @@ from fpet.ratlinalg import (
     hermite_contains,
     int_kernel,
     integer_rows,
+    rows_independent,
 )
 from rref_reference import rank, rref
 
@@ -19,7 +22,7 @@ F = Fraction
 
 def hermite_rank(rows):
     """The rank over Q of rational rows: the length of the Hermite basis of
-    their integer rows over one denominator, the route goodness takes."""
+    their integer rows over one denominator."""
     _, ints = integer_rows(rows)
     return len(column_hermite(ints, len(ints[0]) if ints else 0))
 
@@ -136,6 +139,42 @@ def test_hermite_rank_agrees_with_exact_rank(rng):
 ])
 def test_hermite_rank_of_integer_rows(rows, expected):
     assert hermite_rank(rows) == rank(rows) == expected
+    _, ints = integer_rows(rows)
+    assert rows_independent(ints, len(ints[0]) if ints else 0) == (expected == len(rows))
+
+
+@st.composite
+def integer_matrices(draw):
+    """(rows, m): up to m + 2 rows in Z^m with entries up to 10^3, often
+    sparse, with a planted dependence (a row replaced by an integer
+    combination of two others) and a zero row at times."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(0, m + 2))
+    entry = st.one_of(st.integers(-1, 1), st.integers(-1000, 1000))
+    rows = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(n)]
+    if n >= 3 and draw(st.booleans()):
+        i, j, l = draw(st.permutations(range(n)))[:3]
+        a, b = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[l])]
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [0] * m
+    return [tuple(r) for r in rows], m
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+# a pivot found below its place must be swapped up; every row below the
+# pivot with an entry in its column must be updated, not only the next one
+@example(([(0, 1), (1, 0)], 2))
+@example(([(1, 1, 0), (0, 0, 1), (1, 1, 0)], 3))
+def test_rows_independent_agrees_with_the_hermite_rank(case):
+    rows, m = case
+    assert rows_independent(rows, m) == (len(column_hermite(rows, m)) == len(rows))
+
+
+def test_rows_independent_rejects_a_row_of_wrong_length():
+    with pytest.raises(ValueError):
+        rows_independent([(1, 2), (1,)], 2)
 
 
 @pytest.mark.parametrize("route", [integer_rows, rank, rref])
